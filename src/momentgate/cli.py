@@ -79,27 +79,26 @@ def _write_rows(stream, columns, rows) -> None:
 def _cmd_theory(args) -> int:
     model = tm.parse_model(args.model)
     ns = _floats(args.n)
-    rows = []
-    for n in ns:
-        c = theory.critical_curve(model, n)
-        rows.append({"n": c.n, "y_dagger": c.y_dagger, "theta": c.theta,
-                     "rho_l": c.rho_l_at_dagger, "qc_exact": c.qc_exact,
-                     "qc_approx": c.qc_approx})
+    curves = [theory.critical_curve(model, n) for n in ns]
+    rows = [{"n": c.n, "y_dagger": c.y_dagger, "theta": c.theta,
+             "rho_l": c.rho_l_at_dagger, "qc_exact": c.qc_exact,
+             "qc_approx": c.qc_approx} for c in curves]
     q_rows = []
     if args.q_grid:
         if len(ns) != 1:
             raise ArgumentError("--q-grid needs exactly one --n value")
-        n = ns[0]
-        ceiling = theory.q_validity_ceiling(model, n, args.eps)
+        ceiling = theory.q_validity_ceiling(model, ns[0], args.eps)
         for q in _floats(args.q_grid):
             if q > ceiling:
                 sys.stderr.write(
                     f"warning: q={q:g} exceeds validity ceiling {ceiling:.6g}\n"
                 )
+            log_moment = theory.moment_quadrature(model, q).log_value
             q_rows.append({
                 "q": q,
-                "predicted_lnS": theory.predicted_lnS(model, n, q),
-                "log_moment": theory.moment_quadrature(model, q).log_value,
+                "predicted_lnS": theory._predicted_lnS(model, curves[0], q,
+                                                       log_moment),
+                "log_moment": log_moment,
             })
     cfg = [("command", "theory"), ("model", tm.format_model(model)),
            ("n", args.n)]

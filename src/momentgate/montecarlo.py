@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import dependence as dep
 from . import estimators as est
@@ -48,6 +48,10 @@ _LNS_COLUMNS = (
     "n", "q", "q_over_qc", "mean_lnS", "se_lnS", "predicted_lnS",
     "log_moment",
 )
+
+# most values of q*y held at once by _log_mean_exp: a block of orders covers
+# the whole grid for small n, and a single order once n >= 2^16
+_LSE_BLOCK = 2 ** 16
 
 _PROP_COLUMNS = (
     "cell_id", "model", "n", "corrected", "reps_used", "cov_theta_rho",
@@ -313,16 +317,53 @@ def run_corr(config: ExperimentConfig) -> McReport:
     return report
 
 
+def _log_mean_exp(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ln((1/n) sum_i exp(q_j y_i)) for every order q_j, in blocks of orders.
+
+    Each row repeats scipy.special.logsumexp's arithmetic, which separates the
+    maximal terms from the sum (Blanchard, Higham & Higham 2021), so wherever
+    q*y is finite the result equals ``logsumexp(q_j * y) - ln n`` exactly.
+    """
+    rows = max(1, _LSE_BLOCK // len(y))
+    out = np.empty(len(q))
+    for start in range(0, len(q), rows):
+        a = np.multiply.outer(q[start:start + rows], y)
+        a_max = a.max(axis=1, keepdims=True)
+        top = a == a_max
+        m = top.sum(axis=1, keepdims=True, dtype=float)
+        np.subtract(a, a_max, out=a)
+        np.exp(a, out=a)
+        a[top] = 0.0
+        s = a.sum(axis=1, keepdims=True)
+        s = np.where(s == 0.0, s, s / m)
+        out[start:start + rows] = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    return out - math.log(len(y))
+
+
+def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int) -> None:
+    if reps < 1:
+        raise ArgumentError(f"reps must be >= 1, got {reps}")
+    if not np.all(np.isfinite(q_grid) & (q_grid > 0.0)):
+        raise ArgumentError("q grid must be finite and positive")
+    for n in n_list:
+        try:
+            ok = operator.index(n) >= 2
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ArgumentError(f"n must be an integer >= 2, got {n!r}")
+
+
 def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
               seed: int) -> McReport:
     """Mean sample-log-moment curves ln S(n, q) against their predictions.
 
-    S(n, q) = (1/n) sum exp(q Y_i), evaluated by log-sum-exp; the report also
-    carries the collapse coordinate q / qc_approx(n).
+    S(n, q) = (1/n) sum exp(q Y_i), evaluated by log-sum-exp over blocks of
+    at most 2^16 terms; the report also carries the collapse coordinate
+    q / qc_approx(n).
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    if np.any(q_grid <= 0.0):
-        raise ArgumentError("q grid must be positive")
+    _check_lnS_args(n_list, q_grid, reps)
     report = McReport(columns=_LNS_COLUMNS,
                       meta={"kind": "lnS", "seed": seed, "reps": reps,
                             "model": tm.format_model(model)})
@@ -333,7 +374,7 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
 
         def worker(r, n=n, cell_id=cell_id):
             y = tm.sample_iid(model, n, rep_seed(seed, cell_id, r)).values
-            return np.array([logsumexp(q * y) for q in q_grid]) - math.log(n)
+            return _log_mean_exp(q_grid, y)
 
         for vals in _run_reps(reps, worker):
             acc += vals
@@ -341,12 +382,14 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
         mean = acc / reps
         var = acc2 / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
-        for j, q in enumerate(q_grid):
+        for j, q in enumerate(q_grid.tolist()):
+            log_moment = theory.moment_quadrature(model, q).log_value
             report.rows.append({
-                "n": n, "q": float(q), "q_over_qc": float(q) / curve.qc_approx,
+                "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
                 "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),
-                "predicted_lnS": theory.predicted_lnS(model, n, float(q)),
-                "log_moment": theory.moment_quadrature(model, float(q)).log_value,
+                "predicted_lnS": theory._predicted_lnS(model, curve, q,
+                                                       log_moment),
+                "log_moment": log_moment,
             })
     return report
 

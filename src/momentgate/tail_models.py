@@ -197,7 +197,9 @@ def _wrap(y, out):
 
 
 # ---------------------------------------------------------------------------
-# per-family kernels (take float arrays, return float arrays)
+# per-family kernels (take float arrays, return float arrays); the log_pdf
+# kernels also take a bare float and raise powers with np.power, whose
+# array loop makes a float's value equal to its element in an array
 # ---------------------------------------------------------------------------
 
 class _LogWeibull:
@@ -235,7 +237,7 @@ class _LogWeibull:
     def log_pdf(m, y):
         if np.any(y <= 0.0):
             raise DomainError("logweibull density is supported on y > 0")
-        return math.log(m.rho) + (m.rho - 1.0) * np.log(y) - y ** m.rho
+        return math.log(m.rho) + (m.rho - 1.0) * np.log(y) - np.power(y, m.rho)
 
 
 class _Slep:
@@ -305,7 +307,8 @@ class _Slep:
 
     @staticmethod
     def log_pdf(m, y):
-        return -np.abs(y) ** m.rho - math.log(2.0) - math.lgamma(1.0 + 1.0 / m.rho)
+        return (-np.power(np.abs(y), m.rho) - math.log(2.0)
+                - math.lgamma(1.0 + 1.0 / m.rho))
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -421,6 +424,9 @@ def quantile(model: TailModel, p):
 
 def log_pdf(model: TailModel, y):
     """ln p_Y(y); p_Y = h' e^{-h}."""
+    if isinstance(y, float):
+        # the quadrature's per-node call: the kernels are elementwise
+        return float(_dispatch(model).log_pdf(model, y))
     yv = np.asarray(y, dtype=float)
     return _wrap(y, _dispatch(model).log_pdf(model, yv))
 

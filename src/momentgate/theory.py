@@ -278,11 +278,19 @@ def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:
     """
     if not q > 0.0:
         raise DomainError(f"moment order must be > 0, got {q}")
-    curve = critical_curve(model, n)
+    return _predicted_lnS(model, critical_curve(model, n), q)
+
+
+def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: float,
+                   log_moment: float | None = None) -> float:
+    """predicted_lnS at the curve's n, given the curve and, if the caller has
+    it already, ln E X^q; the quadrature runs only when needed and missing."""
     if q <= curve.qc_exact:
-        return moment_quadrature(model, q).log_value
+        if log_moment is None:
+            log_moment = moment_quadrature(model, q).log_value
+        return log_moment
     yd = curve.y_dagger
-    return q * yd - math.log(n) + math.log(tm.h_prime(model, yd))
+    return q * yd - math.log(curve.n) + math.log(tm.h_prime(model, yd))
 
 
 def q_validity_ceiling(model: tm.TailModel, n: float, eps: float = 0.1) -> float:

@@ -201,6 +201,65 @@ def test_lnS_rejects_nonpositive_orders():
         mc.lnS_curve(LN, [100], [0.0, 1.0], reps=2, seed=0)
 
 
+def test_lnS_rejects_zero_reps():
+    with pytest.raises(ArgumentError, match="reps"):
+        mc.lnS_curve(LN, [100], [1.0], reps=0, seed=0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_lnS_rejects_nonfinite_orders(q):
+    with pytest.raises(ArgumentError, match="finite"):
+        mc.lnS_curve(LN, [100], [1.0, q], reps=2, seed=0)
+
+
+def test_lnS_rejects_noninteger_n():
+    with pytest.raises(ArgumentError, match="integer"):
+        mc.lnS_curve(LN, [100.5], [1.0], reps=2, seed=0)
+
+
+def test_lnS_rejects_n_below_two():
+    with pytest.raises(ArgumentError, match=">= 2"):
+        mc.lnS_curve(LN, [1], [1.0], reps=2, seed=0)
+
+
+# per-replication ln S: the blockwise kernel against scipy, exactly
+
+
+def _assert_lnS_equals_logsumexp(q_grid, y):
+    q_grid = np.asarray(q_grid, dtype=float)
+    got = mc._log_mean_exp(q_grid, y)
+    want = np.array([logsumexp(q * y) for q in q_grid]) - math.log(y.size)
+    assert np.array_equal(got, want)
+
+
+def test_lnS_kernel_partial_last_block():
+    n = 3000
+    q_grid = np.arange(0.1, 3.01, 0.05) * th.critical_curve(LN, n).qc_exact
+    assert len(q_grid) == 59 and len(q_grid) % (mc._LSE_BLOCK // n) != 0
+    _assert_lnS_equals_logsumexp(q_grid, tm.sample_iid(LN, n, 21).values)
+
+
+def test_lnS_kernel_one_order_per_block_past_block_size():
+    n = mc._LSE_BLOCK + 4465
+    _assert_lnS_equals_logsumexp([0.5, 3.0, 9.0],
+                                 tm.sample_iid(LN, n, 22).values)
+
+
+def test_lnS_kernel_beyond_exp_overflow():
+    y = tm.sample_iid(LW2, 50, 17).values
+    q_grid = [200.0, 400.0, 800.0]
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(q_grid[1] * y)).any()
+    _assert_lnS_equals_logsumexp(q_grid, y)
+
+
+def test_lnS_kernel_repeated_maximum():
+    y = tm.sample_iid(LN, 200, 23).values
+    y[7] = y.max()
+    assert np.count_nonzero(y == y.max()) == 2
+    _assert_lnS_equals_logsumexp([0.3, 2.0, 40.0], y)
+
+
 # -------------------------------------------------------- correlated runs
 
 

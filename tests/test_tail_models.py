@@ -138,6 +138,22 @@ def test_log_pdf_matches_cdf_derivative():
                                    rtol=2e-5)
 
 
+def test_log_pdf_float_equals_array_element():
+    for model in ALL_MODELS:
+        y = grid(model)
+        arr = tm.log_pdf(model, y)
+        for v, want in zip(y.tolist(), arr):
+            got = tm.log_pdf(model, v)
+            assert type(got) is float
+            assert got == want
+
+
+def test_log_pdf_float_outside_log_weibull_support_rejected():
+    for y in (0.0, -1.5):
+        with pytest.raises(DomainError):
+            tm.log_pdf(LW2, y)
+
+
 def test_log_normal_far_tail_derivative_scaling():
     # h'(y)/y -> 1 in the far tail (Mills ratio limit)
     y = np.array([50.0, 200.0, 1000.0])
