@@ -93,7 +93,7 @@ def _cmd_theory(args) -> int:
                 sys.stderr.write(
                     f"warning: q={q:g} exceeds validity ceiling {ceiling:.6g}\n"
                 )
-            log_moment = theory.moment_quadrature(model, q).log_value
+            log_moment = theory.moment_quadrature(model, q)
             q_rows.append({
                 "q": q,
                 "predicted_lnS": theory._predicted_lnS(model, curves[0], q,

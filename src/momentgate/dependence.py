@@ -59,8 +59,6 @@ __all__ = [
     "qc_theory_corr",
     "synth_series",
     "sieve",
-    "theta_hat_corr",
-    "rho_hat_corr",
     "qc_hat_corr",
 ]
 
@@ -222,18 +220,11 @@ def _embed_gaussian(r: np.ndarray, m: int, seed: int) -> np.ndarray:
 
 
 def _gauss_to_marginal(model: tm.TailModel, z: np.ndarray) -> np.ndarray:
-    """quantile(model, Phi(z)) through survival forms (accurate deep tails)."""
+    """quantile(model, Phi(z)) as h_inv(-ln(1 - Phi(z))), accurate in both
+    tails; lognormal's map is the identity, kept exact and cheap."""
     if model.family is tm.Family.LOG_NORMAL:
         return z.copy()
-    if model.family is tm.Family.LOG_WEIBULL:
-        # h(y) = -ln(1 - Phi(z)) and h = y^rho
-        return (-sp.log_ndtr(-z)) ** (1.0 / model.rho)
-    a = 1.0 / model.rho
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = sp.gammainccinv(a, 2.0 * sp.ndtr(-z[pos])) ** (1.0 / model.rho)
-    out[~pos] = -(sp.gammainccinv(a, 2.0 * sp.ndtr(z[~pos])) ** (1.0 / model.rho))
-    return out
+    return tm.h_inv(model, -sp.log_ndtr(-z))
 
 
 def _hermite_gaussian_cov(model: tm.TailModel, targets: np.ndarray) -> np.ndarray:
@@ -365,9 +356,15 @@ def sieve(series, s: float, beta: float = 1.0,
 # corrected estimators
 # ---------------------------------------------------------------------------
 
-def _corr_components(series: tm.Sample, k_theta: int | None, k_rho: int | None,
-                     tau: float, kappa: float, s: float | None, alpha: float,
-                     beta: float):
+def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
+                k_rho: int | None = None, *, tau: float, kappa: float = 0.08,
+                s: float | None = None, alpha: float = 0.01,
+                beta: float = 1.0) -> QcEstimate:
+    """Sieve-corrected critical-order estimate for a correlated series.
+
+    Defaults: k's from the rules of thumb at round(n*), sieve radius
+    s = alpha * tau.
+    """
     n = series.n
     ns = n_star(n, tau, kappa)
     if ns < 2.0:
@@ -384,38 +381,7 @@ def _corr_components(series: tm.Sample, k_theta: int | None, k_rho: int | None,
         )
     ordered = OrderedSample(top=sieved.selected_values[:k_need], n=n,
                             k_available=k_need)
-    return ordered, kt, kr, math.log(ns)
-
-
-def theta_hat_corr(series: tm.Sample, k_theta: int | None = None, *,
-                   tau: float, kappa: float = 0.08, s: float | None = None,
-                   alpha: float = 0.01, beta: float = 1.0) -> float:
-    """theta_hat on the sieved extremes with ln n* in the numerator."""
-    ordered, kt, _, log_ns = _corr_components(series, k_theta, 2, tau, kappa,
-                                              s, alpha, beta)
-    return theta_hat(ordered, kt, log_n=log_ns)
-
-
-def rho_hat_corr(series: tm.Sample, k_rho: int | None = None, *,
-                 tau: float, kappa: float = 0.08, s: float | None = None,
-                 alpha: float = 0.01, beta: float = 1.0) -> float:
-    """rho_hat on the sieved extremes with n* as the effective size."""
-    ordered, _, kr, log_ns = _corr_components(series, 1, k_rho, tau, kappa,
-                                              s, alpha, beta)
-    return rho_hat(ordered, kr, log_n=log_ns)
-
-
-def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
-                k_rho: int | None = None, *, tau: float, kappa: float = 0.08,
-                s: float | None = None, alpha: float = 0.01,
-                beta: float = 1.0) -> QcEstimate:
-    """Sieve-corrected critical-order estimate for a correlated series.
-
-    Defaults: k's from the rules of thumb at round(n*), sieve radius
-    s = alpha * tau.
-    """
-    ordered, kt, kr, log_ns = _corr_components(series, k_theta, k_rho, tau,
-                                               kappa, s, alpha, beta)
+    log_ns = math.log(ns)
     th = theta_hat(ordered, kt, log_n=log_ns)
     rh = rho_hat(ordered, kr, log_n=log_ns)
     return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,

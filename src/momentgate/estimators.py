@@ -25,7 +25,6 @@ from .tail_models import Sample
 
 __all__ = [
     "OrderedSample",
-    "WeightScheme",
     "QcEstimate",
     "order_stats",
     "omega_weights",
@@ -34,7 +33,6 @@ __all__ = [
     "rho_hat",
     "default_k_theta",
     "default_k_rho",
-    "k_theta_linear_rule",
     "qc_hat",
 ]
 
@@ -54,14 +52,6 @@ class OrderedSample:
             raise ArgumentError("k_available must equal len(top) and be in [1, n]")
         if np.any(np.diff(self.top) > 0.0):
             raise ArgumentError("top must be nonincreasing")
-
-
-@dataclass(frozen=True)
-class WeightScheme:
-    """Omega_k coefficients; alpha sums to 1 with equal leading entries."""
-
-    k: int
-    alpha: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,8 +77,8 @@ def order_stats(sample: Sample, k: int) -> OrderedSample:
     return OrderedSample(top=top, n=n, k_available=k)
 
 
-def omega_weights(k: int) -> WeightScheme:
-    """Variance-optimal unbiased weights for Omega_k.
+def omega_weights(k: int) -> np.ndarray:
+    """Variance-optimal unbiased weights alpha_1..alpha_k for Omega_k.
 
     For k >= 2 the first k-1 entries are (H_{k-1} - gamma)/(k-1) with
     H_{k-1} the harmonic sum and gamma Euler's constant; the last entry
@@ -97,20 +87,19 @@ def omega_weights(k: int) -> WeightScheme:
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if k == 1:
-        return WeightScheme(k=1, alpha=np.array([1.0]))
+        return np.array([1.0])
     harmonic = float(np.sum(1.0 / np.arange(1, k)))
     lead = (harmonic - _EULER_GAMMA) / (k - 1)
     alpha = np.full(k, lead)
     alpha[-1] = 1.0 - (k - 1) * lead
-    return WeightScheme(k=k, alpha=alpha)
+    return alpha
 
 
 def omega(ordered: OrderedSample, k: int) -> float:
     """Omega_k = sum alpha_i Y_{i,n} over the k largest order statistics."""
     if k > ordered.k_available:
         raise ArgumentError(f"k={k} exceeds available order stats {ordered.k_available}")
-    scheme = omega_weights(k)
-    return float(np.dot(scheme.alpha, ordered.top[:k]))
+    return float(np.dot(omega_weights(k), ordered.top[:k]))
 
 
 def theta_hat(ordered: OrderedSample, k_theta: int, *,
@@ -174,15 +163,6 @@ def default_k_rho(n: int, exponent: float = 1.0 / 3.0) -> int:
         raise ArgumentError(f"default k rules need n >= 8, got {n}")
     k = round(8.0 * n ** exponent)
     return _clamp_k(k, n)
-
-
-def k_theta_linear_rule(n: int) -> int:
-    """Alternative k rule round(10 ln n - 40), floored at 2 (negative for
-    small n); opt-in only."""
-    if n < 8:
-        raise ArgumentError(f"default k rules need n >= 8, got {n}")
-    k = round(10.0 * math.log(n) - 40.0)
-    return _clamp_k(max(k, 2), n)
 
 
 def _clamp_k(k: int, n: int) -> int:

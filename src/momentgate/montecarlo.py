@@ -383,7 +383,7 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
         var = acc2 / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
         for j, q in enumerate(q_grid.tolist()):
-            log_moment = theory.moment_quadrature(model, q).log_value
+            log_moment = theory.moment_quadrature(model, q)
             report.rows.append({
                 "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
                 "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),

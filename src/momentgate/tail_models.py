@@ -7,6 +7,8 @@ L(y) * y**rho for a slowly varying L and rho > 1.  Everything downstream
 its first two derivatives, so each family exposes:
 
     h(y)        = -ln(1 - F_Y(y))          (cumulative hazard of Y)
+    h_inv(h)    = the y with h(y) = h      (closed form; quantile, sampling,
+                                            synthesis and the frontier)
     h'(y)       = p_Y(y) / (1 - F_Y(y))    (hazard rate, > 0)
     h''(y)      = h'(y) * (h'(y) + (ln p_Y)'(y))
     rho_local   = y h'(y) / h(y)           (-> rho as y -> +inf)
@@ -48,6 +50,7 @@ __all__ = [
     "rho_local",
     "cdf",
     "sf",
+    "h_inv",
     "quantile",
     "log_pdf",
     "sample_iid",
@@ -101,6 +104,8 @@ class Sample:
     def __post_init__(self) -> None:
         if self.n < 1 or len(self.values) != self.n:
             raise ArgumentError("values length must equal n >= 1")
+        if not np.all(np.isfinite(self.values)):
+            raise ArgumentError("sample values must be finite")
 
 
 def log_weibull(rho: float) -> TailModel:
@@ -198,8 +203,9 @@ def _wrap(y, out):
 
 # ---------------------------------------------------------------------------
 # per-family kernels (take float arrays, return float arrays); the log_pdf
-# kernels also take a bare float and raise powers with np.power, whose
-# array loop makes a float's value equal to its element in an array
+# kernels also take a bare float.  Powers are raised with np.power: numpy's
+# scalar ** calls the C library pow, while the ufunc's loop makes a float's
+# value equal to its element in an array
 # ---------------------------------------------------------------------------
 
 class _LogWeibull:
@@ -207,31 +213,31 @@ class _LogWeibull:
     def h(m, y):
         if np.any(y < 0.0):
             raise DomainError("logweibull h requires y >= 0")
-        return y ** m.rho
+        return np.power(y, m.rho)
 
     @staticmethod
     def h_prime(m, y):
         if np.any(y <= 0.0):
             raise DomainError("logweibull derivatives require y > 0")
-        return m.rho * y ** (m.rho - 1.0)
+        return m.rho * np.power(y, m.rho - 1.0)
 
     @staticmethod
     def h_second(m, y):
         if np.any(y <= 0.0):
             raise DomainError("logweibull derivatives require y > 0")
-        return m.rho * (m.rho - 1.0) * y ** (m.rho - 2.0)
+        return m.rho * (m.rho - 1.0) * np.power(y, m.rho - 2.0)
 
     @staticmethod
     def cdf(m, y):
-        return np.where(y > 0.0, -np.expm1(-np.maximum(y, 0.0) ** m.rho), 0.0)
+        return np.where(y > 0.0, -np.expm1(-np.power(np.maximum(y, 0.0), m.rho)), 0.0)
 
     @staticmethod
     def sf(m, y):
-        return np.where(y > 0.0, np.exp(-np.maximum(y, 0.0) ** m.rho), 1.0)
+        return np.where(y > 0.0, np.exp(-np.power(np.maximum(y, 0.0), m.rho)), 1.0)
 
     @staticmethod
-    def quantile(m, p):
-        return (-np.log1p(-p)) ** (1.0 / m.rho)
+    def h_inv(m, h):
+        return np.power(h, 1.0 / m.rho)
 
     @staticmethod
     def log_pdf(m, y):
@@ -246,7 +252,7 @@ class _Slep:
     @staticmethod
     def h(m, y):
         a = 1.0 / m.rho
-        x = np.abs(y) ** m.rho
+        x = np.power(np.abs(y), m.rho)
         out = np.empty_like(y)
         pos = y >= 0.0
         if pos.any():
@@ -262,21 +268,21 @@ class _Slep:
         # switch the direct form rho y^{rho-1}/(1+U) sidesteps the O(x eps)
         # rounding that the log-space subtraction leaves behind
         ln_norm = math.log(2.0) + math.lgamma(1.0 + 1.0 / m.rho)
-        x = np.abs(y) ** m.rho
+        x = np.power(np.abs(y), m.rho)
         out = np.exp(_Slep.h(m, y) - x - ln_norm)
         far = (y > 0.0) & (x >= _LNQ_SWITCH)
         if np.any(far):
             u = _tail_series_frac(1.0 / m.rho, np.maximum(x, _LNQ_SWITCH))
-            direct = m.rho * np.maximum(y, 1.0) ** (m.rho - 1.0) / (1.0 + u)
+            direct = m.rho * np.power(np.maximum(y, 1.0), m.rho - 1.0) / (1.0 + u)
             out = np.where(far, direct, out)
         return out
 
     @staticmethod
     def h_second(m, y):
         hp = _Slep.h_prime(m, y)
-        dlnp = -m.rho * np.sign(y) * np.abs(y) ** (m.rho - 1.0)
+        dlnp = -m.rho * np.sign(y) * np.power(np.abs(y), m.rho - 1.0)
         out = hp * (hp + dlnp)
-        x = np.abs(y) ** m.rho
+        x = np.power(np.abs(y), m.rho)
         far = (y > 0.0) & (x >= _LNQ_SWITCH)
         if np.any(far):
             # the difference h' + (ln p)' = -U/(1+U) * rho y^{rho-1} exactly
@@ -288,21 +294,22 @@ class _Slep:
     @staticmethod
     def cdf(m, y):
         a = 1.0 / m.rho
-        q = sp.gammaincc(a, np.abs(y) ** m.rho)
+        q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
         return np.where(y >= 0.0, 1.0 - 0.5 * q, 0.5 * q)
 
     @staticmethod
     def sf(m, y):
         a = 1.0 / m.rho
-        q = sp.gammaincc(a, np.abs(y) ** m.rho)
+        q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
         return np.where(y >= 0.0, 0.5 * q, 1.0 - 0.5 * q)
 
     @staticmethod
-    def quantile(m, p):
+    def h_inv(m, h):
+        # Q(1/rho, |y|^rho) = 2 e^{-h} on y >= 0 (h >= ln 2), 2 (1 - e^{-h}) below
         a = 1.0 / m.rho
-        upper = p >= 0.5
-        tail = np.where(upper, 2.0 * (1.0 - p), 2.0 * p)
-        mag = sp.gammainccinv(a, tail) ** (1.0 / m.rho)
+        upper = h >= math.log(2.0)
+        q = np.where(upper, 2.0 * np.exp(-h), -2.0 * np.expm1(-h))
+        mag = np.power(sp.gammainccinv(a, q), a)
         return np.where(upper, mag, -mag)
 
     @staticmethod
@@ -354,8 +361,9 @@ class _LogNormal:
         return sp.ndtr(-y)
 
     @staticmethod
-    def quantile(m, p):
-        return sp.ndtri(p)
+    def h_inv(m, h):
+        # 0.0 - x turns ndtri_exp's -0.0 at h = ln 2 into +0.0
+        return 0.0 - sp.ndtri_exp(-h)
 
     @staticmethod
     def log_pdf(m, y):
@@ -414,12 +422,20 @@ def sf(model: TailModel, y):
     return _wrap(y, _dispatch(model).sf(model, yv))
 
 
+def h_inv(model: TailModel, h):
+    """Inverse cumulative hazard: the y with h(y) = h, in closed form, h >= 0."""
+    hv = np.asarray(h, dtype=float)
+    if not np.all(hv >= 0.0):
+        raise DomainError("h_inv requires h >= 0")
+    return _wrap(h, _dispatch(model).h_inv(model, hv))
+
+
 def quantile(model: TailModel, p):
-    """Inverse CDF on 0 < p < 1."""
+    """Inverse CDF on 0 < p < 1: h_inv(-ln(1 - p))."""
     pv = np.asarray(p, dtype=float)
     if np.any(pv <= 0.0) or np.any(pv >= 1.0):
         raise DomainError("quantile requires 0 < p < 1")
-    return _wrap(p, _dispatch(model).quantile(model, pv))
+    return _wrap(p, _dispatch(model).h_inv(model, -np.log1p(-pv)))
 
 
 def log_pdf(model: TailModel, y):
@@ -465,7 +481,7 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
     """Parse a sample file; returns (values, header metadata).
 
     Raw files without a header are accepted (empty metadata).  Raises
-    DataFormatError on any non-numeric data line.
+    DataFormatError on any non-numeric or non-finite data line.
     """
     meta: dict[str, str] = {}
     values: list[float] = []
@@ -480,9 +496,12 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
                     meta[key.strip()] = val.strip()
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             raise DataFormatError(f"line {lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"line {lineno}: not a finite number: {text!r}")
+        values.append(value)
     if not values:
         raise DataFormatError("no data values in sample file")
     return np.asarray(values, dtype=float), meta

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
-import numpy as np
 from scipy import integrate, optimize
 
 from . import tail_models as tm
@@ -32,8 +30,6 @@ from .errors import (
 
 __all__ = [
     "CriticalCurve",
-    "MomentMethod",
-    "MomentValue",
     "y_dagger",
     "y_star",
     "critical_curve",
@@ -55,7 +51,7 @@ _MOMENT_RELTOL = 1e-8
 
 @dataclass(frozen=True)
 class CriticalCurve:
-    """Frontier quantities at sample size n (n may be any real >= 2)."""
+    """Frontier quantities at sample size n (any finite real >= 2)."""
 
     n: float
     y_dagger: float
@@ -65,59 +61,12 @@ class CriticalCurve:
     qc_approx: float        # product form rho_l * theta == h'(y_dagger)
 
 
-class MomentMethod(str, Enum):
-    QUADRATURE = "quadrature"
-    SADDLEPOINT = "saddlepoint"
-    TRUNCATED = "truncated"
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    q: float
-    log_value: float
-    method: MomentMethod
-
-
 def y_dagger(model: tm.TailModel, n: float) -> float:
-    """Solve h(y) = ln n; the accessible frontier at sample size n."""
-    if not n >= 2.0:
-        raise ArgumentError(f"n must be >= 2, got {n}")
-    target = math.log(n)
-
-    def g(y: float) -> float:
-        return tm.h(model, y) - target
-
-    p_lo = max(1e-12, 1.0 - 2.0 / n)
-    p_hi = 1.0 - 1.0 / (2.0 * n)
-    if p_hi >= 1.0:
-        p_hi = np.nextafter(1.0, 0.0)
-    lo = 0.5 * tm.quantile(model, p_lo)
-    hi = 2.0 * tm.quantile(model, p_hi)
-    if model.family is tm.Family.LOG_WEIBULL:
-        lo = max(lo, 1e-300)
-    if hi <= lo:
-        hi = lo + 1.0
-    # the bracket above works for the stock families; expand defensively so a
-    # malformed model surfaces as ConvergenceError instead of a brentq crash
-    for _ in range(80):
-        if g(lo) < 0.0:
-            break
-        lo = lo - max(1.0, hi - lo) if model.support_lo == -math.inf else lo / 4.0
-    else:
-        raise ConvergenceError("could not bracket y_dagger from below")
-    for _ in range(80):
-        if g(hi) > 0.0:
-            break
-        hi = hi + max(1.0, hi - lo)
-    else:
-        raise ConvergenceError("could not bracket y_dagger from above")
-
-    root = optimize.brentq(g, lo, hi, xtol=1e-13, maxiter=200)
-    if abs(g(root)) > 1e-10 * target:
-        raise ConvergenceError(
-            f"y_dagger residual {g(root):.3e} exceeds tolerance at n={n}"
-        )
-    return float(root)
+    """The accessible frontier at sample size n: h_inv(ln n), closed form for
+    every finite real n >= 2."""
+    if not 2.0 <= n < math.inf:
+        raise ArgumentError(f"n must be a finite real >= 2, got {n}")
+    return tm.h_inv(model, math.log(n))
 
 
 def y_star(model: tm.TailModel, q: float, simplified: bool = False) -> float:
@@ -222,18 +171,15 @@ def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float,
     return k_shift + math.log(total)
 
 
-def moment_quadrature(model: tm.TailModel, q: float) -> MomentValue:
+def moment_quadrature(model: tm.TailModel, q: float) -> float:
     """ln E X^q by adaptive quadrature split at the integrand mode."""
     if not q > 0.0:
         raise DomainError(f"moment order must be > 0, got {q}")
     peak = y_star(model, q)
-    lo = model.support_lo
-    log_value = _log_integral(model, q, lo, math.inf, peak)
-    return MomentValue(q=float(q), log_value=log_value,
-                       method=MomentMethod.QUADRATURE)
+    return _log_integral(model, q, model.support_lo, math.inf, peak)
 
 
-def moment_saddlepoint(model: tm.TailModel, q: float) -> MomentValue:
+def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
     """Large-q saddle approximation q y* - psi(y*) + (1/2) ln(2 pi / psi''(y*))
     with psi = h + ln h'."""
     if not q > 0.0:
@@ -252,21 +198,17 @@ def moment_saddlepoint(model: tm.TailModel, q: float) -> MomentValue:
     psi2 = tm.h_second(model, ys) + d2_ln_hp
     if psi2 <= 0.0:
         raise DegenerateSaddleError(f"psi''(y*) = {psi2:.3e} <= 0 at q={q}")
-    log_value = q * ys - psi + 0.5 * math.log(2.0 * math.pi / psi2)
-    return MomentValue(q=float(q), log_value=log_value,
-                       method=MomentMethod.SADDLEPOINT)
+    return q * ys - psi + 0.5 * math.log(2.0 * math.pi / psi2)
 
 
-def truncated_moment(model: tm.TailModel, n: float, q: float) -> MomentValue:
+def truncated_moment(model: tm.TailModel, n: float, q: float) -> float:
     """Moment integral cut at the accessible frontier y_dagger(n)."""
     if not q > 0.0:
         raise DomainError(f"moment order must be > 0, got {q}")
     yd = y_dagger(model, n)
     lo = model.support_lo if model.support_lo > -math.inf else _UNBOUNDED_LO
     peak = min(y_star(model, q), yd)
-    log_value = _log_integral(model, q, lo, yd, peak)
-    return MomentValue(q=float(q), log_value=log_value,
-                       method=MomentMethod.TRUNCATED)
+    return _log_integral(model, q, lo, yd, peak)
 
 
 def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:
@@ -287,7 +229,7 @@ def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: float,
     it already, ln E X^q; the quadrature runs only when needed and missing."""
     if q <= curve.qc_exact:
         if log_moment is None:
-            log_moment = moment_quadrature(model, q).log_value
+            log_moment = moment_quadrature(model, q)
         return log_moment
     yd = curve.y_dagger
     return q * yd - math.log(curve.n) + math.log(tm.h_prime(model, yd))

@@ -89,13 +89,13 @@ def test_theory_csv_frontier_row():
 
 
 def test_theory_json_agrees_with_csv():
-    args = ("theory", "--model", "slep:rho=1.5", "--n", "100,10000")
+    args = ("theory", "--model", "slep:rho=1.5", "--n", "100,10000,1e20")
     code_c, out_c, _ = run_cli(*args)
     code_j, out_j, _ = run_cli(*args, "--format", "json")
     assert code_c == 0 and code_j == 0
     doc = json.loads(strip_comment_lines(out_j))
     csv_rows = parse_table(data_lines(out_c))
-    assert len(doc["curves"]) == len(csv_rows) == 2
+    assert len(doc["curves"]) == len(csv_rows) == 3
     for jrow, crow in zip(doc["curves"], csv_rows):
         for key in ("n", "y_dagger", "theta", "rho_l", "qc_exact", "qc_approx"):
             assert float(crow[key]) == jrow[key]
@@ -316,11 +316,12 @@ def test_estimate_missing_file_is_io_error(tmp_path):
 
 
 def test_estimate_malformed_line_is_data_error(tmp_path):
-    path = tmp_path / "mangled.txt"
-    path.write_text("1.0\n2.0\nbanana\n")
-    code, _, err = run_cli("estimate", "--input", str(path))
-    assert code == 4
-    assert "line 3" in err
+    for bad in ("banana", "nan", "inf"):
+        path = tmp_path / "mangled.txt"
+        path.write_text(f"1.0\n2.0\n{bad}\n")
+        code, _, err = run_cli("estimate", "--input", str(path))
+        assert code == 4, bad
+        assert "line 3" in err
 
 
 # ------------------------------------------------------------ mc command

@@ -305,7 +305,7 @@ def test_corrected_theta_uses_effective_size_and_sieved_top():
     series = dep.synth_series(
         dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=44)
     tau, k = 50.0, 10
-    got = dep.theta_hat_corr(series, k, tau=tau, s=3.0)
+    got = dep.qc_hat_corr(series, k, 2, tau=tau, s=3.0).theta_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
     ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n,
                                 k_available=k)
@@ -318,7 +318,7 @@ def test_corrected_rho_uses_effective_size():
     series = dep.synth_series(
         dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=45)
     tau, k = 50.0, 12
-    got = dep.rho_hat_corr(series, k, tau=tau, s=3.0)
+    got = dep.qc_hat_corr(series, 1, k, tau=tau, s=3.0).rho_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
     ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n,
                                 k_available=k)

@@ -83,13 +83,13 @@ def test_ordered_sample_validates_monotone():
 
 def test_weights_unit_sum_frozen_pair():
     w = est.omega_weights(2)
-    np.testing.assert_allclose(w.alpha, oracles.OMEGA_WEIGHTS_K2, rtol=1e-14)
-    np.testing.assert_array_equal(est.omega_weights(1).alpha, [1.0])
+    np.testing.assert_allclose(w, oracles.OMEGA_WEIGHTS_K2, rtol=1e-14)
+    np.testing.assert_array_equal(est.omega_weights(1), [1.0])
 
 
 @given(st.integers(min_value=1, max_value=400))
 def test_weights_sum_to_one(k):
-    assert abs(est.omega_weights(k).alpha.sum() - 1.0) <= 1e-12
+    assert abs(est.omega_weights(k).sum() - 1.0) <= 1e-12
 
 
 def test_weights_reject_bad_k():
@@ -193,11 +193,6 @@ def test_default_windows_clamped_to_tail():
             assert 2 <= k <= max(2, n // 10)
 
 
-def test_linear_window_rule():
-    assert est.k_theta_linear_rule(1000) == 29
-    assert est.k_theta_linear_rule(10) == 2  # negative raw value floors at 2
-
-
 # ------------------------------------------------------------ combined qc
 
 
@@ -234,7 +229,7 @@ def test_weighted_combination_moments_match_closed_form():
     for k in (2, 5):
         g = oracles.gumbel_order_stats(n_draws, k, rng)
         w = est.omega_weights(k)
-        om = g[:, :k] @ w.alpha
+        om = g[:, :k] @ w
         se_mean = om.std(ddof=1) / math.sqrt(n_draws)
         assert abs(om.mean()) < 3 * se_mean
         sq = om * om
@@ -253,7 +248,7 @@ def test_weighted_combination_is_variance_optimal():
     k, n_draws = 5, 100_000
     rng = np.random.default_rng(11)
     g = oracles.gumbel_order_stats(n_draws, k, rng)[:, :k]
-    alpha = est.omega_weights(k).alpha
+    alpha = est.omega_weights(k)
     means = np.array([oracles.gumbel_mean(i) for i in range(1, k + 1)])
     basis = null_space(np.vstack([np.ones(k), means]))
     var_opt = (g @ alpha).var(ddof=1)
@@ -270,7 +265,7 @@ def test_weighted_combination_normalizes_with_k():
     ks_dist, skew = [], []
     for k in (1, 5, 50):
         g = oracles.gumbel_order_stats(n_draws, k, rng)[:, :k]
-        om = g @ est.omega_weights(k).alpha
+        om = g @ est.omega_weights(k)
         z = (om - om.mean()) / om.std(ddof=1)
         ks_dist.append(sps.kstest(z, sps.norm.cdf).statistic)
         skew.append(sps.skew(om))

@@ -6,6 +6,7 @@ in oracles.py; derivative identities are checked by finite differences.
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,14 +139,30 @@ def test_log_pdf_matches_cdf_derivative():
                                    rtol=2e-5)
 
 
-def test_log_pdf_float_equals_array_element():
+def _float_call_args(name, model):
+    if name == "quantile":
+        return np.linspace(0.0005, 0.9995, 601)
+    if name == "h_inv":
+        return np.linspace(0.0, 50.0, 601)
+    lo = 0.05 if model.support_lo == 0.0 else -6.0
+    y = np.linspace(lo, 25.0, 601)
+    if name == "rho_local":
+        y = y[tm.h(model, y) > 0.0]
+    return y
+
+
+@pytest.mark.parametrize("name", ["log_pdf", "h", "h_prime", "h_second",
+                                  "rho_local", "cdf", "sf", "quantile",
+                                  "h_inv"])
+def test_float_equals_array_element(name):
+    f = getattr(tm, name)
     for model in ALL_MODELS:
-        y = grid(model)
-        arr = tm.log_pdf(model, y)
-        for v, want in zip(y.tolist(), arr):
-            got = tm.log_pdf(model, v)
+        x = _float_call_args(name, model)
+        arr = f(model, x)
+        for v, want in zip(x.tolist(), arr):
+            got = f(model, v)
             assert type(got) is float
-            assert got == want
+            assert got == want, (tm.format_model(model), v)
 
 
 def test_log_pdf_float_outside_log_weibull_support_rejected():
@@ -184,7 +201,23 @@ def test_local_tail_index_approaches_shape():
         assert np.all(vals < rho + 1e-9)
 
 
-# ----------------------------------------------------------- quantile/cdf
+# ------------------------------------------------------ h_inv/quantile/cdf
+
+
+def test_h_inv_inverts_h():
+    # from 1e-3: below it lognormal's h (ln 2 - ln erfc) loses digits itself
+    hs = np.array([1e-3, 0.5, math.log(2.0), 1.0, 12.0, 40.0, 599.0,
+                   601.0, 700.0, math.log(sys.float_info.max)])
+    for model in ALL_MODELS + [tm.strict_log_exp_power(1.05),
+                               tm.log_weibull(8.0)]:
+        np.testing.assert_allclose(tm.h(model, tm.h_inv(model, hs)), hs,
+                                   rtol=1e-12)
+
+
+def test_h_inv_rejects_negative_or_nan():
+    for bad in (-1e-300, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            tm.h_inv(LW2, bad)
 
 
 def test_quantile_round_trip():
@@ -316,6 +349,12 @@ def test_read_sample_accepts_headerless():
 def test_read_sample_reports_bad_line():
     with pytest.raises(DataFormatError, match="line 3"):
         tm.read_sample(io.StringIO("# model=unknown\n1.0\nnot-a-number\n"))
+
+
+def test_sample_rejects_nonfinite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ArgumentError):
+            tm.Sample(values=np.array([1.0, bad, 2.0]), n=3, seed=0)
 
 
 def test_read_sample_rejects_empty():

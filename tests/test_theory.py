@@ -8,6 +8,7 @@ internal consistency identities.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_y_dagger_power_law_closed_form():
     assert th.y_dagger(LW3, math.exp(9.0)) == pytest.approx(oracles.CBRT_9,
                                                             rel=1e-12)
     for model in (LW15, LW2, LW3):
-        for n in (10.0, 1e4, 1e8):
+        for n in (10.0, 1e4, 1e8, 1e17, 1e300, sys.float_info.max):
             expected = math.log(n) ** (1.0 / model.rho)
             assert th.y_dagger(model, n) == pytest.approx(expected, rel=1e-10)
 
@@ -46,15 +47,36 @@ def test_y_dagger_normal_exponent_frozen():
 
 def test_y_dagger_defining_equation():
     for model in (LW2, SLEP2, LN):
-        for n in (2.0, 57.3, 1e3, 1e9):
+        for n in (2.0, 57.3, 1e3, 1e9, 1e17, 1e100, 1e300,
+                  sys.float_info.max):
             yd = th.y_dagger(model, n)
             assert tm.h(model, yd) == pytest.approx(math.log(n), rel=1e-10)
 
 
 def test_y_dagger_requires_two_points():
-    with pytest.raises(ArgumentError):
-        th.y_dagger(LW2, 1.0)
+    for n in (1.0, math.inf, math.nan):
+        with pytest.raises(ArgumentError):
+            th.y_dagger(LW2, n)
     assert th.y_dagger(LW2, 2.0) > 0.0
+    # symmetric families: the frontier at n = 2 is the median, +0.0, where
+    # critical_curve takes its y_dagger == 0 branch
+    for model in (SLEP2, LN):
+        yd = th.y_dagger(model, 2.0)
+        assert yd == 0.0 and math.copysign(1.0, yd) == 1.0
+        c = th.critical_curve(model, 2.0)
+        assert c.theta == math.inf
+        assert c.qc_approx == tm.h_prime(model, 0.0)
+
+
+def test_frontier_closed_form_over_whole_domain():
+    models = (LW15, tm.log_weibull(8.0), SLEP2, tm.strict_log_exp_power(1.05),
+              tm.strict_log_exp_power(8.0), LN)
+    for model in models:
+        for n in (1e17, 1e100, 1e300, sys.float_info.max):
+            c = th.critical_curve(model, n)
+            assert all(math.isfinite(v) for v in vars(c).values())
+            assert tm.h(model, c.y_dagger) == pytest.approx(math.log(n),
+                                                            rel=1e-12)
 
 
 # ------------------------------------------------------------ saddle point
@@ -162,35 +184,35 @@ def test_local_tail_index_at_frontier_increases():
 
 def test_moment_quadrature_power_law_closed_form():
     for q in (1.0, 3.0):
-        got = th.moment_quadrature(LW2, q).log_value
+        got = th.moment_quadrature(LW2, q)
         assert got == pytest.approx(oracles.LW2_LOG_MOMENT[q], rel=1e-10)
         assert got == pytest.approx(oracles.lw2_log_moment(q), rel=1e-10)
 
 
 def test_moment_quadrature_normal_exponent_exact():
     for q in (0.5, 1.0, 2.0, 5.0, 10.0, 17.0):
-        assert th.moment_quadrature(LN, q).log_value == pytest.approx(
+        assert th.moment_quadrature(LN, q) == pytest.approx(
             q * q / 2.0, rel=1e-8)
 
 
 def test_moment_is_log_convex_in_q():
     qs = np.linspace(0.5, 12.0, 24)
     for model in (LW2, SLEP2, LN):
-        vals = np.array([th.moment_quadrature(model, q).log_value
+        vals = np.array([th.moment_quadrature(model, q)
                          for q in qs])
         assert np.all(np.diff(vals, 2) > -1e-9)
 
 
 def test_moment_continuous_at_zero_order():
-    assert abs(th.moment_quadrature(LW2, 1e-8).log_value) < 1e-6
+    assert abs(th.moment_quadrature(LW2, 1e-8)) < 1e-6
 
 
 def test_saddlepoint_tracks_quadrature():
     for model in (LW2, LN):
         gaps = []
         for q in (10.0, 40.0):
-            exact = th.moment_quadrature(model, q).log_value
-            sp = th.moment_saddlepoint(model, q).log_value
+            exact = th.moment_quadrature(model, q)
+            sp = th.moment_saddlepoint(model, q)
             gaps.append(abs(sp - exact) / abs(exact))
         assert gaps[1] < gaps[0]
         assert gaps[1] < 0.02
@@ -217,8 +239,8 @@ def test_truncated_moment_equals_full_moment_below_crossover():
     qc = th.critical_curve(LW2, n).qc_exact
     for frac, bound in ((0.3, 2e-4), (0.5, 2e-3)):
         q = frac * qc
-        full = th.moment_quadrature(LW2, q).log_value
-        trunc = th.truncated_moment(LW2, n, q).log_value
+        full = th.moment_quadrature(LW2, q)
+        trunc = th.truncated_moment(LW2, n, q)
         assert abs(trunc - full) <= bound * abs(full)
 
 
@@ -229,21 +251,21 @@ def test_truncated_moment_boundary_regime():
     for mult in (2.0, 2.5, 3.0):
         q = mult * c.qc_exact
         boundary = q * c.y_dagger - tm.h(LW2, c.y_dagger) + ln_hp
-        trunc = th.truncated_moment(LW2, n, q).log_value
+        trunc = th.truncated_moment(LW2, n, q)
         assert abs(trunc - boundary) <= 0.05 * abs(boundary)
 
 
 def test_truncated_moment_below_full():
     for q in np.linspace(0.5, 20.0, 9):
-        trunc = th.truncated_moment(LW2, 1e4, q).log_value
-        full = th.moment_quadrature(LW2, q).log_value
+        trunc = th.truncated_moment(LW2, 1e4, q)
+        full = th.moment_quadrature(LW2, q)
         assert trunc <= full + 1e-12
 
 
 def test_truncated_moment_converges_with_n():
     q = 3.0
-    full = th.moment_quadrature(LW2, q).log_value
-    gaps = [abs(th.truncated_moment(LW2, n, q).log_value - full)
+    full = th.moment_quadrature(LW2, q)
+    gaps = [abs(th.truncated_moment(LW2, n, q) - full)
             for n in (1e4, 1e6, 1e8)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
@@ -256,8 +278,7 @@ def test_predicted_profile_branches():
     n = 1e3
     c = th.critical_curve(LN, n)
     q_lo = 0.5 * c.qc_exact
-    assert th.predicted_lnS(LN, n, q_lo) == th.moment_quadrature(
-        LN, q_lo).log_value
+    assert th.predicted_lnS(LN, n, q_lo) == th.moment_quadrature(LN, q_lo)
     q_hi = 2.0 * c.qc_exact
     expected = (q_hi * c.y_dagger - math.log(n)
                 + math.log(tm.h_prime(LN, c.y_dagger)))
