@@ -34,10 +34,6 @@ from .errors import (
 _THEORY_COLUMNS = ("n", "y_dagger", "theta", "rho_l", "qc_exact", "qc_approx")
 
 
-def _fmt(v) -> str:
-    return mc._fmt(v)
-
-
 def _seed(args) -> int:
     return 0 if args.seed is None else int(args.seed)
 
@@ -64,12 +60,6 @@ def _header(stream, seed, config_items) -> None:
     cfg = " ".join(f"{k}={v}" for k, v in config_items)
     stream.write(f"# config={cfg}\n")
     stream.write(f"# seed={seed}\n")
-
-
-def _write_rows(stream, columns, rows) -> None:
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +94,17 @@ def _cmd_theory(args) -> int:
            ("n", args.n)]
     stream, close = _open_out(args.out)
     try:
+        _header(stream, _seed(args), cfg)
         if args.format == "json":
-            _header(stream, _seed(args), cfg)
             json.dump({"curves": rows, "q_table": q_rows}, stream, indent=1,
                       sort_keys=True)
             stream.write("\n")
         else:
-            _header(stream, _seed(args), cfg)
-            _write_rows(stream, _THEORY_COLUMNS, rows)
+            mc._write_rows(stream, _THEORY_COLUMNS, rows)
             if q_rows:
                 stream.write("# q_table\n")
-                _write_rows(stream, ("q", "predicted_lnS", "log_moment"), q_rows)
+                mc._write_rows(stream, ("q", "predicted_lnS", "log_moment"),
+                               q_rows)
     finally:
         if close:
             stream.close()
@@ -183,8 +173,7 @@ def _cmd_estimate(args) -> int:
         if args.format == "csv":
             cfg = [("command", "estimate"), ("input", args.input)]
             _header(stream, _seed(args), cfg)
-            cols = tuple(payload)
-            _write_rows(stream, cols, [payload])
+            mc._write_rows(stream, tuple(payload), [payload])
         else:
             json.dump(payload, stream, indent=1, sort_keys=True)
             stream.write("\n")
@@ -353,11 +342,10 @@ def _cmd_mc(args) -> int:
     cfg_desc += [("kind", kind)]
     stream, close = _open_out(args.out)
     try:
+        _header(stream, seed_out, cfg_desc)
         if args.format == "json":
-            _header(stream, seed_out, cfg_desc)
             report.to_json(stream)
         else:
-            _header(stream, seed_out, cfg_desc)
             report.to_csv(stream)
     finally:
         if close:

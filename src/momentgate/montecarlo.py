@@ -108,9 +108,7 @@ class McReport:
     def to_csv(self, stream) -> None:
         for key in sorted(self.meta):
             stream.write(f"# {key}={self.meta[key]}\n")
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            stream.write(",".join(_fmt(row.get(c)) for c in self.columns) + "\n")
+        _write_rows(stream, self.columns, self.rows)
 
     def to_json(self, stream) -> None:
         json.dump({"meta": self.meta, "columns": list(self.columns),
@@ -129,6 +127,13 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return "%.17g" % float(v)
     return str(v)
+
+
+def _write_rows(stream, columns, rows) -> None:
+    """CSV header line, then one line per row dict in column order."""
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
 
 
 def rep_seed(master: int, cell_id: int, rep_id: int) -> int:
