@@ -379,8 +379,7 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
         raise InsufficientSievedPoints(
             f"sieve kept {len(sieved.selected_values)} points, need {k_need + 1}"
         )
-    ordered = OrderedSample(top=sieved.selected_values[:k_need], n=n,
-                            k_available=k_need)
+    ordered = OrderedSample(top=sieved.selected_values[:k_need], n=n)
     log_ns = math.log(ns)
     th = theta_hat(ordered, kt, log_n=log_ns)
     rh = rho_hat(ordered, kr, log_n=log_ns)

@@ -13,7 +13,6 @@ __all__ = [
     "DomainError",
     "DataFormatError",
     "ConvergenceError",
-    "NoRootError",
     "DegenerateSaddleError",
     "NonPositiveOmegaError",
     "DegenerateRegressionError",
@@ -42,10 +41,6 @@ class DataFormatError(MomentgateError, ValueError):
 
 class ConvergenceError(MomentgateError, RuntimeError):
     """An iterative procedure (root find, quadrature) failed to converge."""
-
-
-class NoRootError(ConvergenceError):
-    """The equation being solved has no root in the admissible range."""
 
 
 class DegenerateSaddleError(MomentgateError, RuntimeError):

@@ -45,11 +45,10 @@ class OrderedSample:
 
     top: np.ndarray
     n: int
-    k_available: int
 
     def __post_init__(self) -> None:
-        if self.k_available != len(self.top) or not 1 <= self.k_available <= self.n:
-            raise ArgumentError("k_available must equal len(top) and be in [1, n]")
+        if not 1 <= len(self.top) <= self.n:
+            raise ArgumentError("len(top) must be in [1, n]")
         if np.any(np.diff(self.top) > 0.0):
             raise ArgumentError("top must be nonincreasing")
 
@@ -74,7 +73,7 @@ def order_stats(sample: Sample, k: int) -> OrderedSample:
     else:
         part = np.partition(values, n - k)[n - k:]
         top = np.sort(part)[::-1]
-    return OrderedSample(top=top, n=n, k_available=k)
+    return OrderedSample(top=top, n=n)
 
 
 def omega_weights(k: int) -> np.ndarray:
@@ -97,8 +96,8 @@ def omega_weights(k: int) -> np.ndarray:
 
 def omega(ordered: OrderedSample, k: int) -> float:
     """Omega_k = sum alpha_i Y_{i,n} over the k largest order statistics."""
-    if k > ordered.k_available:
-        raise ArgumentError(f"k={k} exceeds available order stats {ordered.k_available}")
+    if k > len(ordered.top):
+        raise ArgumentError(f"k={k} exceeds available order stats {len(ordered.top)}")
     return float(np.dot(omega_weights(k), ordered.top[:k]))
 
 
@@ -124,9 +123,9 @@ def rho_hat(ordered: OrderedSample, k_rho: int, *,
     """
     if k_rho < 2:
         raise ArgumentError(f"k_rho must be >= 2, got {k_rho}")
-    if k_rho > ordered.k_available:
+    if k_rho > len(ordered.top):
         raise ArgumentError(
-            f"k_rho={k_rho} exceeds available order stats {ordered.k_available}"
+            f"k_rho={k_rho} exceeds available order stats {len(ordered.top)}"
         )
     num = math.log(ordered.n) if log_n is None else float(log_n)
     ranks = np.arange(1, k_rho + 1, dtype=float)
@@ -157,11 +156,11 @@ def default_k_theta(n: int) -> int:
     return _clamp_k(k, n)
 
 
-def default_k_rho(n: int, exponent: float = 1.0 / 3.0) -> int:
-    """Rule-of-thumb k for rho_hat: round(8 n**exponent), clamped."""
+def default_k_rho(n: int) -> int:
+    """Rule-of-thumb k for rho_hat: round(8 n**(1/3)), clamped."""
     if n < 8:
         raise ArgumentError(f"default k rules need n >= 8, got {n}")
-    k = round(8.0 * n ** exponent)
+    k = round(8.0 * n ** (1.0 / 3.0))
     return _clamp_k(k, n)
 
 

@@ -9,6 +9,7 @@ its first two derivatives, so each family exposes:
     h(y)        = -ln(1 - F_Y(y))          (cumulative hazard of Y)
     h_inv(h)    = the y with h(y) = h      (closed form; quantile, sampling,
                                             synthesis and the frontier)
+    score_inv(q) = the y with -(ln p_Y)'(y) = q   (the moment saddle y*(q))
     h'(y)       = p_Y(y) / (1 - F_Y(y))    (hazard rate, > 0)
     h''(y)      = h'(y) * (h'(y) + (ln p_Y)'(y))
     rho_local   = y h'(y) / h(y)           (-> rho as y -> +inf)
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy import optimize
 from scipy import special as sp
 
 from .errors import ArgumentError, DataFormatError, DomainError
@@ -51,6 +53,7 @@ __all__ = [
     "cdf",
     "sf",
     "h_inv",
+    "score_inv",
     "quantile",
     "log_pdf",
     "sample_iid",
@@ -65,6 +68,8 @@ _LNQ_SWITCH = 600.0
 # uniform draws are clamped away from 0 so quantile() stays in its open domain;
 # P(u < 2^-55) is ~0 and the clamp never moves a representable nonzero draw.
 _U_FLOOR = 2.0 ** -55
+
+_TINY = np.finfo(float).tiny
 
 
 class Family(str, Enum):
@@ -240,6 +245,27 @@ class _LogWeibull:
         return np.power(h, 1.0 / m.rho)
 
     @staticmethod
+    def score_inv(m, q):
+        # rho y^rho - q y - (rho - 1) = 0 in t = ln(y / lo), lo the zero of the
+        # slope: expm1((rho-1) t) - expm1(-t) = c rises from 0 at t = 0 and
+        # passes c by log1p(c)/(rho-1), i.e. y = (q/rho + lo^(rho-1))^(1/(rho-1))
+        r1 = m.rho - 1.0
+        lo = np.power(r1 / m.rho, 1.0 / m.rho)
+        c = q * lo / r1
+
+        def root(ci, hi):
+            def g(t):
+                return np.expm1(r1 * t) - np.expm1(-t) - ci
+            if not g(hi) > 0.0:  # c swamps the margin 1 - e^-hi, or hi = inf
+                return hi
+            # 4 eps is the smallest relative tolerance brentq accepts
+            return optimize.brentq(g, 0.0, hi, xtol=1e-300,
+                                   rtol=4.0 * np.finfo(float).eps)
+
+        t = np.vectorize(root, otypes=[float])(c, np.log1p(c) / r1)
+        return lo * np.exp(t)
+
+    @staticmethod
     def log_pdf(m, y):
         if np.any(y <= 0.0):
             raise DomainError("logweibull density is supported on y > 0")
@@ -313,6 +339,10 @@ class _Slep:
         return np.where(upper, mag, -mag)
 
     @staticmethod
+    def score_inv(m, q):
+        return np.power(q / m.rho, 1.0 / (m.rho - 1.0))
+
+    @staticmethod
     def log_pdf(m, y):
         return (-np.power(np.abs(y), m.rho) - math.log(2.0)
                 - math.lgamma(1.0 + 1.0 / m.rho))
@@ -320,20 +350,12 @@ class _Slep:
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_ERFCX_SWITCH = 8.0
 
 
 class _LogNormal:
     @staticmethod
     def h(m, y):
-        out = np.empty_like(y)
-        big = y >= _ERFCX_SWITCH
-        if big.any():
-            yb = y[big]
-            out[big] = math.log(2.0) + 0.5 * yb * yb - np.log(sp.erfcx(yb / _SQRT2))
-        if (~big).any():
-            out[~big] = math.log(2.0) - np.log(sp.erfc(y[~big] / _SQRT2))
-        return out
+        return -sp.log_ndtr(-y)
 
     @staticmethod
     def h_prime(m, y):
@@ -364,6 +386,10 @@ class _LogNormal:
     def h_inv(m, h):
         # 0.0 - x turns ndtri_exp's -0.0 at h = ln 2 into +0.0
         return 0.0 - sp.ndtri_exp(-h)
+
+    @staticmethod
+    def score_inv(m, q):
+        return q.copy()
 
     @staticmethod
     def log_pdf(m, y):
@@ -428,6 +454,23 @@ def h_inv(model: TailModel, h):
     if not np.all(hv >= 0.0):
         raise DomainError("h_inv requires h >= 0")
     return _wrap(h, _dispatch(model).h_inv(model, hv))
+
+
+def score_inv(model: TailModel, q):
+    """The y with -(d/dy) ln p_Y(y) = q for q > 0: the saddle y*(q) of the
+    moment integral.  lognormal q, slep (q/rho)^(1/(rho-1)), logweibull the
+    positive root of rho y^rho - q y - (rho - 1).  DomainError where y* leaves
+    the normal doubles."""
+    qv = np.asarray(q, dtype=float)
+    if not np.all(qv > 0.0):
+        raise DomainError("score_inv requires q > 0")
+    with np.errstate(over="ignore", under="ignore"):
+        y = _dispatch(model).score_inv(model, qv)
+    bad = ~(np.isfinite(y) & (y >= _TINY))
+    if np.any(bad):
+        raise DomainError(f"y* at q={qv[bad].flat[0]:.17g} is outside the normal "
+                          f"doubles for {format_model(model)}")
+    return _wrap(q, y)
 
 
 def quantile(model: TailModel, p):

@@ -17,16 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, optimize
+from scipy import integrate
 
 from . import tail_models as tm
-from .errors import (
-    ArgumentError,
-    ConvergenceError,
-    DegenerateSaddleError,
-    DomainError,
-    NoRootError,
-)
+from .errors import ArgumentError, ConvergenceError, DegenerateSaddleError, DomainError
 
 __all__ = [
     "CriticalCurve",
@@ -69,56 +63,13 @@ def y_dagger(model: tm.TailModel, n: float) -> float:
     return tm.h_inv(model, math.log(n))
 
 
-def y_star(model: tm.TailModel, q: float, simplified: bool = False) -> float:
-    """Location dominating the moment integral at order q.
-
-    Solves q = h'(y) - h''(y)/h'(y), i.e. the maximizer of q y + ln p(y);
-    with ``simplified`` solves the leading-order form h'(y) = q instead.
-    """
+def y_star(model: tm.TailModel, q: float) -> float:
+    """Location dominating the moment integral at order q: the maximizer of
+    q y + ln p(y), i.e. tm.score_inv(model, q); DomainError unless q > 0 and
+    y* is a normal double."""
     if not q > 0.0:
         raise DomainError(f"y_star requires q > 0, got {q}")
-
-    if simplified:
-        def g(y: float) -> float:
-            return q - tm.h_prime(model, y)
-    else:
-        def g(y: float) -> float:
-            hp = tm.h_prime(model, y)
-            return q - hp + tm.h_second(model, y) / hp
-
-    # g is decreasing: positive well left of the root, negative right of it
-    if model.support_lo == 0.0:
-        lo, hi = 1e-8, 1.0
-        for _ in range(200):
-            if g(lo) > 0.0:
-                break
-            lo /= 8.0
-            if lo < 1e-300:
-                raise NoRootError(f"no y_star below support scale at q={q}")
-        else:
-            raise NoRootError(f"could not bracket y_star from below at q={q}")
-    else:
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if g(lo) > 0.0:
-                break
-            lo *= 2.0
-        else:
-            raise NoRootError(f"could not bracket y_star from below at q={q}")
-    for _ in range(200):
-        if g(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoRootError(f"could not bracket y_star from above at q={q}")
-
-    root = optimize.brentq(g, lo, hi, xtol=1e-13, maxiter=200)
-    # residual scale: g is a difference of h'-sized terms, so a pure 1e-9 q
-    # bound is unattainable once q drops below machine noise of those terms
-    scale = max(q, abs(float(tm.h_prime(model, root))))
-    if abs(g(root)) > 1e-9 * scale:
-        raise ConvergenceError(f"y_star residual {g(root):.3e} at q={q}")
-    return float(root)
+    return tm.score_inv(model, q)
 
 
 def critical_curve(model: tm.TailModel, n: float) -> CriticalCurve:

@@ -307,8 +307,7 @@ def test_corrected_theta_uses_effective_size_and_sieved_top():
     tau, k = 50.0, 10
     got = dep.qc_hat_corr(series, k, 2, tau=tau, s=3.0).theta_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n,
-                                k_available=k)
+    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n)
     want = est.theta_hat(ordered, k,
                          log_n=math.log(dep.n_star(series.n, tau, 0.08)))
     assert got == want
@@ -320,8 +319,7 @@ def test_corrected_rho_uses_effective_size():
     tau, k = 50.0, 12
     got = dep.qc_hat_corr(series, 1, k, tau=tau, s=3.0).rho_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n,
-                                k_available=k)
+    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n)
     want = est.rho_hat(ordered, k,
                        log_n=math.log(dep.n_star(series.n, tau, 0.08)))
     assert got == want

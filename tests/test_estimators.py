@@ -75,7 +75,7 @@ def test_order_stats_bounds():
 
 def test_ordered_sample_validates_monotone():
     with pytest.raises(ArgumentError):
-        est.OrderedSample(top=np.array([1.0, 2.0]), n=5, k_available=2)
+        est.OrderedSample(top=np.array([1.0, 2.0]), n=5)
 
 
 # --------------------------------------------------------------- weights
@@ -109,7 +109,7 @@ def test_combination_of_constant_top_is_identity():
 
 
 def test_theta_hat_single_order_stat():
-    ordered = est.OrderedSample(top=np.array([2.0]), n=55, k_available=1)
+    ordered = est.OrderedSample(top=np.array([2.0]), n=55)
     assert est.theta_hat(ordered, 1, log_n=4.0) == pytest.approx(2.0,
                                                                  rel=1e-15)
     assert est.theta_hat(ordered, 1) == pytest.approx(math.log(55) / 2.0,
@@ -117,7 +117,7 @@ def test_theta_hat_single_order_stat():
 
 
 def test_theta_hat_rejects_nonpositive_combination():
-    ordered = est.OrderedSample(top=np.array([-1.0]), n=10, k_available=1)
+    ordered = est.OrderedSample(top=np.array([-1.0]), n=10)
     with pytest.raises(NonPositiveOmegaError):
         est.theta_hat(ordered, 1)
 
@@ -138,33 +138,29 @@ def test_rho_hat_excludes_nonpositive_suffix():
     i = np.arange(1, k + 1, dtype=float)
     clean = (math.log(n) - np.log(i)) ** 0.5
     contaminated = np.concatenate([clean, [-0.5, -2.0]])
-    a = est.OrderedSample(top=contaminated, n=n, k_available=k + 2)
-    b = est.OrderedSample(top=clean, n=n, k_available=k)
+    a = est.OrderedSample(top=contaminated, n=n)
+    b = est.OrderedSample(top=clean, n=n)
     assert est.rho_hat(a, k + 2) == pytest.approx(est.rho_hat(b, k),
                                                   rel=1e-12)
     assert est.rho_hat(a, k + 2) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_rho_hat_error_conditions():
-    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=100,
-                                k_available=3)
+    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=100)
     with pytest.raises(ArgumentError):
         est.rho_hat(ordered, 1)
     with pytest.raises(ArgumentError):
         est.rho_hat(ordered, 5)
-    neg = est.OrderedSample(top=np.array([-0.5, -1.0, -2.0]), n=100,
-                            k_available=3)
+    neg = est.OrderedSample(top=np.array([-0.5, -1.0, -2.0]), n=100)
     with pytest.raises(InsufficientPositiveValues):
         est.rho_hat(neg, 3)
-    flat = est.OrderedSample(top=np.array([2.0, 2.0, 2.0]), n=100,
-                             k_available=3)
+    flat = est.OrderedSample(top=np.array([2.0, 2.0, 2.0]), n=100)
     with pytest.raises(DegenerateRegressionError):
         est.rho_hat(flat, 3)
 
 
 def test_rho_hat_ladder_needs_room():
-    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=100,
-                                k_available=3)
+    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=100)
     # effective size e^1.0 leaves no positive ladder value at rank 3
     with pytest.raises(ArgumentError):
         est.rho_hat(ordered, 3, log_n=1.0)

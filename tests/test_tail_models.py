@@ -144,6 +144,8 @@ def _float_call_args(name, model):
         return np.linspace(0.0005, 0.9995, 601)
     if name == "h_inv":
         return np.linspace(0.0, 50.0, 601)
+    if name == "score_inv":
+        return np.logspace(-6.0, 4.0, 601)
     lo = 0.05 if model.support_lo == 0.0 else -6.0
     y = np.linspace(lo, 25.0, 601)
     if name == "rho_local":
@@ -153,7 +155,7 @@ def _float_call_args(name, model):
 
 @pytest.mark.parametrize("name", ["log_pdf", "h", "h_prime", "h_second",
                                   "rho_local", "cdf", "sf", "quantile",
-                                  "h_inv"])
+                                  "h_inv", "score_inv"])
 def test_float_equals_array_element(name):
     f = getattr(tm, name)
     for model in ALL_MODELS:
@@ -205,13 +207,19 @@ def test_local_tail_index_approaches_shape():
 
 
 def test_h_inv_inverts_h():
-    # from 1e-3: below it lognormal's h (ln 2 - ln erfc) loses digits itself
-    hs = np.array([1e-3, 0.5, math.log(2.0), 1.0, 12.0, 40.0, 599.0,
+    hs = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.5, math.log(2.0), 1.0, 12.0, 40.0, 599.0,
                    601.0, 700.0, math.log(sys.float_info.max)])
     for model in ALL_MODELS + [tm.strict_log_exp_power(1.05),
                                tm.log_weibull(8.0)]:
         np.testing.assert_allclose(tm.h(model, tm.h_inv(model, hs)), hs,
                                    rtol=1e-12)
+
+
+def test_log_normal_h_keeps_left_tail_digits():
+    # -log_ndtr(-y) keeps relative precision where 1 - F_Y(y) is near 1
+    y = -37.0
+    assert tm.h(LN, y) == pytest.approx(-math.log1p(-ndtr(y)), rel=1e-14)
+    assert tm.h(LN, y) > 0.0
 
 
 def test_h_inv_rejects_negative_or_nan():

@@ -12,11 +12,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import optimize
 
 import oracles
 import momentgate.tail_models as tm
 import momentgate.theory as th
-from momentgate.errors import ArgumentError, DegenerateSaddleError, DomainError
+from momentgate.errors import (
+    ArgumentError,
+    DegenerateSaddleError,
+    DomainError,
+    MomentgateError,
+)
 
 LW2 = tm.log_weibull(2.0)
 LW15 = tm.log_weibull(1.5)
@@ -83,10 +90,11 @@ def test_frontier_closed_form_over_whole_domain():
 
 
 def test_y_star_power_law_closed_form():
-    # for h = y^2: q = h' - h''/h' = 2y - 1/y, simplified drops the 1/y
+    # for h = y^2: q = h' - h''/h' = 2y - 1/y, so y* = (q + sqrt(q^2 + 8))/4
     assert th.y_star(LW2, 3.5) == pytest.approx(2.0, rel=1e-12)
-    assert th.y_star(LW2, 3.5, simplified=True) == pytest.approx(1.75,
-                                                                 rel=1e-12)
+    for q in (1e-6, 0.01, 0.5, 1.0, 7.3, 100.0, 1e4):
+        assert th.y_star(LW2, q) == pytest.approx(
+            (q + math.sqrt(q * q + 8.0)) / 4.0, rel=1e-14)
 
 
 def test_y_star_symmetric_power_closed_form():
@@ -113,6 +121,60 @@ def test_y_star_rejects_nonpositive_order():
         th.y_star(LW2, 0.0)
     with pytest.raises(DomainError):
         th.y_star(LW2, -1.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            tm.score_inv(LW2, np.array([1.0, bad]))
+
+
+def _score(model, y):
+    """-(ln p_Y)'(y) in closed form, and its largest term as the scale its
+    rounding is measured against (the slope itself, except logweibull's
+    rho y^(rho-1) - (rho-1)/y, whose terms cancel as q -> 0)."""
+    r = model.rho
+    if model.family is tm.Family.LOG_NORMAL:
+        return y, y
+    lead = r * y ** (r - 1.0)
+    if model.family is tm.Family.LOG_WEIBULL:
+        return lead - (r - 1.0) / y, lead
+    return lead, lead
+
+
+@given(st.sampled_from(["logweibull", "slep", "lognormal"]),
+       st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
+       st.floats(min_value=-6.0, max_value=4.0))
+def test_y_star_solves_score_equation_or_raises(family, rho, log10_q):
+    model = tm.parse_model(family if family == "lognormal"
+                           else f"{family}:rho={rho!r}")
+    q = 10.0 ** log10_q
+    try:
+        ys = th.y_star(model, q)
+    except MomentgateError:
+        return
+    assert type(ys) is float and math.isfinite(ys)
+    score, scale = _score(model, ys)
+    assert abs(score - q) <= 1e-12 * scale, (family, rho, q, ys)
+
+
+def test_y_star_finite_where_the_bracket_search_failed():
+    for rho in (1.05, 1.5):
+        model = tm.strict_log_exp_power(rho)
+        for q in np.logspace(-6.0, math.log10(0.35), 40):
+            ys = th.y_star(model, q)
+            assert ys == pytest.approx((q / rho) ** (1.0 / (rho - 1.0)),
+                                       rel=1e-13)
+    lw = tm.log_weibull(1.05)
+    for q in (1122.0, 5e3, 1e4, 1e6):
+        score, scale = _score(lw, th.y_star(lw, q))
+        assert abs(score - q) <= 1e-12 * scale
+
+
+def test_y_star_overflow_is_domain_error():
+    for model, q in ((tm.strict_log_exp_power(1.01), 1259.0),
+                     (tm.strict_log_exp_power(1.001), 2.1),
+                     (tm.log_weibull(1.001), 10.0),
+                     (LN, math.inf)):
+        with pytest.raises(DomainError, match="outside the normal doubles"):
+            th.y_star(model, q)
 
 
 # ----------------------------------------------------------- critical curve
@@ -203,6 +265,14 @@ def test_moment_is_log_convex_in_q():
         assert np.all(np.diff(vals, 2) > -1e-9)
 
 
+def test_moment_quadrature_slep_near_rho_one():
+    # the saddle sits at (q/1.05)^20, next to the kink of |y|^rho at 0
+    model = tm.strict_log_exp_power(1.05)
+    vals = [th.moment_quadrature(model, q) for q in (0.05, 0.1, 0.2, 0.3)]
+    assert all(math.isfinite(v) for v in vals)
+    assert np.all(np.diff(vals) > 0.0)
+
+
 def test_moment_continuous_at_zero_order():
     assert abs(th.moment_quadrature(LW2, 1e-8)) < 1e-6
 
@@ -219,16 +289,20 @@ def test_saddlepoint_tracks_quadrature():
 
 
 def test_degenerate_saddle_is_reported(monkeypatch):
-    # h' = e^sqrt(y): the saddle equation still brackets normally, but
-    # h + ln h' curves downward at the small-y stationary point, so the
-    # Gaussian correction is undefined there
+    # h' = e^sqrt(y): h + ln h' curves downward at the small-y stationary
+    # point of q y - h - ln h', so the Gaussian correction is undefined there
     monkeypatch.setattr(tm, "h", lambda m, y: 2.0 * np.exp(np.sqrt(y))
                         * (np.sqrt(y) - 1.0) + 2.0)
     monkeypatch.setattr(tm, "h_prime", lambda m, y: np.exp(np.sqrt(y)))
     monkeypatch.setattr(tm, "h_second",
                         lambda m, y: np.exp(np.sqrt(y)) / (2.0 * np.sqrt(y)))
+    # that stationary point solves q = h' - h''/h' = e^sqrt(y) - 1/(2 sqrt(y))
+    q = 0.5
+    ys = optimize.brentq(
+        lambda y: math.exp(math.sqrt(y)) - 0.5 / math.sqrt(y) - q, 1e-6, 1.0)
+    monkeypatch.setattr(tm, "score_inv", lambda m, q_: ys)
     with pytest.raises(DegenerateSaddleError):
-        th.moment_saddlepoint(LW2, 0.5)
+        th.moment_saddlepoint(LW2, q)
 
 
 # ------------------------------------------------------- truncated moments
