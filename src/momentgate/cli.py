@@ -211,8 +211,6 @@ def _figure_preset(fig: int, reps: int | None, seed: int):
     if fig == 8:
         return ("iid", cfgi(models=(lw2,), n_grid=(1000, 10000, 100000),
                             k_theta_grid=(None,), k_rho_grid=(None,)))
-    if fig == 9:
-        return ("propagation", cfgi(models=(lw2,), n_grid=(1000,)))
     if fig in (11, 15):
         return ("corr", cfgi(models=(ln,), n_grid=(65536,),
                              k_theta_grid=(10,), k_rho_grid=(100,),
@@ -250,6 +248,9 @@ def _config_experiment(path: str, reps: int | None, seed: int | None):
         raise DataFormatError("config needs an [experiment] section")
     exp = parser["experiment"]
     kind = exp.get("kind", "iid").strip().lower()
+    if kind not in ("iid", "corr", "lns"):
+        raise DataFormatError(
+            f"unknown experiment kind {kind!r} (expected iid, corr or lnS)")
     models = tuple(tm.parse_model(s) for s in exp.get("models", "").split(",")
                    if s.strip())
     if not models:
@@ -292,11 +293,7 @@ def _config_experiment(path: str, reps: int | None, seed: int | None):
         seed=seed_val,
         correlated=corr,
     )
-    if kind == "propagation":
-        return ("propagation", config)
-    if kind == "corr" or (kind == "iid" and corr is not None):
-        return ("corr", config)
-    return ("iid", config)
+    return ("corr" if kind == "corr" or corr is not None else "iid", config)
 
 
 def _cmd_mc(args) -> int:
@@ -328,10 +325,6 @@ def _cmd_mc(args) -> int:
             report.rows.extend(extra.rows)
         report.meta["seed"] = seed_val
         seed_out = seed_val
-    elif kind == "propagation":
-        base = mc.run_iid(payload)
-        report = mc.propagation_check(base)
-        seed_out = payload.seed
     elif kind == "corr":
         report = mc.run_corr(payload)
         seed_out = payload.seed
@@ -417,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a Monte-Carlo experiment")
     p.add_argument("--config", default=None, help="INI experiment file")
     p.add_argument("--figure", type=int, default=None,
-                   choices=(2, 3, 5, 6, 8, 9, 11, 12, 15, 16),
+                   choices=(2, 3, 5, 6, 8, 11, 12, 15, 16),
                    help="numbered built-in experiment preset")
     p.add_argument("--reps", type=int, default=None)
     p.set_defaults(func=_cmd_mc)

@@ -33,7 +33,6 @@ __all__ = [
     "run_iid",
     "run_corr",
     "lnS_curve",
-    "propagation_check",
     "rep_seed",
 ]
 
@@ -52,12 +51,6 @@ _LNS_COLUMNS = (
 # most values of q*y held at once by _log_mean_exp: a block of orders covers
 # the whole grid for small n, and a single order once n >= 2^16
 _LSE_BLOCK = 2 ** 16
-
-_PROP_COLUMNS = (
-    "cell_id", "model", "n", "corrected", "reps_used", "cov_theta_rho",
-    "measured_bias", "formula_bias", "bias_rel_discrepancy",
-    "measured_var", "formula_var", "var_rel_discrepancy",
-)
 
 
 @dataclass(frozen=True)
@@ -98,11 +91,10 @@ class ExperimentConfig:
 
 @dataclass
 class McReport:
-    """Aggregated per-cell statistics plus retained per-replication values."""
+    """Aggregated per-cell statistics and the run's metadata."""
 
     columns: tuple
     rows: list = field(default_factory=list)
-    per_rep: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, stream) -> None:
@@ -144,7 +136,12 @@ def rep_seed(master: int, cell_id: int, rep_id: int) -> int:
 
 
 def _pool_size() -> int:
-    cap = os.cpu_count() or 1
+    """Worker count: the CPUs this process may run on, capped by
+    MOMENTGATE_THREADS."""
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
     env = os.environ.get("MOMENTGATE_THREADS")
     if env:
         try:
@@ -167,6 +164,39 @@ def _run_reps(reps: int, worker):
             for r, res in enumerate(pool.map(worker, range(reps))):
                 out[r] = res
     return out
+
+
+def _replicate(reps: int, seed: int, cell_id: int, draw, measures) -> np.ndarray:
+    """(reps, width) array of every measure on every replication of a cell.
+
+    Row r applies each ``(measure, width)`` pair to draw(rep_seed(seed,
+    cell_id, r)) and holds the measures' values side by side.  A draw that
+    raises MomentgateError leaves its row NaN; a measure that raises leaves
+    NaN in its own columns only.  draw and the measures are all called
+    before this returns, so they may close over a caller's loop variables.
+    """
+    width = sum(w for _, w in measures)
+
+    def worker(r):
+        row = np.full(width, math.nan)
+        try:
+            sample = draw(rep_seed(seed, cell_id, r))
+        except MomentgateError:
+            return row
+        col = 0
+        for measure, w in measures:
+            try:
+                row[col:col + w] = measure(sample)
+            except MomentgateError:
+                pass
+            col += w
+        return row
+
+    return np.array(_run_reps(reps, worker))
+
+
+def _estimate_row(e: est.QcEstimate) -> tuple:
+    return e.theta_hat, e.rho_hat, e.qc_hat, e.k_theta, e.k_rho
 
 
 def _aggregate(values: np.ndarray, target: float) -> dict:
@@ -204,20 +234,17 @@ def _cov_pairs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.cov(a[ok], b[ok], ddof=0)[0, 1])
 
 
-def _emit_cell(report: McReport, cell: dict, theta: np.ndarray,
-               rho: np.ndarray, qc: np.ndarray, targets: dict) -> None:
-    cov_tr = _cov_pairs(theta, rho)
-    for name, vals in (("theta", theta), ("rho", rho), ("qc", qc)):
+def _emit_cell(report: McReport, cell: dict, block: np.ndarray,
+               targets: dict) -> None:
+    """Aggregate rows for theta, rho, qc from the first three columns of a
+    cell's replication block."""
+    cov_tr = _cov_pairs(block[:, 0], block[:, 1])
+    for name, vals in zip(("theta", "rho", "qc"), block[:, :3].T):
         row = dict(cell)
         row["estimator"] = name
         row.update(_aggregate(vals, targets[name]))
         row["cov_theta_rho"] = cov_tr
         report.rows.append(row)
-    key = (cell["cell_id"], bool(cell.get("corrected")))
-    report.per_rep[key] = {
-        "cell": dict(cell), "theta": theta, "rho": rho, "qc": qc,
-        "targets": dict(targets),
-    }
 
 
 def run_iid(config: ExperimentConfig) -> McReport:
@@ -235,20 +262,14 @@ def run_iid(config: ExperimentConfig) -> McReport:
         curve = theory.critical_curve(model, n)
         targets = {"theta": curve.theta, "rho": curve.rho_l_at_dagger,
                    "qc": curve.qc_approx}
-
-        def worker(r, model=model, n=n, kt=kt, kr=kr, cell_id=cell_id):
-            sample = tm.sample_iid(model, n, rep_seed(config.seed, cell_id, r))
-            try:
-                e = est.qc_hat(sample, kt, kr)
-                return e.theta_hat, e.rho_hat, e.qc_hat
-            except MomentgateError:
-                return math.nan, math.nan, math.nan
-
-        res = np.asarray(_run_reps(config.reps, worker))
+        vals = _replicate(
+            config.reps, config.seed, cell_id,
+            lambda s: tm.sample_iid(model, n, s),
+            ((lambda x: _estimate_row(est.qc_hat(x, kt, kr)), 5),))
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
-        _emit_cell(report, cell, res[:, 0], res[:, 1], res[:, 2], targets)
+        _emit_cell(report, cell, vals, targets)
     return report
 
 
@@ -258,6 +279,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
     Targets come from the true correlation length: q_c at n* = n/(1+kappa tau),
     theta(n*) and rho_l at the n* frontier.  An ``assumed_taus`` grid feeds the
     corrected estimator a misspecified tau while targets stay at the truth.
+    The corrected windows reported are those of the first replication whose
+    corrected estimate succeeded, or -1 if none did.
     """
     if config.correlated is None:
         raise ArgumentError("run_corr requires the correlated config block")
@@ -281,44 +304,26 @@ def run_corr(config: ExperimentConfig) -> McReport:
                    "qc": dep.qc_theory_corr(model, n, tau_true, cc.kappa)}
         kt_u = est.default_k_theta(n) if k_t is None else int(k_t)
         kr_u = est.default_k_rho(n) if k_r is None else int(k_r)
-
-        def worker(r, model=model, n=n, cov=cov, tau_used=tau_used,
-                   s_val=s_val, k_t=k_t, k_r=k_r, kt_u=kt_u, kr_u=kr_u,
-                   cell_id=cell_id):
-            try:
-                series = dep.synth_series(dep.SeriesSpec(model, cov, n),
-                                          rep_seed(config.seed, cell_id, r),
-                                          cc.match_mode)
-            except MomentgateError:
-                return (math.nan,) * 6 + (-1, -1)
-            try:
-                e = est.qc_hat(series, kt_u, kr_u)
-                unc = (e.theta_hat, e.rho_hat, e.qc_hat)
-            except MomentgateError:
-                unc = (math.nan, math.nan, math.nan)
-            try:
-                ec = dep.qc_hat_corr(series, k_t, k_r, tau=tau_used,
-                                     kappa=cc.kappa, s=s_val, alpha=cc.alpha,
-                                     beta=cc.beta)
-                cor = (ec.theta_hat, ec.rho_hat, ec.qc_hat,
-                       ec.k_theta, ec.k_rho)
-            except MomentgateError:
-                cor = (math.nan, math.nan, math.nan, -1, -1)
-            return unc + cor
-
-        res = _run_reps(config.reps, worker)
-        arr = np.asarray([row[:3] + row[3:6] for row in res])
-        kt_c = next((row[6] for row in res if row[6] >= 0), -1)
-        kr_c = next((row[7] for row in res if row[7] >= 0), -1)
+        vals = _replicate(
+            config.reps, config.seed, cell_id,
+            lambda s: dep.synth_series(dep.SeriesSpec(model, cov, n), s,
+                                       cc.match_mode),
+            ((lambda x: _estimate_row(est.qc_hat(x, kt_u, kr_u)), 5),
+             (lambda x: _estimate_row(dep.qc_hat_corr(
+                 x, k_t, k_r, tau=tau_used, kappa=cc.kappa, s=s_val,
+                 alpha=cc.alpha, beta=cc.beta)), 5)))
+        plain, corrected = vals[:, :5], vals[:, 5:]
+        ks = corrected[np.isfinite(corrected[:, 3]), 3:]
+        kt_c, kr_c = (int(k) for k in ks[0]) if len(ks) else (-1, -1)
         s_report = s_val if s_val is not None else cc.alpha * tau_used
         base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "tau": tau_true, "tau_assumed": tau_used, "s": s_report,
                 "beta": cc.beta, "match": cc.match_mode.value,
                 "reps": config.reps}
         cell_u = dict(base, corrected=False, k_theta=kt_u, k_rho=kr_u)
-        _emit_cell(report, cell_u, arr[:, 0], arr[:, 1], arr[:, 2], targets)
-        cell_c = dict(base, corrected=True, k_theta=int(kt_c), k_rho=int(kr_c))
-        _emit_cell(report, cell_c, arr[:, 3], arr[:, 4], arr[:, 5], targets)
+        _emit_cell(report, cell_u, plain, targets)
+        cell_c = dict(base, corrected=True, k_theta=kt_c, k_rho=kr_c)
+        _emit_cell(report, cell_c, corrected, targets)
     return report
 
 
@@ -374,18 +379,11 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
                             "model": tm.format_model(model)})
     for cell_id, n in enumerate(n_list):
         curve = theory.critical_curve(model, n)
-        acc = np.zeros(len(q_grid))
-        acc2 = np.zeros(len(q_grid))
-
-        def worker(r, n=n, cell_id=cell_id):
-            y = tm.sample_iid(model, n, rep_seed(seed, cell_id, r)).values
-            return _log_mean_exp(q_grid, y)
-
-        for vals in _run_reps(reps, worker):
-            acc += vals
-            acc2 += vals * vals
-        mean = acc / reps
-        var = acc2 / reps - mean ** 2
+        vals = _replicate(reps, seed, cell_id,
+                          lambda s: tm.sample_iid(model, n, s).values,
+                          ((lambda y: _log_mean_exp(q_grid, y), len(q_grid)),))
+        mean = vals.sum(axis=0) / reps
+        var = (vals * vals).sum(axis=0) / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
         for j, q in enumerate(q_grid.tolist()):
             log_moment = theory.moment_quadrature(model, q)
@@ -397,48 +395,3 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
                 "log_moment": log_moment,
             })
     return report
-
-
-def propagation_check(report: McReport) -> McReport:
-    """Check measured bias/variance of qc_hat = theta_hat * rho_hat against
-    the product-moment propagation identities evaluated from the same
-    replications (exact algebraic identities up to float roundoff)."""
-    out = McReport(columns=_PROP_COLUMNS, meta=dict(report.meta,
-                                                    kind="propagation"))
-    for (cell_id, corrected), rec in sorted(report.per_rep.items()):
-        a = rec["theta"]
-        b = rec["rho"]
-        ok = np.isfinite(a) & np.isfinite(b)
-        a, b = a[ok], b[ok]
-        if len(a) < 2:
-            continue
-        t_th = rec["targets"]["theta"]
-        t_rh = rec["targets"]["rho"]
-        ma, mb = float(a.mean()), float(b.mean())
-        va, vb = float(a.var()), float(b.var())
-        c = float(np.cov(a, b, ddof=0)[0, 1])
-        c2 = float(np.cov(a * a, b * b, ddof=0)[0, 1])
-        prod = a * b
-        measured_bias = float(prod.mean()) - t_th * t_rh
-        ba, bb = ma - t_th, mb - t_rh
-        formula_bias = c + ba * t_rh + bb * t_th + ba * bb
-        measured_var = float(prod.var())
-        formula_var = (va * vb + c2 - c * c + va * mb * mb + vb * ma * ma
-                       - 2.0 * c * ma * mb)
-        scale_b = max(abs(measured_bias), 1e-300)
-        scale_v = max(abs(measured_var), 1e-300)
-        out.rows.append({
-            "cell_id": cell_id,
-            "model": rec["cell"].get("model"),
-            "n": rec["cell"].get("n"),
-            "corrected": corrected,
-            "reps_used": len(a),
-            "cov_theta_rho": c,
-            "measured_bias": measured_bias,
-            "formula_bias": formula_bias,
-            "bias_rel_discrepancy": abs(formula_bias - measured_bias) / scale_b,
-            "measured_var": measured_var,
-            "formula_var": formula_var,
-            "var_rel_discrepancy": abs(formula_var - measured_var) / scale_v,
-        })
-    return out

@@ -109,8 +109,13 @@ def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float,
     for a, b in ((lo, peak), (peak, hi)):
         if a == b:
             continue
-        res = integrate.quad(f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-                             limit=200, full_output=1)
+        try:
+            res = integrate.quad(f, a, b, epsabs=_QUAD_EPSABS,
+                                 epsrel=_QUAD_EPSREL, limit=200, full_output=1)
+        except OverflowError:
+            # the exponent's rounding grows like eps * q * y_star
+            raise ConvergenceError(
+                f"moment quadrature integrand overflowed at q={q}") from None
         total += res[0]
         err += res[1]
     if not math.isfinite(total) or total <= 0.0:

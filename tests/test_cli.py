@@ -138,6 +138,13 @@ def test_theory_warns_when_q_exceeds_validity_ceiling():
     assert len(parse_table(tail.splitlines())) == 2
 
 
+def test_theory_quadrature_overflow_is_numerical_failure():
+    code, out, err = run_cli("theory", "--model", "slep:rho=1.1",
+                             "--n", "1000", "--q-grid", "70")
+    assert code == 3
+    assert "q=70" in err and "Traceback" not in err
+
+
 def test_theory_rejects_sample_size_below_two():
     code, _, err = run_cli("theory", "--model", "lognormal", "--n", "1.5")
     assert code == 2
@@ -461,6 +468,25 @@ def test_mc_figure_preset_smoke():
     assert {r["estimator"] for r in rows} == {"theta", "rho", "qc"}
     assert {int(r["k_theta"]) for r in rows} == {1, 2, 4, 8, 16, 28}
     assert all(r["reps"] == "2" for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "propagation"])
+def test_mc_config_unknown_kind_is_data_error(tmp_path, kind):
+    ini = write_ini(tmp_path, f"""\
+[experiment]
+kind = {kind}
+models = logweibull:rho=2
+n = 400
+reps = 2
+""")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert code == 4 and out == ""
+    assert repr(kind) in err
+
+
+def test_mc_figure_without_preset_is_usage_error():
+    code, _, err = run_cli("mc", "--figure", "9", "--reps", "2")
+    assert code == 2 and "invalid choice" in err
 
 
 def test_mc_config_file_missing_or_invalid(tmp_path):

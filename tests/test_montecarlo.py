@@ -1,5 +1,5 @@
-"""Monte-Carlo harness tests: seeding and determinism, failure accounting,
-aggregate identities, error-propagation identities, the sample-log-moment
+"""Monte-Carlo harness tests: seeding and determinism, the replication
+runner's failure contract, aggregate identities, the sample-log-moment
 curves, and report serialization."""
 
 import io
@@ -10,10 +10,11 @@ import pytest
 from scipy.special import logsumexp
 
 import momentgate.dependence as dep
+import momentgate.estimators as est
 import momentgate.montecarlo as mc
 import momentgate.tail_models as tm
 import momentgate.theory as th
-from momentgate.errors import ArgumentError
+from momentgate.errors import ArgumentError, ConvergenceError
 
 LW2 = tm.log_weibull(2.0)
 LN = tm.log_normal()
@@ -56,13 +57,18 @@ def test_seed_changes_output():
     assert a != b
 
 
+def _iid_replicate(reps):
+    return mc._replicate(
+        reps, 5, 0, lambda s: tm.sample_iid(LW2, 400, s),
+        ((lambda x: mc._estimate_row(est.qc_hat(x, 4, 20)), 5),))
+
+
 def test_extending_reps_preserves_existing_replications():
-    short = mc.run_iid(small_iid_config(reps=6))
-    long = mc.run_iid(small_iid_config(reps=9))
-    rec_s = short.per_rep[(0, False)]
-    rec_l = long.per_rep[(0, False)]
-    for key in ("theta", "rho", "qc"):
-        np.testing.assert_array_equal(rec_s[key], rec_l[key][:6])
+    short = _iid_replicate(6)
+    long = _iid_replicate(9)
+    assert short.shape == (6, 5) and long.shape == (9, 5)
+    assert np.isfinite(short).all()
+    np.testing.assert_array_equal(short, long[:6])
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -71,6 +77,14 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("MOMENTGATE_THREADS", "3")
     b = csv_text(mc.run_iid(small_iid_config()))
     assert a == b
+
+
+def test_pool_size_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("MOMENTGATE_THREADS", raising=False)
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+    assert mc._pool_size() == 1
 
 
 def test_bad_thread_env_rejected(monkeypatch):
@@ -124,25 +138,41 @@ def test_targets_come_from_theory():
     assert by_est["qc"]["target"] == curve.qc_approx
 
 
-# ----------------------------------------------------------- propagation
-
-
-def test_propagation_identities_are_exact():
-    report = mc.run_iid(mc.ExperimentConfig(models=(LW2,), n_grid=(400,),
-                                            reps=150, seed=3))
-    prop = mc.propagation_check(report)
-    assert len(prop.rows) == 1
-    row = prop.rows[0]
-    assert row["bias_rel_discrepancy"] < 1e-10
-    assert row["var_rel_discrepancy"] < 1e-8
-
-
 def test_window_estimates_positively_correlated():
     # both windows read the same extreme order statistics
     report = mc.run_iid(mc.ExperimentConfig(models=(LW2,), n_grid=(1000,),
                                             reps=100, seed=8))
-    row = mc.propagation_check(report).rows[0]
-    assert row["cov_theta_rho"] > 0.0
+    covs = {row["cov_theta_rho"] for row in report.rows}
+    assert len(covs) == 1 and covs.pop() > 0.0
+
+
+# ---------------------------------------------------------------- runner
+
+
+def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns():
+    def draw(seed):
+        if seed == mc.rep_seed(1, 2, 0):
+            raise ConvergenceError("draw")
+        return seed
+
+    def failing(seed):
+        if seed == mc.rep_seed(1, 2, 1):
+            raise ConvergenceError("measure")
+        return (1.0, 2.0)
+
+    vals = mc._replicate(3, 1, 2, draw, ((failing, 2), (lambda s: 3.0, 1)))
+    assert vals.shape == (3, 3)
+    assert np.isnan(vals[0]).all()
+    assert np.isnan(vals[1, :2]).all() and vals[1, 2] == 3.0
+    np.testing.assert_array_equal(vals[2], [1.0, 2.0, 3.0])
+
+
+def test_runner_lets_other_errors_through():
+    def measure(x):
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        mc._replicate(2, 0, 0, lambda s: s, ((measure, 1),))
 
 
 # ------------------------------------------------------------- lnS curves
@@ -299,6 +329,20 @@ def test_correlated_run_zero_tau_agrees_with_iid():
             assert a["target"] == b["target"]
             se = math.hypot(a["se_mean"], b["se_mean"])
             assert abs(a["mean"] - b["mean"]) < 4.0 * se
+
+
+def test_failing_corrected_estimator_leaves_uncorrected_rows_intact():
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),),
+                             assumed_taus=(10000.0,))
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=4, seed=0,
+                              correlated=cc)
+    for row in mc.run_corr(cfg).rows:
+        if row["corrected"]:
+            assert (row["reps_used"], row["failures"]) == (0, 4)
+            assert (row["k_theta"], row["k_rho"]) == (-1, -1)
+        else:
+            assert (row["reps_used"], row["failures"]) == (4, 0)
+            assert math.isfinite(row["mean"]) and row["k_theta"] > 0
 
 
 def test_synthesis_failures_become_counted_failures():

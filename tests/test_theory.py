@@ -20,6 +20,7 @@ import momentgate.tail_models as tm
 import momentgate.theory as th
 from momentgate.errors import (
     ArgumentError,
+    ConvergenceError,
     DegenerateSaddleError,
     DomainError,
     MomentgateError,
@@ -271,6 +272,16 @@ def test_moment_quadrature_slep_near_rho_one():
     vals = [th.moment_quadrature(model, q) for q in (0.05, 0.1, 0.2, 0.3)]
     assert all(math.isfinite(v) for v in vals)
     assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("model, q", [
+    (tm.strict_log_exp_power(1.1), 70.0),
+    (tm.log_weibull(1.1), 89.12509381337459),
+])
+def test_moment_quadrature_overflow_is_convergence_error(model, q):
+    # y* ~ 1e18: the integrand's exponent rounds past exp's range
+    with pytest.raises(ConvergenceError, match=f"overflowed at q={q}"):
+        th.moment_quadrature(model, q)
 
 
 def test_moment_continuous_at_zero_order():
