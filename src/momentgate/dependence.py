@@ -21,6 +21,7 @@ per lag so the transformed series carries the prescribed covariance instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -200,9 +201,24 @@ def qc_theory_corr(model: tm.TailModel, n: float, tau: float,
 # synthesis
 # ---------------------------------------------------------------------------
 
-def _embed_gaussian(r: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """Stationary standard Gaussian series of length m (circulant, exact)."""
-    lam = np.fft.fft(r).real
+@functools.lru_cache(maxsize=4)
+def _spectrum(model: tm.TailModel | None, cov: CovarianceSpec, m: int,
+              match_mode: MatchMode) -> np.ndarray:
+    """Read-only amplitudes sqrt(lambda / m) of the circulant embedding of
+    length m, lambda the eigenvalues of the (Hermite-matched) covariance.
+
+    They depend only on the key, so the replications of a Monte-Carlo cell
+    share one FFT; the model is in the key only in Hermite mode, the one
+    mode that reads it (pass None otherwise).  A failing key raises on
+    every call: exceptions are not cached."""
+    dist = np.minimum(np.arange(m), m - np.arange(m))
+    c = cov_at_lags(cov, dist)
+    if match_mode is MatchMode.HERMITE:
+        half = m // 2 + 1
+        r_half = _hermite_gaussian_cov(model, c[:half])
+        c = np.concatenate([r_half, r_half[1:-1][::-1]]) if m > 2 else r_half[:m]
+        c[0] = 1.0
+    lam = np.fft.fft(c).real
     lam_max = float(lam.max())
     bad = lam < -1e-10 * max(lam_max, 1.0)
     clipped_mass = float(-lam[bad].sum()) if bad.any() else 0.0
@@ -212,11 +228,19 @@ def _embed_gaussian(r: np.ndarray, m: int, seed: int) -> np.ndarray:
             f"circulant embedding clipped {clipped_mass / total_mass:.2%} "
             "of spectral mass"
         )
-    lam = np.maximum(lam, 0.0)
+    amp = np.sqrt(np.maximum(lam, 0.0) / m)
+    amp.flags.writeable = False
+    return amp
+
+
+def _embed_gaussian(amp: np.ndarray, seed: int) -> np.ndarray:
+    """Stationary standard Gaussian series of length m = amp.size (circulant,
+    exact), from the amplitudes of ``_spectrum``."""
+    m = amp.size
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     u = rng.standard_normal(m)
     v = rng.standard_normal(m)
-    return np.fft.fft(np.sqrt(lam / m) * (u + 1j * v)).real
+    return np.fft.fft(amp * (u + 1j * v)).real
 
 
 def _gauss_to_marginal(model: tm.TailModel, z: np.ndarray) -> np.ndarray:
@@ -277,14 +301,8 @@ def synth_series(spec: SeriesSpec, seed: int,
         raise ArgumentError(f"series length must be >= 2, got {n}")
     match_mode = MatchMode(match_mode)
     m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
-    dist = np.minimum(np.arange(m), m - np.arange(m))
-    c = cov_at_lags(spec.cov, dist)
-    if match_mode is MatchMode.HERMITE:
-        half = m // 2 + 1
-        r_half = _hermite_gaussian_cov(spec.model, c[:half])
-        c = np.concatenate([r_half, r_half[1:-1][::-1]]) if m > 2 else r_half[:m]
-        c[0] = 1.0
-    z = _embed_gaussian(c, m, seed)[:n]
+    model = spec.model if match_mode is MatchMode.HERMITE else None
+    z = _embed_gaussian(_spectrum(model, spec.cov, m, match_mode), seed)[:n]
     y = _gauss_to_marginal(spec.model, z)
     return tm.Sample(values=y, n=n, seed=int(seed))
 
@@ -292,6 +310,34 @@ def synth_series(spec: SeriesSpec, seed: int,
 # ---------------------------------------------------------------------------
 # sieve
 # ---------------------------------------------------------------------------
+
+def _descending_order(y: np.ndarray) -> np.ndarray:
+    """argsort(-y, kind="stable"), sorting unstably unless y has ties: with
+    distinct values the order is unique, and the check on y[order] catches
+    0.0 == -0.0 as a tie too."""
+    order = np.argsort(-y)
+    ranked = y[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(-y, kind="stable")
+    return order
+
+
+def _rank_bounds(y: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per index, #{k : y_k < y_i} and #{k : y_k <= y_i}: the start and end
+    of each tie group in the ascending y[order[::-1]], scattered back."""
+    n = y.size
+    asc = order[::-1]
+    ranked = y[asc]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    n_lt = np.empty(n, dtype=np.intp)
+    n_le = np.empty(n, dtype=np.intp)
+    n_lt[asc] = starts[group]
+    n_le[asc] = np.append(starts[1:], n)[group]
+    return n_lt, n_le
+
 
 def sieve(series, s: float, beta: float = 1.0,
           max_points: int | None = None) -> SievedSample:
@@ -301,9 +347,10 @@ def sieve(series, s: float, beta: float = 1.0,
     remaining point within d_beta-distance <= s of it, where d_beta(i, j) =
     max(|j - i|, beta * c_ij) and c_ij counts series values strictly between
     y_i and y_j.  With s = 0 nothing is removed and the result is the whole
-    series in descending order.  ``max_points`` stops the scan early once
-    that many selections have been made (the selected prefix is identical to
-    the full run's).
+    series in descending order.  ``max_points`` (>= 1) stops the scan early
+    once that many selections have been made (the selected prefix is
+    identical to the full run's).  Cost: one sort plus O(n), plus a window's
+    work per selection.
     """
     if not s >= 0.0:
         raise ArgumentError(f"s must be >= 0, got {s}")
@@ -314,9 +361,13 @@ def sieve(series, s: float, beta: float = 1.0,
     n = len(y)
     if n == 0:
         raise ArgumentError("empty series")
+    if not np.all(np.isfinite(y)):
+        raise ArgumentError("series values must be finite")
+    if max_points is not None and int(max_points) < 1:
+        raise ArgumentError(f"max_points must be >= 1, got {max_points}")
     limit = n if max_points is None else min(int(max_points), n)
 
-    order = np.argsort(-y, kind="stable")
+    order = _descending_order(y)
     window = int(math.floor(s))
     if window == 0:
         # d_beta >= |j - i| >= 1 between distinct indices: nothing is removable
@@ -324,10 +375,8 @@ def sieve(series, s: float, beta: float = 1.0,
         return SievedSample(selected_indices=idx, selected_values=y[idx],
                             n_original=n, s=float(s), beta=float(beta))
 
-    sorted_vals = np.sort(y)
     # per-index counts for "strictly between" queries over the whole series
-    n_lt = np.searchsorted(sorted_vals, y, side="left")
-    n_le = np.searchsorted(sorted_vals, y, side="right")
+    n_lt, n_le = _rank_bounds(y, order)
 
     removed = np.zeros(n, dtype=bool)
     sel_idx: list[int] = []

@@ -134,6 +134,31 @@ def brute_sieve(y, s, beta, max_points=None):
     return np.asarray(out, dtype=np.intp)
 
 
+def searchsorted_sieve(y, s, beta, max_points=None):
+    """Reference sieve for long series: the same greedy scan, with each
+    index's "strictly below" and "at most" counts taken by binary search in
+    the sorted series instead of from tie groups of the descending order."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    window = int(math.floor(s))
+    sorted_vals = np.sort(y)
+    n_lt = np.searchsorted(sorted_vals, y, side="left")
+    n_le = np.searchsorted(sorted_vals, y, side="right")
+    removed = np.zeros(n, dtype=bool)
+    out = []
+    for i in np.argsort(-y, kind="stable"):
+        if removed[i]:
+            continue
+        out.append(int(i))
+        if max_points is not None and len(out) >= max_points:
+            break
+        js = np.arange(max(0, i - window), min(n, i + window + 1))
+        js = js[(js != i) & ~removed[js]]
+        between = np.where(y[js] >= y[i], n_lt[js] - n_le[i], n_lt[i] - n_le[js])
+        removed[js[beta * np.maximum(between, 0) <= s]] = True
+    return np.asarray(out, dtype=np.intp)
+
+
 def r_squared(x, y):
     """Coefficient of determination of the least-squares line through (x, y)."""
     x = np.asarray(x, dtype=float)

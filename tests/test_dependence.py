@@ -170,8 +170,9 @@ def test_correlated_marginal_still_fits():
 
 def test_embedding_rejects_indefinite_covariance():
     spec = dep.SeriesSpec(LN, dep.TabulatedCov(values=(1.0, 0.9)), 64)
-    with pytest.raises(EmbeddingError):
-        dep.synth_series(spec, seed=1)
+    for _ in range(2):  # the spectrum cache keeps no exception
+        with pytest.raises(EmbeddingError):
+            dep.synth_series(spec, seed=1)
 
 
 def test_hermite_match_identity_for_gaussian_marginal():
@@ -195,6 +196,46 @@ def test_hermite_synthesis_hits_value_level_correlation():
     v = y.values
     lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
     assert abs(lag1 - math.exp(-1.0 / tau)) < 0.02
+
+
+def _cold(spec, seed, match_mode):
+    dep._spectrum.cache_clear()
+    return dep.synth_series(spec, seed, match_mode).values
+
+
+@pytest.mark.parametrize("mode", list(dep.MatchMode))
+def test_spectrum_cache_warm_equals_cold(mode):
+    spec = dep.SeriesSpec(LW2, dep.ExponentialCov(tau=10.0), 2048)
+    cold = _cold(spec, 5, mode)
+    dep.synth_series(spec, 6, mode)
+    warm = dep.synth_series(spec, 5, mode).values
+    assert dep._spectrum.cache_info().hits >= 2
+    np.testing.assert_array_equal(warm, cold)
+
+
+def test_spectrum_cache_keys_the_model_only_in_hermite_mode():
+    cov = dep.ExponentialCov(tau=10.0)
+    a, b = (dep.SeriesSpec(m, cov, 2048) for m in (LW2, SLEP2))
+    hermite = dep.MatchMode.HERMITE
+    cold_a, cold_b = _cold(a, 3, hermite), _cold(b, 3, hermite)
+    assert not np.array_equal(cold_a, cold_b)
+    dep._spectrum.cache_clear()
+    for spec, cold in ((a, cold_a), (b, cold_b), (a, cold_a)):
+        np.testing.assert_array_equal(dep.synth_series(spec, 3, hermite).values,
+                                      cold)
+    assert dep._spectrum.cache_info().currsize == 2
+    dep._spectrum.cache_clear()
+    dep.synth_series(a, 3)
+    dep.synth_series(b, 3)
+    assert dep._spectrum.cache_info().currsize == 1
+
+
+def test_spectrum_amplitude_is_read_only():
+    amp = dep._spectrum(None, dep.ExponentialCov(tau=5.0), 64,
+                        dep.MatchMode.GAUSSIAN_LEVEL)
+    assert not amp.flags.writeable
+    with pytest.raises(ValueError):
+        amp[0] = 1.0
 
 
 # -------------------------------------------------------------------- sieve
@@ -238,6 +279,29 @@ def test_sieve_matches_brute_force_fuzz():
         got = dep.sieve(y, s, beta).selected_indices
         want = oracles.brute_sieve(y, s, beta)
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+
+
+def test_sieve_matches_brute_force_on_heavy_ties():
+    rng = np.random.default_rng(55)
+    for n in (100, 200, 300):
+        y = np.round(rng.normal(scale=4.0, size=n))
+        zeros = np.flatnonzero(y == 0.0)
+        y[zeros[::2]] = -0.0  # 0.0 == -0.0: one tie group
+        for s in (1.0, 3.0, 30.0):
+            for beta in (0.5, 1.0, 3.0):
+                got = dep.sieve(y, s, beta).selected_indices
+                want = oracles.brute_sieve(y, s, beta)
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"n={n}, s={s}, beta={beta}")
+
+
+def test_sieve_matches_searchsorted_counts_on_long_series():
+    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=100.0), 1 << 16)
+    y = dep.synth_series(spec, seed=11).values
+    for s in (1.0, 30.0, 300.0):
+        got = dep.sieve(y, s, 1.0, max_points=300).selected_indices
+        want = oracles.searchsorted_sieve(y, s, 1.0, max_points=300)
+        np.testing.assert_array_equal(got, want, err_msg=f"s={s}")
 
 
 def test_sieve_prefix_property_of_early_stop():
@@ -286,6 +350,13 @@ def test_sieve_rejects_bad_arguments():
         dep.sieve([1.0], 1.0, beta=-2.0)
     with pytest.raises(ArgumentError):
         dep.sieve(np.array([]), 1.0)
+    for s in (0.0, 1.0):
+        for max_points in (0, -1):
+            with pytest.raises(ArgumentError):
+                dep.sieve([3.0, 1.0, 2.0, 5.0], s, 1.0, max_points=max_points)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ArgumentError):
+                dep.sieve([1.0, bad, 2.0, 0.5, 3.0], s)
 
 
 # ----------------------------------------------------- corrected estimators
