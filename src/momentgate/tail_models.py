@@ -3,15 +3,16 @@
 A positive random variable X = exp(Y) belongs to the class handled here when
 the tail of Y satisfies 1 - F_Y(y) = exp(-h(y)) with h eventually of the form
 L(y) * y**rho for a slowly varying L and rho > 1.  Everything downstream
-(critical orders, moment asymptotics, estimators) is expressed through h and
-its first two derivatives, so each family exposes:
+(critical orders, moment asymptotics, estimators) is expressed through h, its
+derivative and the slope of the log-density, so each family exposes:
 
     h(y)        = -ln(1 - F_Y(y))          (cumulative hazard of Y)
     h_inv(h)    = the y with h(y) = h      (closed form; quantile, sampling,
                                             synthesis and the frontier)
-    score_inv(q) = the y with -(ln p_Y)'(y) = q   (the moment saddle y*(q))
     h'(y)       = p_Y(y) / (1 - F_Y(y))    (hazard rate, > 0)
-    h''(y)      = h'(y) * (h'(y) + (ln p_Y)'(y))
+    s(y)        = -(ln p_Y)'(y)            (score: q_c(n) = s(y_dagger(n)))
+    s'(y)       = -(ln p_Y)''(y)           (curvature of the moment saddle)
+    score_inv(q) = the y with s(y) = q     (the moment saddle y*(q))
     rho_local   = y h'(y) / h(y)           (-> rho as y -> +inf)
 
 Three concrete families are provided:
@@ -48,7 +49,8 @@ __all__ = [
     "format_model",
     "h",
     "h_prime",
-    "h_second",
+    "score",
+    "score_prime",
     "rho_local",
     "cdf",
     "sf",
@@ -227,10 +229,13 @@ class _LogWeibull:
         return m.rho * np.power(y, m.rho - 1.0)
 
     @staticmethod
-    def h_second(m, y):
-        if np.any(y <= 0.0):
-            raise DomainError("logweibull derivatives require y > 0")
-        return m.rho * (m.rho - 1.0) * np.power(y, m.rho - 2.0)
+    def score(m, y):
+        return _LogWeibull.h_prime(m, y) - (m.rho - 1.0) / y
+
+    @staticmethod
+    def score_prime(m, y):
+        # rho (rho-1) y^(rho-2) + (rho-1)/y^2
+        return (m.rho - 1.0) * (_LogWeibull.h_prime(m, y) + 1.0 / y) / y
 
     @staticmethod
     def cdf(m, y):
@@ -291,7 +296,7 @@ class _Slep:
     def h_prime(m, y):
         # h' = p/(1-F) = exp(ln p + h), evaluated in log space so the huge h
         # and the huge -|y|^rho cancel before exponentiation; past the series
-        # switch the direct form rho y^{rho-1}/(1+U) sidesteps the O(x eps)
+        # switch the direct form s(y)/(1+U) sidesteps the O(x eps)
         # rounding that the log-space subtraction leaves behind
         ln_norm = math.log(2.0) + math.lgamma(1.0 + 1.0 / m.rho)
         x = np.power(np.abs(y), m.rho)
@@ -299,23 +304,17 @@ class _Slep:
         far = (y > 0.0) & (x >= _LNQ_SWITCH)
         if np.any(far):
             u = _tail_series_frac(1.0 / m.rho, np.maximum(x, _LNQ_SWITCH))
-            direct = m.rho * np.power(np.maximum(y, 1.0), m.rho - 1.0) / (1.0 + u)
+            direct = _Slep.score(m, np.maximum(y, 1.0)) / (1.0 + u)
             out = np.where(far, direct, out)
         return out
 
     @staticmethod
-    def h_second(m, y):
-        hp = _Slep.h_prime(m, y)
-        dlnp = -m.rho * np.sign(y) * np.power(np.abs(y), m.rho - 1.0)
-        out = hp * (hp + dlnp)
-        x = np.power(np.abs(y), m.rho)
-        far = (y > 0.0) & (x >= _LNQ_SWITCH)
-        if np.any(far):
-            # the difference h' + (ln p)' = -U/(1+U) * rho y^{rho-1} exactly
-            # on the series branch; forming it directly keeps full precision
-            u = _tail_series_frac(1.0 / m.rho, np.maximum(x, _LNQ_SWITCH))
-            out = np.where(far, hp * (-dlnp) * (-u / (1.0 + u)), out)
-        return out
+    def score(m, y):
+        return m.rho * np.sign(y) * np.power(np.abs(y), m.rho - 1.0)
+
+    @staticmethod
+    def score_prime(m, y):
+        return m.rho * (m.rho - 1.0) * np.power(np.abs(y), m.rho - 2.0)
 
     @staticmethod
     def cdf(m, y):
@@ -370,9 +369,12 @@ class _LogNormal:
         return out
 
     @staticmethod
-    def h_second(m, y):
-        hp = _LogNormal.h_prime(m, y)
-        return hp * (hp - y)
+    def score(m, y):
+        return y.copy()
+
+    @staticmethod
+    def score_prime(m, y):
+        return np.ones_like(y)
 
     @staticmethod
     def cdf(m, y):
@@ -419,9 +421,18 @@ def h_prime(model: TailModel, y):
     return _wrap(y, _dispatch(model).h_prime(model, yv))
 
 
-def h_second(model: TailModel, y):
+def score(model: TailModel, y):
+    """Score s(y) = -(d/dy) ln p_Y(y), increasing; score_inv inverts it."""
     yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).h_second(model, yv))
+    return _wrap(y, _dispatch(model).score(model, yv))
+
+
+def score_prime(model: TailModel, y):
+    """Curvature s'(y) = -(d/dy)^2 ln p_Y(y) > 0 (inf at slep's y = 0 when
+    rho < 2)."""
+    yv = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore"):
+        return _wrap(y, _dispatch(model).score_prime(model, yv))
 
 
 def rho_local(model: TailModel, y):
@@ -457,13 +468,13 @@ def h_inv(model: TailModel, h):
 
 
 def score_inv(model: TailModel, q):
-    """The y with -(d/dy) ln p_Y(y) = q for q > 0: the saddle y*(q) of the
+    """The y with score(y) = q for q > 0: the saddle y*(q) of the
     moment integral.  lognormal q, slep (q/rho)^(1/(rho-1)), logweibull the
     positive root of rho y^rho - q y - (rho - 1).  DomainError where y* leaves
     the normal doubles."""
     qv = np.asarray(q, dtype=float)
     if not np.all(qv > 0.0):
-        raise DomainError("score_inv requires q > 0")
+        raise DomainError(f"the order q must be > 0, got {q}")
     with np.errstate(over="ignore", under="ignore"):
         y = _dispatch(model).score_inv(model, qv)
     bad = ~(np.isfinite(y) & (y >= _TINY))

@@ -6,7 +6,7 @@ The moment integral E X^q = int h'(y) exp(q y - h(y)) dy is dominated by a
 neighbourhood of y_star(q); while y_star(q) < y_dagger(n) the empirical
 moment of order q tracks E X^q, and beyond that the sample maximum takes
 over and ln S(n, q) grows linearly in q.  The crossover order q_c(n) is
-where the two frontiers meet.
+where the two frontiers meet: the score s = -(ln p)' at y_dagger(n).
 
 Everything here is pure and deterministic; all moments are returned on the
 log scale since the raw values overflow rapidly in q.
@@ -51,7 +51,7 @@ class CriticalCurve:
     y_dagger: float
     theta: float            # ln n / y_dagger
     rho_l_at_dagger: float  # local exponent at the frontier
-    qc_exact: float         # stationarity form h' - h''/h' at y_dagger
+    qc_exact: float         # score s(y_dagger): the order whose saddle is y_dagger
     qc_approx: float        # product form rho_l * theta == h'(y_dagger)
 
 
@@ -67,36 +67,32 @@ def y_star(model: tm.TailModel, q: float) -> float:
     """Location dominating the moment integral at order q: the maximizer of
     q y + ln p(y), i.e. tm.score_inv(model, q); DomainError unless q > 0 and
     y* is a normal double."""
-    if not q > 0.0:
-        raise DomainError(f"y_star requires q > 0, got {q}")
     return tm.score_inv(model, q)
 
 
 def critical_curve(model: tm.TailModel, n: float) -> CriticalCurve:
     """All frontier quantities at size n, including both q_c forms."""
     yd = y_dagger(model, n)
-    log_n = math.log(n)
-    hp = tm.h_prime(model, yd)
-    hs = tm.h_second(model, yd)
     rho_l = tm.rho_local(model, yd)
     # theta * rho_l == h'(y_dagger) algebraically (h(y_dagger) = ln n); the
     # product form degenerates only at y_dagger == 0 (symmetric family, n = 2)
-    theta = log_n / yd if yd != 0.0 else math.inf
-    qc_approx = rho_l * theta if yd != 0.0 else hp
-    qc_exact = hp - hs / hp
-    return CriticalCurve(
-        n=float(n),
-        y_dagger=yd,
-        theta=theta,
-        rho_l_at_dagger=rho_l,
-        qc_exact=qc_exact,
-        qc_approx=qc_approx,
-    )
+    theta = math.log(n) / yd if yd != 0.0 else math.inf
+    qc_approx = rho_l * theta if yd != 0.0 else tm.h_prime(model, yd)
+    return CriticalCurve(n=float(n), y_dagger=yd, theta=theta,
+                         rho_l_at_dagger=rho_l, qc_exact=tm.score(model, yd),
+                         qc_approx=qc_approx)
 
 
-def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float,
-                  peak: float) -> float:
-    """log of int_lo^hi e^{q y} p(y) dy, integrand rescaled by its peak."""
+def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float) -> float:
+    """log of int_lo^hi e^{q y} p(y) dy, split at and rescaled by the peak: the
+    mode y*(q) capped at hi, or 0 where y* underflows (slep with rho near 1
+    at small q)."""
+    try:
+        peak = min(y_star(model, q), hi)
+    except DomainError:
+        if not 0.0 < q < tm.score(model, 1.0):  # q <= 0, or y* overflowed
+            raise
+        peak = 0.0
     k_shift = q * peak + tm.log_pdf(model, peak)
 
     def f(y: float) -> float:
@@ -129,42 +125,29 @@ def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float,
 
 def moment_quadrature(model: tm.TailModel, q: float) -> float:
     """ln E X^q by adaptive quadrature split at the integrand mode."""
-    if not q > 0.0:
-        raise DomainError(f"moment order must be > 0, got {q}")
-    peak = y_star(model, q)
-    return _log_integral(model, q, model.support_lo, math.inf, peak)
+    return _log_integral(model, q, model.support_lo, math.inf)
 
 
 def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
-    """Large-q saddle approximation q y* - psi(y*) + (1/2) ln(2 pi / psi''(y*))
-    with psi = h + ln h'."""
-    if not q > 0.0:
-        raise DomainError(f"moment order must be > 0, got {q}")
+    """Laplace approximation q y* + ln p(y*) + (1/2) ln(2 pi / s'(y*)) of
+    ln E X^q, with s' the score's slope; exact for Gaussian Y."""
     ys = y_star(model, q)
-    hp = tm.h_prime(model, ys)
-    psi = tm.h(model, ys) + math.log(hp)
-    # psi'' needs (ln h')''; central differences keep the model surface at h''
-    step = 1e-5 * max(1.0, abs(ys))
-    if model.support_lo == 0.0 and ys - step <= 0.0:
-        step = 0.5 * ys
-    lh = math.log(tm.h_prime(model, ys))
-    lh_m = math.log(tm.h_prime(model, ys - step))
-    lh_p = math.log(tm.h_prime(model, ys + step))
-    d2_ln_hp = (lh_p - 2.0 * lh + lh_m) / (step * step)
-    psi2 = tm.h_second(model, ys) + d2_ln_hp
-    if psi2 <= 0.0:
-        raise DegenerateSaddleError(f"psi''(y*) = {psi2:.3e} <= 0 at q={q}")
-    return q * ys - psi + 0.5 * math.log(2.0 * math.pi / psi2)
+    curv = tm.score_prime(model, ys)
+    if not curv > 0.0:
+        raise DegenerateSaddleError(f"s'(y*) = {curv:.3e} <= 0 at q={q}")
+    out = q * ys
+    if math.isfinite(out):  # else |ln p(y*)| is past the doubles as well
+        out = (out + tm.log_pdf(model, ys)
+               + 0.5 * (math.log(2.0 * math.pi) - math.log(curv)))
+    if not math.isfinite(out):
+        raise DomainError(f"saddle approximation overflows at q={q}")
+    return out
 
 
 def truncated_moment(model: tm.TailModel, n: float, q: float) -> float:
     """Moment integral cut at the accessible frontier y_dagger(n)."""
-    if not q > 0.0:
-        raise DomainError(f"moment order must be > 0, got {q}")
-    yd = y_dagger(model, n)
     lo = model.support_lo if model.support_lo > -math.inf else _UNBOUNDED_LO
-    peak = min(y_star(model, q), yd)
-    return _log_integral(model, q, lo, yd, peak)
+    return _log_integral(model, q, lo, y_dagger(model, n))
 
 
 def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:

@@ -55,8 +55,9 @@ def test_criterion_01_frontier_closed_forms():
 
 
 def test_criterion_02_saddlepoint_accuracy():
-    """Log-moment saddlepoint vs quadrature: relative gap shrinks as q grows
-    and is at most 2% by q = 80."""
+    """Log-moment saddlepoint vs quadrature: relative gap at most 2% by
+    q = 80; for log-Weibull it shrinks as q grows, and for the lognormal,
+    where the Laplace form is exact, it is at most 1e-12 at every q."""
     t0 = time.perf_counter()
     for model in (LW2, LN):
         gaps = []
@@ -64,7 +65,10 @@ def test_criterion_02_saddlepoint_accuracy():
             exact = th.moment_quadrature(model, q)
             approx = th.moment_saddlepoint(model, q)
             gaps.append(abs(approx - exact) / abs(exact))
-        assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+        if model is LN:
+            assert max(gaps) <= 1e-12, gaps
+        else:
+            assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
         assert gaps[-1] <= 0.02, gaps
     elapsed_under(t0, 10.0)
 

@@ -116,15 +116,32 @@ def test_h_prime_matches_finite_difference():
                                    rtol=2e-6, atol=1e-11)
 
 
-def test_h_second_matches_finite_difference():
+def test_score_matches_finite_difference():
+    # s = -(ln p)' and s' = s', each against a difference quotient
     for model in ALL_MODELS:
         y = grid(model)
-        if model.support_lo == 0.0:
-            y = y[y > 0.2]  # power-law curvature blows up at the edge
         step = 1e-6 * np.maximum(1.0, np.abs(y))
-        fd = _central_fd(lambda t: tm.h_prime(model, t), y, step)
-        np.testing.assert_allclose(tm.h_second(model, y), fd,
-                                   rtol=2e-5, atol=1e-8)
+        fd = _central_fd(lambda t: -tm.log_pdf(model, t), y, step)
+        np.testing.assert_allclose(tm.score(model, y), fd,
+                                   rtol=2e-6, atol=1e-9)
+        fd = _central_fd(lambda t: tm.score(model, t), y, step)
+        np.testing.assert_allclose(tm.score_prime(model, y), fd,
+                                   rtol=2e-6, atol=1e-9)
+
+
+def test_score_inverts_score_inv():
+    q = np.logspace(-6.0, 4.0, 61)
+    for model in ALL_MODELS + [tm.strict_log_exp_power(1.05),
+                               tm.log_weibull(1.05), tm.log_weibull(8.0)]:
+        np.testing.assert_allclose(tm.score(model, tm.score_inv(model, q)), q,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_score_rejects_log_weibull_edge():
+    for f in (tm.score, tm.score_prime):
+        for y in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                f(LW2, y)
 
 
 def test_log_pdf_matches_cdf_derivative():
@@ -153,9 +170,9 @@ def _float_call_args(name, model):
     return y
 
 
-@pytest.mark.parametrize("name", ["log_pdf", "h", "h_prime", "h_second",
-                                  "rho_local", "cdf", "sf", "quantile",
-                                  "h_inv", "score_inv"])
+@pytest.mark.parametrize("name", ["log_pdf", "h", "h_prime", "score",
+                                  "score_prime", "rho_local", "cdf", "sf",
+                                  "quantile", "h_inv", "score_inv"])
 def test_float_equals_array_element(name):
     f = getattr(tm, name)
     for model in ALL_MODELS:

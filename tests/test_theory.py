@@ -13,7 +13,6 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import optimize
 
 import oracles
 import momentgate.tail_models as tm
@@ -91,7 +90,7 @@ def test_frontier_closed_form_over_whole_domain():
 
 
 def test_y_star_power_law_closed_form():
-    # for h = y^2: q = h' - h''/h' = 2y - 1/y, so y* = (q + sqrt(q^2 + 8))/4
+    # for h = y^2: q = -(ln p)'(y) = 2y - 1/y, so y* = (q + sqrt(q^2 + 8))/4
     assert th.y_star(LW2, 3.5) == pytest.approx(2.0, rel=1e-12)
     for q in (1e-6, 0.01, 0.5, 1.0, 7.3, 100.0, 1e4):
         assert th.y_star(LW2, q) == pytest.approx(
@@ -105,7 +104,7 @@ def test_y_star_symmetric_power_closed_form():
 
 
 def test_y_star_normal_exponent_identity():
-    # h'' = h'(h' - y) makes the defining equation collapse to y* = q
+    # -(ln p)'(y) = y, so the defining equation collapses to y* = q
     for q in (0.5, 2.0, 5.0, 17.0):
         assert th.y_star(LN, q) == pytest.approx(q, rel=1e-9)
 
@@ -203,10 +202,9 @@ def test_critical_curve_identities():
         for n in (50.0, 1e3, 1e7):
             c = th.critical_curve(model, n)
             hp = tm.h_prime(model, c.y_dagger)
-            hs = tm.h_second(model, c.y_dagger)
             assert c.theta * c.rho_l_at_dagger == pytest.approx(hp, rel=1e-12)
-            assert c.qc_approx - c.qc_exact == pytest.approx(hs / hp,
-                                                             rel=1e-9)
+            score, scale = _score(model, c.y_dagger)
+            assert abs(c.qc_exact - score) <= 1e-12 * scale
             assert c.qc_exact <= c.qc_approx + 1e-12
 
 
@@ -288,32 +286,75 @@ def test_moment_continuous_at_zero_order():
     assert abs(th.moment_quadrature(LW2, 1e-8)) < 1e-6
 
 
+def test_moment_quadrature_splits_at_zero_where_y_star_underflows():
+    # slep rho = 1.001: y* = (q/rho)^1000 is below the normal doubles, so the
+    # integral splits at the mode 0; ln E e^{qY} ~ q^2 E Y^2 / 2 as q -> 0
+    model = tm.strict_log_exp_power(1.001)
+    with pytest.raises(DomainError):
+        th.y_star(model, 1e-3)
+    q, r = 1e-3, model.rho
+    expected = q * q * math.gamma(3.0 / r) / (2.0 * math.gamma(1.0 / r))
+    assert th.moment_quadrature(model, q) == pytest.approx(expected, rel=1e-5)
+    vals = [th.moment_quadrature(model, q) for q in (1e-3, 0.1, 0.4)]
+    assert np.all(np.diff(vals) > 0.0)
+    for q, full in zip((1e-3, 0.1, 0.4), vals):
+        trunc = th.truncated_moment(model, 1e6, q)
+        assert math.isfinite(trunc) and trunc <= full
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 10.0, 80.0])
+def test_saddlepoint_exact_for_gaussian_log(q):
+    # Y Gaussian: the Laplace form is exact (lognormal q^2/2, slep rho = 2
+    # is N(0, 1/2), q^2/4)
+    assert th.moment_saddlepoint(LN, q) == pytest.approx(q * q / 2.0,
+                                                         rel=1e-12)
+    assert th.moment_saddlepoint(SLEP2, q) == pytest.approx(q * q / 4.0,
+                                                            rel=1e-12)
+
+
 def test_saddlepoint_tracks_quadrature():
     for model in (LW2, LN):
         gaps = []
-        for q in (10.0, 40.0):
+        for q in (10.0, 40.0, 80.0):
             exact = th.moment_quadrature(model, q)
             sp = th.moment_saddlepoint(model, q)
             gaps.append(abs(sp - exact) / abs(exact))
-        assert gaps[1] < gaps[0]
         assert gaps[1] < 0.02
+        if model is LN:  # exact, see test_saddlepoint_exact_for_gaussian_log
+            assert max(gaps) <= 1e-12, gaps
+        else:
+            assert gaps[0] > gaps[1] > gaps[2], gaps
+            assert gaps[0] <= 1e-4 and gaps[2] <= 1e-9, gaps
+
+
+@given(st.sampled_from(["logweibull", "slep", "lognormal"]),
+       st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
+       st.floats(min_value=-6.0, max_value=4.0))
+def test_saddlepoint_finite_or_typed_error(family, rho, log10_q):
+    model = tm.parse_model(family if family == "lognormal"
+                           else f"{family}:rho={rho!r}")
+    q = 10.0 ** log10_q
+    try:
+        val = th.moment_saddlepoint(model, q)
+    except MomentgateError as exc:
+        assert f"q={q!r}" in str(exc) or f"q={q:.17g}" in str(exc), exc
+        return
+    assert type(val) is float and math.isfinite(val), (family, rho, q, val)
+
+
+def test_saddlepoint_overflow_is_typed_error():
+    # y* ~ 1e308 is a double, but q y* and ln p(y*) are not: no silent NaN
+    with pytest.raises(DomainError, match="overflows at q=1200.0"):
+        th.moment_saddlepoint(tm.strict_log_exp_power(1.01), 1200.0)
 
 
 def test_degenerate_saddle_is_reported(monkeypatch):
-    # h' = e^sqrt(y): h + ln h' curves downward at the small-y stationary
-    # point of q y - h - ln h', so the Gaussian correction is undefined there
-    monkeypatch.setattr(tm, "h", lambda m, y: 2.0 * np.exp(np.sqrt(y))
-                        * (np.sqrt(y) - 1.0) + 2.0)
-    monkeypatch.setattr(tm, "h_prime", lambda m, y: np.exp(np.sqrt(y)))
-    monkeypatch.setattr(tm, "h_second",
-                        lambda m, y: np.exp(np.sqrt(y)) / (2.0 * np.sqrt(y)))
-    # that stationary point solves q = h' - h''/h' = e^sqrt(y) - 1/(2 sqrt(y))
-    q = 0.5
-    ys = optimize.brentq(
-        lambda y: math.exp(math.sqrt(y)) - 0.5 / math.sqrt(y) - q, 1e-6, 1.0)
-    monkeypatch.setattr(tm, "score_inv", lambda m, q_: ys)
-    with pytest.raises(DegenerateSaddleError):
-        th.moment_saddlepoint(LW2, q)
+    # a log-density that is flat or convex at y* makes q y + ln p(y) stationary
+    # there without a maximum, so the Gaussian correction is undefined
+    for curv in (-0.5, 0.0, math.nan):
+        monkeypatch.setattr(tm, "score_prime", lambda m, y, c=curv: c)
+        with pytest.raises(DegenerateSaddleError, match="at q=2.0"):
+            th.moment_saddlepoint(LW2, 2.0)
 
 
 # ------------------------------------------------------- truncated moments
