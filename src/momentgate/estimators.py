@@ -62,18 +62,77 @@ class QcEstimate:
     k_rho: int
 
 
-def order_stats(sample: Sample, k: int) -> OrderedSample:
-    """Top-k values of the sample, descending; O(n + k log k) expected."""
-    n = sample.n
+def _top_rows(values: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values of each row of a (rows, n) array, descending and
+    C-contiguous (so that Omega is BLAS's dot product on every row)."""
+    n = values.shape[-1]
+    part = values if k == n else np.partition(values, n - k, axis=-1)[:, n - k:]
+    return np.sort(part, axis=-1)[:, ::-1].copy()
+
+
+def _omega_rows(top: np.ndarray, k: int) -> np.ndarray:
+    """Omega_k of each row of a (rows, >= k) descending top block.
+
+    The product is stacked as one (1, k) @ (k,) per row, which numpy runs as
+    a dot product, so a row's Omega does not depend on the rows beside it
+    (a (rows, k) matrix-vector product rounds differently)."""
+    return (top[:, None, :k] @ omega_weights(k))[:, 0]
+
+
+def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.ndarray]:
+    """rho_hat's OLS slope on each row of a (rows, >= k) descending top block,
+    and each row's count of positive values among its top k.
+
+    The positives of a descending row are a prefix, so rows are fitted in
+    groups of equal count on that prefix with its original ranks.  The slope
+    is NaN where fewer than 2 values are positive or cxx is at its floor.
+    """
+    y = top[:, :k]
+    positives = (y > 0.0).sum(axis=-1)
+    t = np.log(num - np.log(np.arange(1, k + 1, dtype=float)))
+    slope = np.full(len(y), math.nan)
+    for m in set(positives.tolist()) - {0, 1}:
+        rows = np.flatnonzero(positives == m)
+        x = np.log(y[rows, :m])
+        mean_x = x.mean(axis=-1)
+        mean_xx = (x * x).mean(axis=-1)
+        # math.pow is the square of numpy's float scalars; the product x * x,
+        # which array ** 2 computes, rounds differently in ~0.1% of cases
+        cxx = mean_xx - np.array([math.pow(v, 2.0) for v in mean_x.tolist()])
+        cxt = (x * t[:m]).mean(axis=-1) - mean_x * t[:m].mean()
+        # exact ties leave only rounding residue in cxx; a relative floor keeps
+        # the slope from being formed out of that noise
+        ok = cxx > 1e-15 * np.maximum(1.0, mean_xx)
+        slope[rows[ok]] = cxt[ok] / cxx[ok]
+    return slope, positives
+
+
+def _check_k(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise ArgumentError(f"k must be in [1, n]={n}, got {k}")
+
+
+def _ladder_log_n(k_rho: int, available: int, n: int,
+                     log_n: float | None) -> float:
+    """rho_hat's argument checks; returns the ln n of its rank ladder, or
+    log_n where given."""
+    if k_rho < 2:
+        raise ArgumentError(f"k_rho must be >= 2, got {k_rho}")
+    if k_rho > available:
+        raise ArgumentError(
+            f"k_rho={k_rho} exceeds available order stats {available}"
+        )
+    num = math.log(n) if log_n is None else float(log_n)
+    if num - math.log(k_rho) <= 0.0:
+        raise ArgumentError(f"k_rho={k_rho} too large for effective size e^{num:.3g}")
+    return num
+
+
+def order_stats(sample: Sample, k: int) -> OrderedSample:
+    """Top-k values of the sample, descending; O(n + k log k) expected."""
+    _check_k(k, sample.n)
     values = np.asarray(sample.values, dtype=float)
-    if k == n:
-        top = np.sort(values)[::-1]
-    else:
-        part = np.partition(values, n - k)[n - k:]
-        top = np.sort(part)[::-1]
-    return OrderedSample(top=top, n=n)
+    return OrderedSample(top=_top_rows(values[None, :], k)[0], n=sample.n)
 
 
 def omega_weights(k: int) -> np.ndarray:
@@ -98,7 +157,7 @@ def omega(ordered: OrderedSample, k: int) -> float:
     """Omega_k = sum alpha_i Y_{i,n} over the k largest order statistics."""
     if k > len(ordered.top):
         raise ArgumentError(f"k={k} exceeds available order stats {len(ordered.top)}")
-    return float(np.dot(omega_weights(k), ordered.top[:k]))
+    return float(_omega_rows(ordered.top[None, :], k)[0])
 
 
 def theta_hat(ordered: OrderedSample, k_theta: int, *,
@@ -121,31 +180,15 @@ def rho_hat(ordered: OrderedSample, k_rho: int, *,
     the surviving points keep their original ranks i.  ``log_n`` substitutes
     an effective log sample size in the rank ladder.
     """
-    if k_rho < 2:
-        raise ArgumentError(f"k_rho must be >= 2, got {k_rho}")
-    if k_rho > len(ordered.top):
-        raise ArgumentError(
-            f"k_rho={k_rho} exceeds available order stats {len(ordered.top)}"
-        )
-    num = math.log(ordered.n) if log_n is None else float(log_n)
-    ranks = np.arange(1, k_rho + 1, dtype=float)
-    if num - math.log(k_rho) <= 0.0:
-        raise ArgumentError(f"k_rho={k_rho} too large for effective size e^{num:.3g}")
-    y = ordered.top[:k_rho]
-    keep = y > 0.0
-    if int(keep.sum()) < 2:
+    num = _ladder_log_n(k_rho, len(ordered.top), ordered.n, log_n)
+    slope, positives = _slope_rows(ordered.top[None, :], k_rho, num)
+    if positives[0] < 2:
         raise InsufficientPositiveValues(
-            f"only {int(keep.sum())} positive order stats among top {k_rho}"
+            f"only {positives[0]} positive order stats among top {k_rho}"
         )
-    x = np.log(y[keep])
-    t = np.log(num - np.log(ranks[keep]))
-    cxx = float(np.mean(x * x) - np.mean(x) ** 2)
-    # exact ties leave only rounding residue in cxx; a relative floor keeps
-    # the slope from being formed out of that noise
-    if cxx <= 1e-15 * max(1.0, float(np.mean(x * x))):
+    if math.isnan(slope[0]):
         raise DegenerateRegressionError("all used order statistics are equal")
-    cxt = float(np.mean(x * t) - np.mean(x) * np.mean(t))
-    return cxt / cxx
+    return float(slope[0])
 
 
 def default_k_theta(n: int) -> int:
@@ -180,3 +223,20 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
     rh = rho_hat(ordered, kr)
     return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,
                       k_theta=kt, k_rho=kr)
+
+
+def _qc_rows(values: np.ndarray, k_theta: int, k_rho: int) -> np.ndarray:
+    """qc_hat on each row of a (rows, n) block of samples, as rows of
+    (theta_hat, rho_hat, qc_hat, k_theta, k_rho); NaN in the rows where
+    qc_hat raises on the data.  Argument errors raise as in qc_hat."""
+    n = values.shape[-1]
+    k = max(k_theta, k_rho)
+    _check_k(k, n)
+    top = _top_rows(values, k)
+    om = _omega_rows(top, k_theta)
+    rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n, None))
+    theta = math.log(n) / np.where(om > 0.0, om, math.nan)
+    out = np.column_stack((theta, rho, theta * rho, np.full(len(top), k_theta),
+                           np.full(len(top), k_rho)))
+    out[np.isnan(out[:, 2])] = math.nan
+    return out

@@ -48,8 +48,8 @@ _LNS_COLUMNS = (
     "log_moment",
 )
 
-# most values of q*y held at once by _log_mean_exp: a block of orders covers
-# the whole grid for small n, and a single order once n >= 2^16
+# most values held at once: by the runner's blocks of replications, and by
+# _log_mean_exp's blocks of orders q*y; one row of either once n >= 2^16
 _LSE_BLOCK = 2 ** 16
 
 
@@ -151,48 +151,85 @@ def _pool_size() -> int:
     return cap
 
 
-def _run_reps(reps: int, worker):
-    """Evaluate worker(rep_id) for all reps; results indexed by rep id so the
-    aggregation order never depends on scheduling."""
-    out = [None] * reps
-    workers = min(_pool_size(), reps)
+def _run_blocks(count: int, worker) -> list:
+    """Evaluate worker(b) for blocks b = 0..count-1; results indexed by block
+    so the aggregation order never depends on scheduling."""
+    workers = min(_pool_size(), count)
     if workers <= 1:
-        for r in range(reps):
-            out[r] = worker(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, res in enumerate(pool.map(worker, range(reps))):
-                out[r] = res
-    return out
+        return [worker(b) for b in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, range(count)))
 
 
-def _replicate(reps: int, seed: int, cell_id: int, draw, measures) -> np.ndarray:
-    """(reps, width) array of every measure on every replication of a cell.
+def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
+               block) -> np.ndarray:
+    """(reps, width) array of every replication of a cell of size n.
 
-    Row r applies each ``(measure, width)`` pair to draw(rep_seed(seed,
-    cell_id, r)) and holds the measures' values side by side.  A draw that
-    raises MomentgateError leaves its row NaN; a measure that raises leaves
-    NaN in its own columns only.  draw and the measures are all called
-    before this returns, so they may close over a caller's loop variables.
+    Replications run in blocks of max(1, _LSE_BLOCK // n) rows, so a block of
+    draws holds at most 2^16 values; the pool maps the blocks.  block(seeds)
+    returns the (len(seeds), width) rows of the replications keyed by seeds,
+    rep_seed(seed, cell_id, r) for consecutive r.  A block that raises
+    MomentgateError is left NaN.  block is called before this returns, so it
+    may close over a caller's loop variables.
     """
+    size = max(1, _LSE_BLOCK // n)
+
+    def worker(b):
+        r0 = b * size
+        seeds = [rep_seed(seed, cell_id, r) for r in range(r0, min(r0 + size, reps))]
+        try:
+            return block(seeds)
+        except MomentgateError:
+            return np.full((len(seeds), width), math.nan)
+
+    return np.concatenate(_run_blocks(-(-reps // size), worker))
+
+
+def _per_row(draw, measures):
+    """A block that applies each ``(measure, width)`` pair to draw(seed), one
+    seed at a time, and holds the measures' values side by side.  A draw that
+    raises MomentgateError leaves its row NaN; a measure that raises leaves
+    NaN in its own columns only."""
     width = sum(w for _, w in measures)
 
-    def worker(r):
-        row = np.full(width, math.nan)
-        try:
-            sample = draw(rep_seed(seed, cell_id, r))
-        except MomentgateError:
-            return row
-        col = 0
-        for measure, w in measures:
+    def block(seeds):
+        out = np.full((len(seeds), width), math.nan)
+        for row, s in zip(out, seeds):
             try:
-                row[col:col + w] = measure(sample)
+                sample = draw(s)
             except MomentgateError:
-                pass
-            col += w
-        return row
+                continue
+            col = 0
+            for measure, w in measures:
+                try:
+                    row[col:col + w] = measure(sample)
+                except MomentgateError:
+                    pass
+                col += w
+        return out
 
-    return np.array(_run_reps(reps, worker))
+    return block
+
+
+def _iid_draws(model: tm.TailModel, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of sample_iid(model, n, seed).values for each seed, and the mask
+    of the rows that are finite (the check a Sample makes)."""
+    y = tm._iid_rows(model, n, seeds)
+    return y, np.isfinite(y).all(axis=1)
+
+
+def _qc_block(model: tm.TailModel, n: int, k_theta: int, k_rho: int):
+    """A block of qc_hat(sample_iid(model, n, seed), k_theta, k_rho) rows,
+    (theta, rho, qc, k_theta, k_rho), NaN where qc_hat would raise."""
+
+    def block(seeds):
+        y, ok = _iid_draws(model, n, seeds)
+        y[~ok] = 0.0  # estimated in place, then discarded
+        out = est._qc_rows(y, k_theta, k_rho)
+        out[~ok] = math.nan
+        return out
+
+    return block
 
 
 def _estimate_row(e: est.QcEstimate) -> tuple:
@@ -262,10 +299,8 @@ def run_iid(config: ExperimentConfig) -> McReport:
         curve = theory.critical_curve(model, n)
         targets = {"theta": curve.theta, "rho": curve.rho_l_at_dagger,
                    "qc": curve.qc_approx}
-        vals = _replicate(
-            config.reps, config.seed, cell_id,
-            lambda s: tm.sample_iid(model, n, s),
-            ((lambda x: _estimate_row(est.qc_hat(x, kt, kr)), 5),))
+        vals = _replicate(config.reps, config.seed, cell_id, n, 5,
+                          _qc_block(model, n, kt, kr))
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
@@ -304,14 +339,13 @@ def run_corr(config: ExperimentConfig) -> McReport:
                    "qc": dep.qc_theory_corr(model, n, tau_true, cc.kappa)}
         kt_u = est.default_k_theta(n) if k_t is None else int(k_t)
         kr_u = est.default_k_rho(n) if k_r is None else int(k_r)
-        vals = _replicate(
-            config.reps, config.seed, cell_id,
+        vals = _replicate(config.reps, config.seed, cell_id, n, 10, _per_row(
             lambda s: dep.synth_series(dep.SeriesSpec(model, cov, n), s,
                                        cc.match_mode),
             ((lambda x: _estimate_row(est.qc_hat(x, kt_u, kr_u)), 5),
              (lambda x: _estimate_row(dep.qc_hat_corr(
                  x, k_t, k_r, tau=tau_used, kappa=cc.kappa, s=s_val,
-                 alpha=cc.alpha, beta=cc.beta)), 5)))
+                 alpha=cc.alpha, beta=cc.beta)), 5))))
         plain, corrected = vals[:, :5], vals[:, 5:]
         ks = corrected[np.isfinite(corrected[:, 3]), 3:]
         kt_c, kr_c = (int(k) for k in ks[0]) if len(ks) else (-1, -1)
@@ -379,9 +413,15 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
                             "model": tm.format_model(model)})
     for cell_id, n in enumerate(n_list):
         curve = theory.critical_curve(model, n)
-        vals = _replicate(reps, seed, cell_id,
-                          lambda s: tm.sample_iid(model, n, s).values,
-                          ((lambda y: _log_mean_exp(q_grid, y), len(q_grid)),))
+
+        def block(seeds):
+            y, ok = _iid_draws(model, n, seeds)
+            out = np.full((len(seeds), len(q_grid)), math.nan)
+            for r in np.flatnonzero(ok):
+                out[r] = _log_mean_exp(q_grid, y[r])
+            return out
+
+        vals = _replicate(reps, seed, cell_id, n, len(q_grid), block)
         mean = vals.sum(axis=0) / reps
         var = (vals * vals).sum(axis=0) / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)

@@ -73,6 +73,9 @@ _U_FLOOR = 2.0 ** -55
 
 _TINY = np.finfo(float).tiny
 
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
 
 class Family(str, Enum):
     LOG_WEIBULL = "logweibull"
@@ -330,6 +333,10 @@ class _Slep:
 
     @staticmethod
     def h_inv(m, h):
+        if m.rho == 2.0:  # Y ~ N(0, 1/2)
+            y = _LogNormal.h_inv(m, h)
+            y /= _SQRT2
+            return y
         # Q(1/rho, |y|^rho) = 2 e^{-h} on y >= 0 (h >= ln 2), 2 (1 - e^{-h}) below
         a = 1.0 / m.rho
         upper = h >= math.log(2.0)
@@ -345,10 +352,6 @@ class _Slep:
     def log_pdf(m, y):
         return (-np.power(np.abs(y), m.rho) - math.log(2.0)
                 - math.lgamma(1.0 + 1.0 / m.rho))
-
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class _LogNormal:
@@ -386,8 +389,11 @@ class _LogNormal:
 
     @staticmethod
     def h_inv(m, h):
-        # 0.0 - x turns ndtri_exp's -0.0 at h = ln 2 into +0.0
-        return 0.0 - sp.ndtri_exp(-h)
+        # formed in one new array; 0.0 - x turns ndtri_exp's -0.0 at h = ln 2
+        # into +0.0
+        y = np.negative(h, out=np.empty_like(h))
+        sp.ndtri_exp(y, out=y)
+        return np.subtract(0.0, y, out=y)
 
     @staticmethod
     def score_inv(m, q):
@@ -510,10 +516,22 @@ def sample_iid(model: TailModel, n: int, seed: int) -> Sample:
     """
     if n < 1:
         raise ArgumentError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = np.maximum(rng.random(n), _U_FLOOR)
-    values = quantile(model, u)
-    return Sample(values=np.asarray(values, dtype=float), n=int(n), seed=int(seed))
+    return Sample(values=_iid_rows(model, n, (seed,))[0], n=int(n), seed=int(seed))
+
+
+def _iid_rows(model: TailModel, n: int, seeds) -> np.ndarray:
+    """(len(seeds), n) draws whose row i is sample_iid(model, n, seeds[i])'s
+    values: one Philox stream per row, mapped through the quantile once per
+    block."""
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        np.random.Generator(np.random.Philox(key=int(seed))).random(out=row)
+    np.maximum(u, _U_FLOOR, out=u)
+    # quantile(model, u) = h_inv(-log1p(-u)), with the hazards formed in u so
+    # that a block holds one more array of its size, h_inv's
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return h_inv(model, np.negative(u, out=u))
 
 
 # ---------------------------------------------------------------------------

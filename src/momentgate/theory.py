@@ -135,10 +135,15 @@ def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
     curv = tm.score_prime(model, ys)
     if not curv > 0.0:
         raise DegenerateSaddleError(f"s'(y*) = {curv:.3e} <= 0 at q={q}")
-    out = q * ys
-    if math.isfinite(out):  # else |ln p(y*)| is past the doubles as well
-        out = (out + tm.log_pdf(model, ys)
-               + 0.5 * (math.log(2.0 * math.pi) - math.log(curv)))
+    if model.family is tm.Family.STRICT_LOG_EXP_POWER:
+        # rho y*^(rho-1) = q turns q y* - y*^rho into (1 - 1/rho) q y*, which
+        # stays finite wherever y* does
+        out = (1.0 - 1.0 / model.rho) * q * ys + tm.log_pdf(model, 0.0)
+    else:
+        out = q * ys
+        if math.isfinite(out):  # else |ln p(y*)| is past the doubles as well
+            out = out + tm.log_pdf(model, ys)
+    out += 0.5 * (math.log(2.0 * math.pi) - math.log(curv))
     if not math.isfinite(out):
         raise DomainError(f"saddle approximation overflows at q={q}")
     return out

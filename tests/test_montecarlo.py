@@ -14,7 +14,7 @@ import momentgate.estimators as est
 import momentgate.montecarlo as mc
 import momentgate.tail_models as tm
 import momentgate.theory as th
-from momentgate.errors import ArgumentError, ConvergenceError
+from momentgate.errors import ArgumentError, ConvergenceError, MomentgateError
 
 LW2 = tm.log_weibull(2.0)
 LN = tm.log_normal()
@@ -57,25 +57,77 @@ def test_seed_changes_output():
     assert a != b
 
 
-def _iid_replicate(reps):
-    return mc._replicate(
-        reps, 5, 0, lambda s: tm.sample_iid(LW2, 400, s),
-        ((lambda x: mc._estimate_row(est.qc_hat(x, 4, 20)), 5),))
+def _iid_replicate(reps, model=LW2, n=400, k_theta=4, k_rho=20, seed=5,
+                   cell_id=0):
+    return mc._replicate(reps, seed, cell_id, n, 5,
+                         mc._qc_block(model, n, k_theta, k_rho))
 
 
 def test_extending_reps_preserves_existing_replications():
-    short = _iid_replicate(6)
-    long = _iid_replicate(9)
-    assert short.shape == (6, 5) and long.shape == (9, 5)
-    assert np.isfinite(short).all()
-    np.testing.assert_array_equal(short, long[:6])
+    # at n = 1000 a block holds 65 replications: 70 reps cross its boundary
+    for n, short_reps, long_reps in ((400, 6, 9), (1000, 60, 70)):
+        short = _iid_replicate(short_reps, n=n)
+        long = _iid_replicate(long_reps, n=n)
+        assert short.shape == (short_reps, 5)
+        assert long.shape == (long_reps, 5)
+        assert np.isfinite(short).all()
+        np.testing.assert_array_equal(short, long[:short_reps])
 
 
+# (model, n, k_theta, k_rho, reps, seed): LW2 from blocks of 8192 rows down to
+# blocks of one (n = 70000 > 2^16), slep rho=2 with the default windows, and
+# the failing slep cell of test_failed_replications_are_counted_not_dropped
+BLOCK_CASES = [
+    (LW2, 8, 2, 2, 40, 3),
+    (LW2, 400, 4, 20, 170, 5),
+    (LW2, 1000, 28, 80, 140, 1),
+    (LW2, 70000, 68, 330, 3, 2),
+    (tm.strict_log_exp_power(2.0), 1000, 28, 80, 140, 1),
+    (tm.strict_log_exp_power(1.5), 8, 2, 2, 300, 12),
+]
+
+
+@pytest.mark.parametrize("model, n, kt, kr, reps, seed", BLOCK_CASES)
+def test_block_rows_equal_scalar_qc_hat(model, n, kt, kr, reps, seed):
+    rows = _iid_replicate(reps, model, n, kt, kr, seed)
+    failed = 0
+    for r in range(reps):
+        sample = tm.sample_iid(model, n, mc.rep_seed(seed, 0, r))
+        try:
+            e = est.qc_hat(sample, kt, kr)
+        except MomentgateError:
+            failed += 1
+            assert np.isnan(rows[r]).all()
+            continue
+        np.testing.assert_allclose(rows[r], mc._estimate_row(e), rtol=1e-13,
+                                   atol=0.0)
+    if model.rho == 1.5:
+        assert failed > 0
+
+
+def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
+    draw = tm._iid_rows
+
+    def spoiled(model, n, seeds):
+        y = draw(model, n, seeds)
+        if len(seeds) > 1:
+            y[1, 7] = math.inf
+        return y
+
+    clean = _iid_replicate(5)
+    monkeypatch.setattr(tm, "_iid_rows", spoiled)
+    rows = _iid_replicate(5)
+    assert np.isnan(rows[1]).all()
+    np.testing.assert_array_equal(np.delete(rows, 1, axis=0),
+                                  np.delete(clean, 1, axis=0))
+
+
+# 400 reps at n = 400 run as three blocks of 163, 163 and 74 on the pool
 def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("MOMENTGATE_THREADS", "1")
-    a = csv_text(mc.run_iid(small_iid_config()))
+    a = csv_text(mc.run_iid(small_iid_config(reps=400)))
     monkeypatch.setenv("MOMENTGATE_THREADS", "3")
-    b = csv_text(mc.run_iid(small_iid_config()))
+    b = csv_text(mc.run_iid(small_iid_config(reps=400)))
     assert a == b
 
 
@@ -90,7 +142,7 @@ def test_pool_size_follows_cpu_affinity(monkeypatch):
 def test_bad_thread_env_rejected(monkeypatch):
     monkeypatch.setenv("MOMENTGATE_THREADS", "many")
     with pytest.raises(ArgumentError):
-        mc.run_iid(small_iid_config())
+        mc.run_iid(small_iid_config(reps=400))
 
 
 # ------------------------------------------------------------ aggregates
@@ -129,6 +181,14 @@ def test_failed_replications_are_counted_not_dropped():
         assert math.isfinite(row["mean"])  # aggregates skip the NaN reps
 
 
+def test_window_beyond_sample_fails_every_replication():
+    # k_rho = 500 > n = 400: qc_hat raises ArgumentError on every sample
+    cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(400,), k_theta_grid=(4,),
+                              k_rho_grid=(500,), reps=6, seed=1)
+    for row in mc.run_iid(cfg).rows:
+        assert (row["reps_used"], row["failures"]) == (0, 6)
+
+
 def test_targets_come_from_theory():
     report = mc.run_iid(small_iid_config())
     curve = th.critical_curve(LW2, 400)
@@ -160,7 +220,8 @@ def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns():
             raise ConvergenceError("measure")
         return (1.0, 2.0)
 
-    vals = mc._replicate(3, 1, 2, draw, ((failing, 2), (lambda s: 3.0, 1)))
+    vals = mc._replicate(3, 1, 2, 10, 3,
+                         mc._per_row(draw, ((failing, 2), (lambda s: 3.0, 1))))
     assert vals.shape == (3, 3)
     assert np.isnan(vals[0]).all()
     assert np.isnan(vals[1, :2]).all() and vals[1, 2] == 3.0
@@ -172,7 +233,20 @@ def test_runner_lets_other_errors_through():
         raise ZeroDivisionError
 
     with pytest.raises(ZeroDivisionError):
-        mc._replicate(2, 0, 0, lambda s: s, ((measure, 1),))
+        mc._replicate(2, 0, 0, 10, 1, mc._per_row(lambda s: s, ((measure, 1),)))
+
+
+def test_failed_block_gives_nan_rows():
+    def block(seeds):
+        if seeds[0] == mc.rep_seed(0, 0, 4):
+            raise ConvergenceError("block")
+        return np.ones((len(seeds), 2))
+
+    # n = 2^14: blocks of 4 replications
+    vals = mc._replicate(10, 0, 0, 2 ** 14, 2, block)
+    assert vals.shape == (10, 2)
+    assert np.isnan(vals[4:8]).all()
+    assert (vals[:4] == 1.0).all() and (vals[8:] == 1.0).all()
 
 
 # ------------------------------------------------------------- lnS curves

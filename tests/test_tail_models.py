@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special as sp
 from scipy import stats as sps
 from scipy.special import ndtr
 
@@ -230,6 +231,22 @@ def test_h_inv_inverts_h():
                                tm.log_weibull(8.0)]:
         np.testing.assert_allclose(tm.h(model, tm.h_inv(model, hs)), hs,
                                    rtol=1e-12)
+
+
+def test_slep_rho_two_h_inv_matches_incomplete_gamma_route():
+    # slep rho = 2 is N(0, 1/2): its closed form against the route every
+    # other rho takes, Q(1/2, y^2) = 2 e^{-h} above the median
+    hs = np.concatenate([np.geomspace(1e-12, 700.0, 4001),
+                         math.log(2.0) + np.linspace(-2e-3, 2e-3, 41),
+                         [np.nextafter(math.log(2.0), 0.0)]])
+    upper = hs >= math.log(2.0)
+    q = np.where(upper, 2.0 * np.exp(-hs), -2.0 * np.expm1(-hs))
+    mag = np.sqrt(sp.gammainccinv(0.5, q))
+    want = np.where(upper, mag, -mag)
+    got = tm.h_inv(SLEP2, hs)
+    big = np.abs(want) > 1e-3
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got[~big], want[~big], rtol=0.0, atol=1e-16)
 
 
 def test_log_normal_h_keeps_left_tail_digits():

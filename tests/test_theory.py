@@ -348,6 +348,23 @@ def test_saddlepoint_overflow_is_typed_error():
         th.moment_saddlepoint(tm.strict_log_exp_power(1.01), 1200.0)
 
 
+def test_slep_saddle_finite_where_q_y_star_overflows():
+    # y* = 1.37e308 at q = 2.035 for rho = 1.001: q y* overflows, while
+    # q y* + ln p(y*) = (1 - 1/rho) q y* - ln(2 Gamma(1 + 1/rho)) does not
+    val = th.moment_saddlepoint(tm.strict_log_exp_power(1.001), 2.035)
+    assert math.isfinite(val) and val == pytest.approx(2.7445e305, rel=1e-4)
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("q", [0.5, 2.0, 10.0])
+def test_slep_saddle_equals_laplace_form(rho, q):
+    model = tm.strict_log_exp_power(rho)
+    ys = th.y_star(model, q)
+    laplace = (q * ys + tm.log_pdf(model, ys)
+               + 0.5 * math.log(2.0 * math.pi / tm.score_prime(model, ys)))
+    assert th.moment_saddlepoint(model, q) == pytest.approx(laplace, rel=1e-12)
+
+
 def test_degenerate_saddle_is_reported(monkeypatch):
     # a log-density that is flat or convex at y* makes q y + ln p(y) stationary
     # there without a maximum, so the Gaussian correction is undefined
