@@ -70,6 +70,12 @@ def _cmd_theory(args) -> int:
     model = tm.parse_model(args.model)
     ns = _floats(args.n)
     curves = [theory.critical_curve(model, n) for n in ns]
+    for c in curves:
+        if c.qc_exact < 0.0:
+            sys.stderr.write(
+                f"warning: n={c.n:g}: qc_exact={c.qc_exact:.6g} is negative, "
+                f"y_dagger={c.y_dagger:.6g} lies below the density's mode\n"
+            )
     rows = [{"n": c.n, "y_dagger": c.y_dagger, "theta": c.theta,
              "rho_l": c.rho_l_at_dagger, "qc_exact": c.qc_exact,
              "qc_approx": c.qc_approx} for c in curves]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special as sp
 
 from . import tail_models as tm
 from .errors import (
@@ -248,6 +247,7 @@ def _gauss_to_marginal(model: tm.TailModel, z: np.ndarray) -> np.ndarray:
     tails; lognormal's map is the identity, kept exact and cheap."""
     if model.family is tm.Family.LOG_NORMAL:
         return z.copy()
+    from scipy import special as sp
     return tm.h_inv(model, -sp.log_ndtr(-z))
 
 

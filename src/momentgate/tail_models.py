@@ -24,17 +24,18 @@ Three concrete families are provided:
 * ``lognormal``: Y standard normal (rho is fixed at 2).
 
 All functions are vectorized over ``y``/``p`` and pure; models are immutable.
+scipy is imported inside the kernels that call it (about 0.2 us a call once
+loaded), so reading a sample file and estimating from it load numpy only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
-from scipy import special as sp
 
 from .errors import ArgumentError, DataFormatError, DomainError
 
@@ -72,6 +73,9 @@ _LNQ_SWITCH = 600.0
 _U_FLOOR = 2.0 ** -55
 
 _TINY = np.finfo(float).tiny
+
+# lines read, or values written, per block of a sample file
+_IO_BLOCK = 2 ** 16
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -190,6 +194,7 @@ def _ln_q_asymptotic(a: float, x: np.ndarray) -> np.ndarray:
 
 def _ln_q(a: float, x: np.ndarray) -> np.ndarray:
     """log Q(a, x) for x >= 0, stable far beyond the underflow point of Q."""
+    from scipy import special as sp
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < _LNQ_SWITCH
@@ -257,6 +262,7 @@ class _LogWeibull:
         # rho y^rho - q y - (rho - 1) = 0 in t = ln(y / lo), lo the zero of the
         # slope: expm1((rho-1) t) - expm1(-t) = c rises from 0 at t = 0 and
         # passes c by log1p(c)/(rho-1), i.e. y = (q/rho + lo^(rho-1))^(1/(rho-1))
+        from scipy import optimize
         r1 = m.rho - 1.0
         lo = np.power(r1 / m.rho, 1.0 / m.rho)
         c = q * lo / r1
@@ -285,6 +291,7 @@ class _Slep:
 
     @staticmethod
     def h(m, y):
+        from scipy import special as sp
         a = 1.0 / m.rho
         x = np.power(np.abs(y), m.rho)
         out = np.empty_like(y)
@@ -321,12 +328,14 @@ class _Slep:
 
     @staticmethod
     def cdf(m, y):
+        from scipy import special as sp
         a = 1.0 / m.rho
         q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
         return np.where(y >= 0.0, 1.0 - 0.5 * q, 0.5 * q)
 
     @staticmethod
     def sf(m, y):
+        from scipy import special as sp
         a = 1.0 / m.rho
         q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
         return np.where(y >= 0.0, 0.5 * q, 1.0 - 0.5 * q)
@@ -338,6 +347,7 @@ class _Slep:
             y /= _SQRT2
             return y
         # Q(1/rho, |y|^rho) = 2 e^{-h} on y >= 0 (h >= ln 2), 2 (1 - e^{-h}) below
+        from scipy import special as sp
         a = 1.0 / m.rho
         upper = h >= math.log(2.0)
         q = np.where(upper, 2.0 * np.exp(-h), -2.0 * np.expm1(-h))
@@ -357,10 +367,12 @@ class _Slep:
 class _LogNormal:
     @staticmethod
     def h(m, y):
+        from scipy import special as sp
         return -sp.log_ndtr(-y)
 
     @staticmethod
     def h_prime(m, y):
+        from scipy import special as sp
         out = np.empty_like(y)
         pos = y >= 0.0
         if pos.any():
@@ -381,16 +393,19 @@ class _LogNormal:
 
     @staticmethod
     def cdf(m, y):
+        from scipy import special as sp
         return sp.ndtr(y)
 
     @staticmethod
     def sf(m, y):
+        from scipy import special as sp
         return sp.ndtr(-y)
 
     @staticmethod
     def h_inv(m, h):
         # formed in one new array; 0.0 - x turns ndtri_exp's -0.0 at h = ln 2
         # into +0.0
+        from scipy import special as sp
         y = np.negative(h, out=np.empty_like(h))
         sp.ndtri_exp(y, out=y)
         return np.subtract(0.0, y, out=y)
@@ -545,27 +560,25 @@ def write_sample(stream, sample: Sample, model: TailModel | None = None,
     for key, val in (extra_header or {}).items():
         fields.append(f"{key}={val}")
     stream.write("# " + ", ".join(fields) + "\n")
-    for v in sample.values:
-        stream.write(f"{v:.17g}\n")
+    # one write per block; '%.17g' % v is f"{v:.17g}" for every float v
+    for lo in range(0, len(sample.values), _IO_BLOCK):
+        block = sample.values[lo:lo + _IO_BLOCK].tolist()
+        stream.write(("%.17g\n" * len(block)) % tuple(block))
 
 
-def read_sample(stream) -> tuple[np.ndarray, dict]:
-    """Parse a sample file; returns (values, header metadata).
+def _read_meta(meta: dict, text: str) -> None:
+    for item in text.lstrip("#").split(","):
+        key, eq, val = item.partition("=")
+        if eq:
+            meta[key.strip()] = val.strip()
 
-    Raw files without a header are accepted (empty metadata).  Raises
-    DataFormatError on any non-numeric or non-finite data line.
-    """
-    meta: dict[str, str] = {}
-    values: list[float] = []
-    for lineno, line in enumerate(stream, start=1):
+
+def _check_lines(lines: list, first: int) -> None:
+    """Raise DataFormatError at the first non-numeric or non-finite data
+    line of a block whose first line is line ``first`` of the file."""
+    for lineno, line in enumerate(lines, start=first):
         text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            for item in text.lstrip("#").split(","):
-                key, eq, val = item.partition("=")
-                if eq:
-                    meta[key.strip()] = val.strip()
+        if not text or text.startswith("#"):
             continue
         try:
             value = float(text)
@@ -573,7 +586,35 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
             raise DataFormatError(f"line {lineno}: not a number: {text!r}") from None
         if not math.isfinite(value):
             raise DataFormatError(f"line {lineno}: not a finite number: {text!r}")
-        values.append(value)
-    if not values:
+
+
+def read_sample(stream) -> tuple[np.ndarray, dict]:
+    """Parse a sample file; returns (values, header metadata).
+
+    Raw files without a header are accepted (empty metadata); '#' lines
+    anywhere are metadata.  The file is read in blocks of 2^16 lines, so
+    memory stays bounded by the values themselves.  Raises DataFormatError
+    on any non-numeric or non-finite data line, naming it.
+    """
+    meta: dict[str, str] = {}
+    blocks = []
+    first = 1  # file line number of the block's first line
+    while lines := list(itertools.islice(stream, _IO_BLOCK)):
+        data = list(filter(None, map(str.strip, lines)))
+        if "#" in "".join(data):  # one scan of the block for '#' lines
+            for text in data:
+                if text.startswith("#"):
+                    _read_meta(meta, text)
+            data = [text for text in data if not text.startswith("#")]
+        try:
+            values = np.fromiter(map(float, data), float, len(data))
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            _check_lines(lines, first)
+        blocks.append(values)
+        first += len(lines)
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    if not len(values):
         raise DataFormatError("no data values in sample file")
-    return np.asarray(values, dtype=float), meta
+    return values, meta

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
 from . import tail_models as tm
 from .errors import ArgumentError, ConvergenceError, DegenerateSaddleError, DomainError
 
@@ -87,6 +85,7 @@ def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float) -> float:
     """log of int_lo^hi e^{q y} p(y) dy, split at and rescaled by the peak: the
     mode y*(q) capped at hi, or 0 where y* underflows (slep with rho near 1
     at small q)."""
+    from scipy import integrate
     try:
         peak = min(y_star(model, q), hi)
     except DomainError:

@@ -9,7 +9,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +41,31 @@ def run_cli(*argv, stdin_text=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+# run in a fresh interpreter, then report the scipy modules it loaded as the
+# last line of stderr
+_FRESH_CLI = """import json, sys
+from momentgate import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(json.dumps(sorted(m for m in sys.modules
+                                   if m.partition(".")[0] == "scipy")) + "\\n")
+sys.exit(code)
+"""
+
+
+def run_fresh_cli(*argv, stdin_text=None):
+    """Invoke the CLI in a new interpreter; returns (exit_code, stdout, the
+    scipy modules loaded)."""
+    src = str(Path(momentgate.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
+                          input=stdin_text, capture_output=True, text=True,
+                          env=env, timeout=120)
+    return (proc.returncode, proc.stdout,
+            json.loads(proc.stderr.splitlines()[-1]))
 
 
 def data_lines(text):
@@ -136,6 +164,26 @@ def test_theory_warns_when_q_exceeds_validity_ceiling():
     # the table still contains both rows
     tail = out.split("# q_table\n", 1)[1]
     assert len(parse_table(tail.splitlines())) == 2
+
+
+def test_theory_warns_when_qc_exact_is_negative():
+    # logweibull rho=8 at n=2: y_dagger lies below the density's mode
+    curve = th.critical_curve(tm.log_weibull(8.0), 2.0)
+    assert curve.qc_exact < 0.0
+    code, out, err = run_cli("theory", "--model", "logweibull:rho=8",
+                             "--n", "2,1000")
+    assert code == 0
+    assert err == ("warning: n=2: qc_exact=-1.52302 is negative, "
+                   "y_dagger=0.95522 lies below the density's mode\n")
+    rows = parse_table(data_lines(out))
+    assert float(rows[0]["qc_exact"]) == curve.qc_exact
+    assert float(rows[1]["qc_exact"]) > 0.0
+    code, out, err_json = run_cli("theory", "--model", "logweibull:rho=8",
+                                  "--n", "2", "--format", "json")
+    assert code == 0 and err_json == err.splitlines(True)[0]
+    assert json.loads(strip_comment_lines(out))["curves"][0]["qc_exact"] == curve.qc_exact
+    code, _, err = run_cli("theory", "--model", "logweibull:rho=8", "--n", "3")
+    assert code == 0 and err == ""
 
 
 def test_theory_quadrature_overflow_is_numerical_failure():
@@ -260,6 +308,26 @@ def test_estimate_reads_stdin():
     assert code == 0
     e = est.qc_hat(y, 2, 10)
     assert json.loads(out)["qc_hat"] == e.qc_hat
+
+
+def test_estimate_loads_scipy_only_on_demand(tmp_path):
+    path = tmp_path / "sample.txt"
+    with open(path, "w") as fh:
+        tm.write_sample(fh, tm.sample_iid(tm.log_weibull(2.0), 3000, 8))
+    code, out, scipy_modules = run_fresh_cli("estimate", "--input", str(path))
+    assert code == 0 and scipy_modules == []
+    assert out == run_cli("estimate", "--input", str(path))[1]
+    # a real pipe on stdin reads like the file
+    code, out_stdin, scipy_modules = run_fresh_cli(
+        "estimate", "--input", "-", stdin_text=path.read_text())
+    assert code == 0 and scipy_modules == [] and out_stdin == out
+    code, out_corr, _ = run_fresh_cli("estimate", "--input", str(path),
+                                      "--corr", "--tau", "10")
+    assert code == 0 and json.loads(out_corr)["tau"] == 10.0
+    # commands whose kernels call scipy import it when they reach them
+    code, _, scipy_modules = run_fresh_cli("theory", "--model", "slep:rho=1.5",
+                                           "--n", "1000")
+    assert code == 0 and "scipy.special" in scipy_modules
 
 
 def test_estimate_csv_format(tmp_path):

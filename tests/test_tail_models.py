@@ -400,5 +400,53 @@ def test_sample_rejects_nonfinite_values():
 
 
 def test_read_sample_rejects_empty():
-    with pytest.raises(DataFormatError):
-        tm.read_sample(io.StringIO(""))
+    for text in ("", "# seed=1, model=lognormal\n\n  \n"):  # header only
+        with pytest.raises(DataFormatError, match="no data values"):
+            tm.read_sample(io.StringIO(text))
+
+
+def test_write_sample_matches_per_value_format():
+    values = np.concatenate([
+        [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 1.0, -3.0, 2.0 ** 53,
+         1e16, 123456789.0],
+        np.random.Generator(np.random.Philox(key=5)).standard_normal(70_000),
+    ])
+    buf = io.StringIO()
+    tm.write_sample(buf, tm.Sample(values=values, n=len(values), seed=2), LW2)
+    header, body = buf.getvalue().split("\n", 1)
+    assert header == "# seed=2, model=logweibull:rho=2"
+    assert body == "".join(f"{v:.17g}\n" for v in values)
+
+
+def _lines_past_one_block(extra):
+    """A header, 70,000 numeric lines and ``extra`` appended: the extra line
+    is file line 70,002, in the second 2^16-line block."""
+    return "# seed=1\n" + "0.5\n" * 70_000 + extra
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x1.5\n", "line 70002: not a number: 'x1.5'"),
+    ("inf\n", "line 70002: not a finite number: 'inf'"),
+    ("  -nan \n", "line 70002: not a finite number: '-nan'"),
+])
+def test_read_sample_names_bad_line_past_first_block(bad, message):
+    with pytest.raises(DataFormatError, match=message):
+        tm.read_sample(io.StringIO(_lines_past_one_block(bad + "1.0\n")))
+
+
+def test_read_sample_metadata_anywhere():
+    text = _lines_past_one_block("   # note = late, seed=9\n2.5\n")
+    text = text.replace("0.5\n", "\t# mid=1\n", 1)
+    values, meta = tm.read_sample(io.StringIO(text))
+    assert meta == {"seed": "9", "mid": "1", "note": "late"}
+    assert len(values) == 70_000 and values[-1] == 2.5
+    assert np.all(values[:-1] == 0.5)
+
+
+def test_read_sample_crlf_blanks_and_whitespace():
+    text = "# seed=4, model=lognormal\r\n\r\n 1.5\r\n\t-2.25 \r\n   \r\n3e-310\r\n\r\n"
+    values, meta = tm.read_sample(io.StringIO(text, newline=""))
+    np.testing.assert_array_equal(values, [1.5, -2.25, 3e-310])
+    assert meta == {"seed": "4", "model": "lognormal"}
+    with pytest.raises(DataFormatError, match="line 4: not a number: '1.0 2.0'"):
+        tm.read_sample(io.StringIO("1\r\n\r\n2\r\n1.0 2.0\r\n", newline=""))
