@@ -234,12 +234,26 @@ def _spectrum(model: tm.TailModel | None, cov: CovarianceSpec, m: int,
 
 def _embed_gaussian(amp: np.ndarray, seed: int) -> np.ndarray:
     """Stationary standard Gaussian series of length m = amp.size (circulant,
-    exact), from the amplitudes of ``_spectrum``."""
+    exact), from the amplitudes of ``_spectrum``.
+
+    The series is Re FFT(w) with w = amp (u + i v), u and v independent
+    standard normal.  That real part is the FFT of the Hermitian part
+    h_k = (w_k + conj w_{m-k}) / 2 of w, so one real inverse FFT of conj h
+    over the m/2 + 1 non-negative frequencies gives it.  amp_k and amp_{m-k}
+    are read separately: a Hermite-matched spectrum need not be symmetric.
+    """
     m = amp.size
+    k = m // 2
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.standard_normal(m)
-    v = rng.standard_normal(m)
-    return np.fft.fft(amp * (u + 1j * v)).real
+    uv = rng.standard_normal((2, m))  # u then v: the stream of two m-draws
+    uv *= amp
+    au, av = uv
+    h = np.empty(k + 1, dtype=complex)  # conj h_0 .. conj h_k
+    h[0] = au[0]
+    h.real[1:] = au[1:k + 1] + au[:k - 1:-1]  # au[:k-1:-1]: m-1 down to k
+    h.imag[1:] = av[:k - 1:-1] - av[1:k + 1]
+    h[1:] *= 0.5
+    return np.fft.irfft(h, m, norm="forward")
 
 
 def _gauss_to_marginal(model: tm.TailModel, z: np.ndarray) -> np.ndarray:
@@ -311,17 +325,6 @@ def synth_series(spec: SeriesSpec, seed: int,
 # sieve
 # ---------------------------------------------------------------------------
 
-def _descending_order(y: np.ndarray) -> np.ndarray:
-    """argsort(-y, kind="stable"), sorting unstably unless y has ties: with
-    distinct values the order is unique, and the check on y[order] catches
-    0.0 == -0.0 as a tie too."""
-    order = np.argsort(-y)
-    ranked = y[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(-y, kind="stable")
-    return order
-
-
 def _rank_bounds(y: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per index, #{k : y_k < y_i} and #{k : y_k <= y_i}: the start and end
     of each tie group in the ascending y[order[::-1]], scattered back."""
@@ -349,8 +352,16 @@ def sieve(series, s: float, beta: float = 1.0,
     y_i and y_j.  With s = 0 nothing is removed and the result is the whole
     series in descending order.  ``max_points`` (>= 1) stops the scan early
     once that many selections have been made (the selected prefix is
-    identical to the full run's).  Cost: one sort plus O(n), plus a window's
-    work per selection.
+    identical to the full run's).
+
+    Every selection but the last removes at most 2 floor(s) points, so the
+    scan visits at most V = limit + 2 floor(s) (limit - 1) entries of the
+    descending order.  Only the candidates y >= t, t the V-th largest value
+    (all of y once V >= n), are sorted and scanned: a point outside them is
+    never visited, and a value strictly between two candidates is itself a
+    candidate, so their own tie groups give the "strictly between" counts.
+    Cost: one partition, a sort of at most V candidates (more only on ties
+    at t), and a window's work per selection.
     """
     if not s >= 0.0:
         raise ArgumentError(f"s must be >= 0, got {s}")
@@ -367,36 +378,40 @@ def sieve(series, s: float, beta: float = 1.0,
         raise ArgumentError(f"max_points must be >= 1, got {max_points}")
     limit = n if max_points is None else min(int(max_points), n)
 
-    order = _descending_order(y)
-    window = int(math.floor(s))
+    window = int(min(s, n))  # a window past n holds the whole series
+    cut = max(n - (limit + 2 * window * (limit - 1)), 0)
+    cand = np.flatnonzero(y >= np.partition(y, cut)[cut])
+    yc = y[cand]
+    order = np.argsort(-yc, kind="stable")  # positions in cand, descending
     if window == 0:
         # d_beta >= |j - i| >= 1 between distinct indices: nothing is removable
-        idx = order[:limit]
+        idx = cand[order[:limit]]
         return SievedSample(selected_indices=idx, selected_values=y[idx],
                             n_original=n, s=float(s), beta=float(beta))
 
-    # per-index counts for "strictly between" queries over the whole series
-    n_lt, n_le = _rank_bounds(y, order)
-
-    removed = np.zeros(n, dtype=bool)
-    sel_idx: list[int] = []
-    for i in order:
-        if removed[i]:
+    n_lt, n_le = _rank_bounds(yc, order)
+    # candidates within index distance `window`: positions lo[p] .. hi[p]-1
+    lo = np.searchsorted(cand, cand - window)
+    hi = np.searchsorted(cand, cand + window, side="right")
+    removed = np.zeros(cand.size, dtype=bool)
+    sel: list[int] = []
+    for p in order:
+        if removed[p]:
             continue
-        sel_idx.append(int(i))
-        if len(sel_idx) >= limit:
+        sel.append(int(p))
+        if len(sel) >= limit:
             break
-        js = np.arange(max(0, i - window), min(n, i + window + 1))
-        js = js[(js != i) & ~removed[js]]
+        js = np.arange(lo[p], hi[p])
+        js = js[(js != p) & ~removed[js]]
         if len(js) == 0:
             continue
         if beta == 0.0:
             removed[js] = True  # |j - i| <= s already holds inside the window
             continue
-        higher = y[js] >= y[i]
-        between = np.where(higher, n_lt[js] - n_le[i], n_lt[i] - n_le[js])
+        higher = yc[js] >= yc[p]
+        between = np.where(higher, n_lt[js] - n_le[p], n_lt[p] - n_le[js])
         removed[js[beta * np.maximum(between, 0) <= s]] = True
-    idx = np.asarray(sel_idx, dtype=int)
+    idx = cand[np.asarray(sel, dtype=np.intp)]
     return SievedSample(selected_indices=idx, selected_values=y[idx],
                         n_original=n, s=float(s), beta=float(beta))
 

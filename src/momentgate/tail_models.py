@@ -53,8 +53,6 @@ __all__ = [
     "score",
     "score_prime",
     "rho_local",
-    "cdf",
-    "sf",
     "h_inv",
     "score_inv",
     "quantile",
@@ -246,14 +244,6 @@ class _LogWeibull:
         return (m.rho - 1.0) * (_LogWeibull.h_prime(m, y) + 1.0 / y) / y
 
     @staticmethod
-    def cdf(m, y):
-        return np.where(y > 0.0, -np.expm1(-np.power(np.maximum(y, 0.0), m.rho)), 0.0)
-
-    @staticmethod
-    def sf(m, y):
-        return np.where(y > 0.0, np.exp(-np.power(np.maximum(y, 0.0), m.rho)), 1.0)
-
-    @staticmethod
     def h_inv(m, h):
         return np.power(h, 1.0 / m.rho)
 
@@ -327,20 +317,6 @@ class _Slep:
         return m.rho * (m.rho - 1.0) * np.power(np.abs(y), m.rho - 2.0)
 
     @staticmethod
-    def cdf(m, y):
-        from scipy import special as sp
-        a = 1.0 / m.rho
-        q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
-        return np.where(y >= 0.0, 1.0 - 0.5 * q, 0.5 * q)
-
-    @staticmethod
-    def sf(m, y):
-        from scipy import special as sp
-        a = 1.0 / m.rho
-        q = sp.gammaincc(a, np.power(np.abs(y), m.rho))
-        return np.where(y >= 0.0, 0.5 * q, 1.0 - 0.5 * q)
-
-    @staticmethod
     def h_inv(m, h):
         if m.rho == 2.0:  # Y ~ N(0, 1/2)
             y = _LogNormal.h_inv(m, h)
@@ -390,16 +366,6 @@ class _LogNormal:
     @staticmethod
     def score_prime(m, y):
         return np.ones_like(y)
-
-    @staticmethod
-    def cdf(m, y):
-        from scipy import special as sp
-        return sp.ndtr(y)
-
-    @staticmethod
-    def sf(m, y):
-        from scipy import special as sp
-        return sp.ndtr(-y)
 
     @staticmethod
     def h_inv(m, h):
@@ -467,17 +433,6 @@ def rho_local(model: TailModel, y):
     else:
         out = yv * _dispatch(model).h_prime(model, yv) / hv
     return _wrap(y, out)
-
-
-def cdf(model: TailModel, y):
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).cdf(model, yv))
-
-
-def sf(model: TailModel, y):
-    """Survival function 1 - F_Y(y) = exp(-h(y))."""
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).sf(model, yv))
 
 
 def h_inv(model: TailModel, h):

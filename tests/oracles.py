@@ -9,6 +9,7 @@ these, never against the package itself.
 import math
 
 import numpy as np
+from scipy import special as sp
 
 EULER_GAMMA = 0.5772156649015328606065121
 
@@ -59,6 +60,43 @@ def lw2_log_moment(q):
     ln_a = (math.log(q) + math.log(math.sqrt(math.pi) / 2.0) + q * q / 4.0
             + math.log1p(math.erf(q / 2.0)))
     return np.logaddexp(0.0, ln_a)
+
+
+def _cdf_sf(model, y):
+    """(F_Y(y), 1 - F_Y(y)) in closed form, neither taken from the other:
+    logweibull 1 - e^{-y^rho} (y > 0), slep Q(1/rho, |y|^rho)/2 reflected
+    at 0, lognormal Phi(y)."""
+    y = np.asarray(y, dtype=float)
+    family = model.family.value
+    if family == "logweibull":
+        e = np.power(np.maximum(y, 0.0), model.rho)
+        return -np.expm1(-e), np.exp(-e)
+    if family == "slep":
+        half_q = 0.5 * sp.gammaincc(1.0 / model.rho,
+                                    np.power(np.abs(y), model.rho))
+        upper = y >= 0.0
+        return (np.where(upper, 1.0 - half_q, half_q),
+                np.where(upper, half_q, 1.0 - half_q))
+    return sp.ndtr(y), sp.ndtr(-y)
+
+
+def cdf(model, y):
+    return _cdf_sf(model, y)[0]
+
+
+def sf(model, y):
+    return _cdf_sf(model, y)[1]
+
+
+def complex_fft_embedding(amp, seed):
+    """Circulant-embedding Gaussian series by its definition: the real part
+    of the full-length complex FFT of amp (u + i v), u and v the first and
+    second m standard normals of the Philox stream keyed by seed."""
+    m = amp.size
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    u = rng.standard_normal(m)
+    v = rng.standard_normal(m)
+    return np.fft.fft(amp * (u + 1j * v)).real
 
 
 def harmonic(m):

@@ -148,7 +148,7 @@ def test_marginal_transform_identity():
     z = np.linspace(-6.0, 6.0, 49)
     for model in (LW2, SLEP2, tm.strict_log_exp_power(4.0), LN):
         y = dep._gauss_to_marginal(model, z)
-        np.testing.assert_allclose(tm.cdf(model, y), ndtr(z), rtol=1e-10)
+        np.testing.assert_allclose(oracles.cdf(model, y), ndtr(z), rtol=1e-10)
     # extreme gaussians stay finite
     y = dep._gauss_to_marginal(LW2, np.array([-38.0, 38.0]))
     assert np.all(np.isfinite(y))
@@ -161,7 +161,7 @@ def test_correlated_marginal_still_fits():
     for model in (LW2, LN):
         spec = dep.SeriesSpec(model, dep.ExponentialCov(tau=10.0), n)
         y = dep.synth_series(spec, seed=17).values
-        u = tm.cdf(model, y)
+        u = oracles.cdf(model, y)
         assert abs(u.mean() - 0.5) < 0.05
         assert abs(u.var() - 1.0 / 12.0) < 0.02
         gap = np.abs(np.sort(u) - np.arange(1, n + 1) / n)
@@ -196,6 +196,29 @@ def test_hermite_synthesis_hits_value_level_correlation():
     v = y.values
     lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
     assert abs(lag1 - math.exp(-1.0 / tau)) < 0.02
+
+
+def _assert_embedding_matches_fft(amp, got):
+    # relative to the series' scale: a value near 0 has no relative digits
+    want = oracles.complex_fft_embedding(amp, 7)
+    np.testing.assert_allclose(got, want[:got.size], rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 1 << 10, 1 << 17])
+@pytest.mark.parametrize("mode", list(dep.MatchMode))
+def test_embedding_matches_full_complex_fft(m, mode):
+    # the half-length real FFT reproduces Re FFT(amp (u + i v)) to rounding
+    cov = dep.ExponentialCov(tau=10.0)
+    hermite = mode is dep.MatchMode.HERMITE
+    for model in ((LW2, LN) if hermite else (LN,)):
+        amp = dep._spectrum(model if hermite else None, cov, m, mode)
+        _assert_embedding_matches_fft(amp, dep._embed_gaussian(amp, 7))
+    # n = m/2 + 1 is the longest series served by an embedding of length m;
+    # the lognormal marginal leaves the Gaussian layer visible
+    amp = dep._spectrum(LN if hermite else None, cov, m, mode)
+    series = dep.synth_series(dep.SeriesSpec(LN, cov, m // 2 + 1), 7, mode)
+    _assert_embedding_matches_fft(amp, series.values)
 
 
 def _cold(spec, seed, match_mode):
@@ -254,6 +277,12 @@ def test_sieve_hand_examples():
                                   [0, 1, 2, 3, 4])
 
 
+def test_sieve_infinite_radius_keeps_only_the_maximum():
+    for beta in (0.0, 1.0):
+        got = dep.sieve([1.0, 3.0, 2.0, 3.0], math.inf, beta)
+        np.testing.assert_array_equal(got.selected_indices, [1])
+
+
 def test_sieve_tie_handling_is_stable():
     got = dep.sieve([3.0, 3.0, 3.0], 1.0, beta=0.0)
     np.testing.assert_array_equal(got.selected_indices, [0, 2])
@@ -302,6 +331,35 @@ def test_sieve_matches_searchsorted_counts_on_long_series():
         got = dep.sieve(y, s, 1.0, max_points=300).selected_indices
         want = oracles.searchsorted_sieve(y, s, 1.0, max_points=300)
         np.testing.assert_array_equal(got, want, err_msg=f"s={s}")
+
+
+def _tie_heavy_series(rng, n, kind):
+    y = rng.normal(size=n)
+    if kind == 1:
+        y = np.round(y, 1)  # tie groups straddle the candidate cut
+    elif kind == 2:
+        # the top tie group is zeros of both signs
+        y = -np.abs(np.round(y))
+        zeros = np.flatnonzero(y == 0.0)
+        y[zeros[::2]] = 0.0
+    return y
+
+
+def test_sieve_candidate_cut_matches_searchsorted_fuzz():
+    rng = np.random.default_rng(29)
+    radii, betas = (0.5, 1.0, 3.7, 40.0), (0.0, 0.3, 1.0, 4.0)
+    for trial in range(64):
+        s, beta = radii[trial % 4], betas[(trial // 4) % 4]
+        n = int(2.0 ** rng.uniform(0.0, 14.0))
+        y = _tie_heavy_series(rng, n, trial % 3)
+        # mostly short scans, where the cut leaves out most of the series
+        top = n if trial % 4 == 3 else min(n, 60)
+        max_points = int(rng.integers(1, top + 1))
+        got = dep.sieve(y, s, beta, max_points=max_points).selected_indices
+        want = oracles.searchsorted_sieve(y, s, beta, max_points=max_points)
+        np.testing.assert_array_equal(
+            got, want, err_msg=f"trial {trial}: n={n}, s={s}, beta={beta}, "
+                               f"max_points={max_points}")
 
 
 def test_sieve_prefix_property_of_early_stop():

@@ -419,6 +419,42 @@ def test_failing_corrected_estimator_leaves_uncorrected_rows_intact():
             assert math.isfinite(row["mean"]) and row["k_theta"] > 0
 
 
+# (tau, corrected, estimator) -> (k_theta, k_rho, mean, variance,
+# cov_theta_rho) of lognormal run_corr at n = 2^12, 8 reps, seed 0, frozen
+# from the full-length complex FFT synthesis and the full-argsort sieve
+_FROZEN_CORR = {
+    (10.0, False, "theta"): (38, 128, 2.3565548267781598, 0.03599406041210752, 0.024691040622089207),
+    (10.0, False, "rho"): (38, 128, 1.3782614915874905, 0.042592172623189074, 0.024691040622089207),
+    (10.0, False, "qc"): (38, 128, 3.272639811185056, 0.48159188789619367, 0.024691040622089207),
+    (10.0, True, "theta"): (34, 105, 2.19136915465692, 0.030095044932002338, 0.02433049637839277),
+    (10.0, True, "rho"): (34, 105, 1.5962056367331634, 0.05767152790797985, 0.02433049637839277),
+    (10.0, True, "qc"): (34, 105, 3.522206293204956, 0.5468391161185144, 0.02433049637839277),
+    (100.0, False, "theta"): (38, 128, 2.5832678464636345, 0.48512824055036774, 0.18716871971811616),
+    (100.0, False, "rho"): (38, 128, 1.612762781106451, 0.2713409345319369, 0.18716871971811616),
+    (100.0, False, "qc"): (38, 128, 4.35336695612368, 4.39544093514583, 0.18716871971811616),
+    (100.0, True, "theta"): (23, 45, 1.9871132332605104, 0.2941687948164872, 0.27615123280443565),
+    (100.0, True, "rho"): (23, 45, 3.1444807596883226, 1.742762800571152, 0.27615123280443565),
+    (100.0, True, "qc"): (23, 45, 6.524590562114165, 11.555881940025177, 0.27615123280443565),
+}
+
+
+def test_correlated_run_matches_frozen_values():
+    # synthesis and the sieve may move the series only at rounding level
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=10.0),
+                                   dep.ExponentialCov(tau=100.0)))
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(1 << 12,), reps=8,
+                              seed=0, correlated=cc)
+    rows = mc.run_corr(cfg).rows
+    assert len(rows) == len(_FROZEN_CORR)
+    for row in rows:
+        key = (row["tau"], row["corrected"], row["estimator"])
+        k_t, k_r, mean, var, cov = _FROZEN_CORR[key]
+        assert (row["k_theta"], row["k_rho"], row["reps_used"]) == (k_t, k_r, 8)
+        np.testing.assert_allclose(
+            [row["mean"], row["variance"], row["cov_theta_rho"]],
+            [mean, var, cov], rtol=1e-9, err_msg=str(key))
+
+
 def test_synthesis_failures_become_counted_failures():
     cc = mc.CorrelatedConfig(covs=(dep.TabulatedCov(values=(1.0, 0.9)),))
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(64,), reps=5, seed=1,

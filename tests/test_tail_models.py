@@ -53,8 +53,8 @@ def test_log_normal_exponent_frozen_values():
 def test_symmetric_power_exponent_frozen_values():
     assert tm.h(SLEP2, 2.0) == pytest.approx(oracles.SLEP2_H_2, rel=1e-13)
     assert tm.h(SLEP2, 5.0) == pytest.approx(oracles.SLEP2_H_5, rel=1e-13)
-    assert tm.cdf(SLEP2, -1.3) == pytest.approx(oracles.SLEP2_CDF_M13,
-                                                rel=1e-13)
+    assert -math.expm1(-tm.h(SLEP2, -1.3)) == pytest.approx(
+        oracles.SLEP2_CDF_M13, rel=1e-13)
 
 
 def test_far_tail_incomplete_gamma_switchover():
@@ -82,23 +82,25 @@ def test_survival_function_matches_exponent():
     for model in ALL_MODELS:
         y = grid(model)
         keep = tm.h(model, y) < 600.0
-        np.testing.assert_allclose(tm.sf(model, y[keep]),
+        np.testing.assert_allclose(oracles.sf(model, y[keep]),
                                    np.exp(-tm.h(model, y[keep])), rtol=1e-10)
 
 
 def test_cdf_plus_sf_is_one():
+    # exp(-h) is the survival function: with the closed-form cdf it sums to 1
     for model in ALL_MODELS:
         y = grid(model)
-        np.testing.assert_allclose(tm.cdf(model, y) + tm.sf(model, y), 1.0,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(oracles.cdf(model, y)
+                                   + np.exp(-tm.h(model, y)), 1.0, rtol=1e-12)
 
 
 def test_symmetric_family_reflection():
     y = np.linspace(0.1, 5.0, 17)
     for model in (SLEP15, SLEP2, SLEP4):
-        np.testing.assert_allclose(tm.cdf(model, -y), tm.sf(model, y),
-                                   rtol=1e-12)
-        assert tm.cdf(model, 0.0) == pytest.approx(0.5, rel=1e-14)
+        # F(-y) = 1 - F(y): e^{-h(-y)} = 1 - e^{-h(y)}
+        np.testing.assert_allclose(-np.expm1(-tm.h(model, y)),
+                                   np.exp(-tm.h(model, -y)), rtol=1e-12)
+        assert tm.h(model, 0.0) == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 # ------------------------------------------------------------- derivatives
@@ -152,7 +154,7 @@ def test_log_pdf_matches_cdf_derivative():
         # the difference quotient only resolves p above ~1e-6
         y = y[tm.log_pdf(model, y) > math.log(1e-6)]
         step = 1e-4 * np.maximum(1.0, np.abs(y))
-        fd = _central_fd(lambda t: tm.cdf(model, t), y, step)
+        fd = _central_fd(lambda t: oracles.cdf(model, t), y, step)
         np.testing.assert_allclose(np.exp(tm.log_pdf(model, y)), fd,
                                    rtol=2e-5)
 
@@ -172,7 +174,7 @@ def _float_call_args(name, model):
 
 
 @pytest.mark.parametrize("name", ["log_pdf", "h", "h_prime", "score",
-                                  "score_prime", "rho_local", "cdf", "sf",
+                                  "score_prime", "rho_local",
                                   "quantile", "h_inv", "score_inv"])
 def test_float_equals_array_element(name):
     f = getattr(tm, name)
@@ -266,7 +268,7 @@ def test_quantile_round_trip():
     ps = np.array([1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12])
     for model in ALL_MODELS:
         y = tm.quantile(model, ps)
-        np.testing.assert_allclose(tm.cdf(model, y), ps, rtol=1e-10)
+        np.testing.assert_allclose(oracles.cdf(model, y), ps, rtol=1e-10)
 
 
 def test_quantile_of_cdf_round_trip():
@@ -275,8 +277,8 @@ def test_quantile_of_cdf_round_trip():
     # so keep h moderate here
     for model in ALL_MODELS:
         y = grid(model)
-        y = y[(tm.h(model, y) < 12.0) & (tm.cdf(model, y) > 1e-12)]
-        np.testing.assert_allclose(tm.quantile(model, tm.cdf(model, y)), y,
+        y = y[(tm.h(model, y) < 12.0) & (oracles.cdf(model, y) > 1e-12)]
+        np.testing.assert_allclose(tm.quantile(model, oracles.cdf(model, y)), y,
                                    rtol=1e-9, atol=1e-9)
 
 
@@ -297,7 +299,7 @@ def test_log_weibull_quantile_closed_form():
 @given(st.floats(min_value=1e-9, max_value=1 - 1e-9))
 def test_quantile_cdf_inverse_property(p):
     for model in (LW2, SLEP2, LN):
-        assert tm.cdf(model, tm.quantile(model, p)) == pytest.approx(
+        assert oracles.cdf(model, tm.quantile(model, p)) == pytest.approx(
             p, rel=1e-9)
 
 
@@ -327,7 +329,7 @@ def test_exponent_of_sample_is_unit_exponential():
 def test_sample_distribution_ks():
     for model in ALL_MODELS:
         y = tm.sample_iid(model, 10_000, seed=42).values
-        res = sps.kstest(y, lambda t, m=model: tm.cdf(m, t))
+        res = sps.kstest(y, lambda t, m=model: oracles.cdf(m, t))
         assert res.pvalue > 0.01, (model.family, res)
 
 
