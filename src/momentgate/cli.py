@@ -3,17 +3,21 @@ and Monte-Carlo experiment execution.
 
 Exit codes: 0 success; 2 usage/domain error; 3 numerical failure
 (convergence, degenerate estimator, embedding); 4 data-format or I/O error.
-Every output starts with a reproducibility header (version, resolved
-configuration, seed) and contains no timestamps, so identical invocations
-produce byte-identical files.
+``theory``, ``mc`` and ``estimate --format csv`` start with three ``#`` lines
+(version, resolved configuration, seed); with ``--format json`` these lines
+still precede the JSON document.  ``estimate``'s JSON is the bare payload,
+and ``sample``/``synth`` files start with one ``#`` metadata line.  No
+output holds a timestamp, so identical invocations produce byte-identical
+files.  ``mc --figure N`` runs
+the INI document ``_FIGURES[N]`` exactly as ``mc --config`` runs a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -49,10 +53,14 @@ def _ints(text: str) -> list[int]:
     return [int(round(x)) for x in _floats(text)]
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: stdout, or the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as stream:
+            yield stream
 
 
 def _header(stream, seed, config_items) -> None:
@@ -98,8 +106,7 @@ def _cmd_theory(args) -> int:
             })
     cfg = [("command", "theory"), ("model", tm.format_model(model)),
            ("n", args.n)]
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _header(stream, _seed(args), cfg)
         if args.format == "json":
             json.dump({"curves": rows, "q_table": q_rows}, stream, indent=1,
@@ -111,22 +118,15 @@ def _cmd_theory(args) -> int:
                 stream.write("# q_table\n")
                 mc._write_rows(stream, ("q", "predicted_lnS", "log_moment"),
                                q_rows)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def _cmd_sample(args) -> int:
     model = tm.parse_model(args.model)
     sample = tm.sample_iid(model, args.n, _seed(args))
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         tm.write_sample(stream, sample, model,
                         extra_header={"version": __version__})
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -135,15 +135,11 @@ def _cmd_synth(args) -> int:
     cov = dep.parse_cov(args.cov)
     spec = dep.SeriesSpec(model=model, cov=cov, n=args.n)
     sample = dep.synth_series(spec, _seed(args), dep.MatchMode(args.match))
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         tm.write_sample(stream, sample, model,
                         extra_header={"cov": dep.format_cov(cov),
                                       "match": args.match,
                                       "version": __version__})
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -174,8 +170,7 @@ def _cmd_estimate(args) -> int:
     payload = {"theta_hat": e.theta_hat, "rho_hat": e.rho_hat,
                "qc_hat": e.qc_hat, "k_theta": e.k_theta, "k_rho": e.k_rho,
                "n": n, **extra}
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         if args.format == "csv":
             cfg = [("command", "estimate"), ("input", args.input)]
             _header(stream, _seed(args), cfg)
@@ -183,60 +178,33 @@ def _cmd_estimate(args) -> int:
         else:
             json.dump(payload, stream, indent=1, sort_keys=True)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
-def _figure_preset(fig: int, reps: int | None, seed: int):
-    """Numbered built-in experiment grids (standard estimator studies)."""
-    ln = tm.log_normal()
-    lw2 = tm.log_weibull(2.0)
-    exp = dep.ExponentialCov
-
-    def cfgi(**kw):
-        kw.setdefault("reps", reps or 500)
-        kw.setdefault("seed", seed)
-        return mc.ExperimentConfig(**kw)
-
-    if fig == 2:
-        return ("lnS", {"model": ln, "n_list": (100, 1000, 1000000),
-                        "rel_q": np.linspace(0.1, 3.0, 30),
-                        "reps": reps or 500, "seed": seed})
-    if fig == 3:
-        return ("iid", cfgi(models=(lw2,), n_grid=(1000,),
-                            k_theta_grid=(1, 2, 4, 8, 16, 28),
-                            k_rho_grid=(80,)))
-    if fig == 5:
-        return ("iid", cfgi(models=(lw2,), n_grid=(1000, 10000, 100000)))
-    if fig == 6:
-        return ("iid", cfgi(models=(lw2,), n_grid=(1000,),
-                            k_theta_grid=(28,),
-                            k_rho_grid=(10, 20, 40, 80, 120, 160, 200)))
-    if fig == 8:
-        return ("iid", cfgi(models=(lw2,), n_grid=(1000, 10000, 100000),
-                            k_theta_grid=(None,), k_rho_grid=(None,)))
-    if fig in (11, 15):
-        return ("corr", cfgi(models=(ln,), n_grid=(65536,),
-                             k_theta_grid=(10,), k_rho_grid=(100,),
-                             reps=reps or 200,
-                             correlated=mc.CorrelatedConfig(
-                                 covs=(exp(10.0), exp(50.0), exp(100.0)))))
-    if fig == 12:
-        return ("corr", cfgi(models=(ln,), n_grid=(65536,),
-                             k_theta_grid=(1,), k_rho_grid=(100,),
-                             reps=reps or 200,
-                             correlated=mc.CorrelatedConfig(
-                                 covs=(exp(10.0), exp(50.0), exp(100.0)))))
-    if fig == 16:
-        return ("corr", cfgi(models=(ln,), n_grid=(65536,),
-                             k_theta_grid=(10,), k_rho_grid=(100,),
-                             reps=reps or 200,
-                             correlated=mc.CorrelatedConfig(
-                                 covs=(exp(100.0),),
-                                 assumed_taus=(100.0, 200.0, 400.0))))
-    raise ArgumentError(f"no preset for figure {fig}")
+# ``mc --figure N`` runs the INI document _FIGURES[N] (read_dict form):
+# numbered standard estimator studies.  Unset keys take the loader's
+# defaults (kind iid, reps 500, default k windows, seed 0).
+_FIGURES = {
+    2: {"experiment": {
+        "kind": "lnS", "models": "lognormal", "n": "100,1000,1000000",
+        "q_over_qc": ",".join(map(repr, np.linspace(0.1, 3.0, 30).tolist()))}},
+    3: {"experiment": {"models": "logweibull:rho=2", "n": "1000",
+                       "k_theta": "1,2,4,8,16,28", "k_rho": "80"}},
+    5: {"experiment": {"models": "logweibull:rho=2",
+                       "n": "1000,10000,100000"}},
+    6: {"experiment": {"models": "logweibull:rho=2", "n": "1000",
+                       "k_theta": "28", "k_rho": "10,20,40,80,120,160,200"}},
+    11: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
+                        "k_theta": "10", "k_rho": "100", "reps": "200"},
+         "correlated": {"cov": "exp:tau=10,exp:tau=50,exp:tau=100"}},
+    12: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
+                        "k_theta": "1", "k_rho": "100", "reps": "200"},
+         "correlated": {"cov": "exp:tau=10,exp:tau=50,exp:tau=100"}},
+    16: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
+                        "k_theta": "10", "k_rho": "100", "reps": "200"},
+         "correlated": {"cov": "exp:tau=100", "assumed_tau": "100,200,400"}},
+}
+_FIGURES[8], _FIGURES[15] = _FIGURES[5], _FIGURES[11]
 
 
 def _k_grid(text: str | None) -> tuple:
@@ -245,11 +213,10 @@ def _k_grid(text: str | None) -> tuple:
     return tuple(_ints(text))
 
 
-def _config_experiment(path: str, reps: int | None, seed: int | None):
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DataFormatError(f"cannot read config file {path!r}")
+def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
+                       seed: int | None):
+    """(kind, payload) of the experiment an INI document describes; reps
+    and seed, when not None, override the document's."""
     if "experiment" not in parser:
         raise DataFormatError("config needs an [experiment] section")
     exp = parser["experiment"]
@@ -305,12 +272,15 @@ def _config_experiment(path: str, reps: int | None, seed: int | None):
 def _cmd_mc(args) -> int:
     if (args.config is None) == (args.figure is None):
         raise ArgumentError("mc needs exactly one of --config / --figure")
+    parser = configparser.ConfigParser()
     if args.figure is not None:
-        kind, payload = _figure_preset(args.figure, args.reps, _seed(args))
-        cfg_desc = [("command", "mc"), ("figure", args.figure)]
+        parser.read_dict(_FIGURES[args.figure])
+        source = ("figure", args.figure)
+    elif parser.read(args.config):
+        source = ("config", args.config)
     else:
-        kind, payload = _config_experiment(args.config, args.reps, args.seed)
-        cfg_desc = [("command", "mc"), ("config", args.config)]
+        raise DataFormatError(f"cannot read config file {args.config!r}")
+    kind, payload = _config_experiment(parser, args.reps, args.seed)
 
     if kind == "lnS":
         model = payload["model"]
@@ -330,25 +300,17 @@ def _cmd_mc(args) -> int:
         for extra in reports[1:]:
             report.rows.extend(extra.rows)
         report.meta["seed"] = seed_val
-        seed_out = seed_val
-    elif kind == "corr":
-        report = mc.run_corr(payload)
-        seed_out = payload.seed
     else:
-        report = mc.run_iid(payload)
-        seed_out = payload.seed
+        report = (mc.run_corr if kind == "corr" else mc.run_iid)(payload)
+        seed_val = payload.seed
 
-    cfg_desc += [("kind", kind)]
-    stream, close = _open_out(args.out)
-    try:
-        _header(stream, seed_out, cfg_desc)
+    cfg_desc = [("command", "mc"), source, ("kind", kind)]
+    with _output(args.out) as stream:
+        _header(stream, seed_val, cfg_desc)
         if args.format == "json":
             report.to_json(stream)
         else:
             report.to_csv(stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -416,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a Monte-Carlo experiment")
     p.add_argument("--config", default=None, help="INI experiment file")
     p.add_argument("--figure", type=int, default=None,
-                   choices=(2, 3, 5, 6, 8, 11, 12, 15, 16),
+                   choices=sorted(_FIGURES),
                    help="numbered built-in experiment preset")
     p.add_argument("--reps", type=int, default=None)
     p.set_defaults(func=_cmd_mc)

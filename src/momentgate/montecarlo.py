@@ -136,19 +136,10 @@ def rep_seed(master: int, cell_id: int, rep_id: int) -> int:
 
 
 def _pool_size() -> int:
-    """Worker count: the CPUs this process may run on, capped by
-    MOMENTGATE_THREADS."""
+    """Worker count: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        cap = len(os.sched_getaffinity(0))
-    else:
-        cap = os.cpu_count() or 1
-    env = os.environ.get("MOMENTGATE_THREADS")
-    if env:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            raise ArgumentError(f"MOMENTGATE_THREADS={env!r} is not an integer")
-    return cap
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_blocks(count: int, worker) -> list:

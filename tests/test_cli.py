@@ -5,6 +5,7 @@ formats, determinism, and agreement with the library functions the commands
 wrap.
 """
 
+import configparser
 import contextlib
 import io
 import json
@@ -536,6 +537,113 @@ def test_mc_figure_preset_smoke():
     assert {r["estimator"] for r in rows} == {"theta", "rho", "qc"}
     assert {int(r["k_theta"]) for r in rows} == {1, 2, 4, 8, 16, 28}
     assert all(r["reps"] == "2" for r in rows)
+
+
+def test_mc_figure_rejects_reps_below_two():
+    code, out, err = run_cli("mc", "--figure", "3", "--reps", "0")
+    assert code == 2 and out == ""
+    assert err == "error: reps must be >= 2\n"
+
+
+# the hand-built grids the figure presets held before they became INI
+# documents; each preset must load to exactly these configs
+def _old_figure_configs():
+    lw2, ln, exp = tm.log_weibull(2.0), tm.log_normal(), dep.ExponentialCov
+    taus = (exp(10.0), exp(50.0), exp(100.0))
+    sweep = mc.ExperimentConfig(models=(lw2,), n_grid=(1000, 10000, 100000),
+                                reps=500, seed=0)
+    corr = mc.ExperimentConfig(
+        models=(ln,), n_grid=(65536,), k_theta_grid=(10,), k_rho_grid=(100,),
+        reps=200, seed=0, correlated=mc.CorrelatedConfig(covs=taus))
+    return {
+        2: ("lnS", {"model": ln, "n_list": (100, 1000, 1000000),
+                    "rel_q": np.linspace(0.1, 3.0, 30), "reps": 500,
+                    "seed": 0}),
+        3: ("iid", mc.ExperimentConfig(
+            models=(lw2,), n_grid=(1000,), k_theta_grid=(1, 2, 4, 8, 16, 28),
+            k_rho_grid=(80,), reps=500, seed=0)),
+        5: ("iid", sweep),
+        6: ("iid", mc.ExperimentConfig(
+            models=(lw2,), n_grid=(1000,), k_theta_grid=(28,),
+            k_rho_grid=(10, 20, 40, 80, 120, 160, 200), reps=500, seed=0)),
+        8: ("iid", sweep),
+        11: ("corr", corr),
+        12: ("corr", mc.ExperimentConfig(
+            models=(ln,), n_grid=(65536,), k_theta_grid=(1,),
+            k_rho_grid=(100,), reps=200, seed=0,
+            correlated=mc.CorrelatedConfig(covs=taus))),
+        15: ("corr", corr),
+        16: ("corr", mc.ExperimentConfig(
+            models=(ln,), n_grid=(65536,), k_theta_grid=(10,),
+            k_rho_grid=(100,), reps=200, seed=0,
+            correlated=mc.CorrelatedConfig(
+                covs=(exp(100.0),), assumed_taus=(100.0, 200.0, 400.0)))),
+    }
+
+
+@pytest.mark.parametrize("fig", (2, 3, 5, 6, 8, 11, 12, 15, 16))
+def test_figure_preset_loads_the_old_grid(fig):
+    parser = configparser.ConfigParser()
+    parser.read_dict(cli._FIGURES[fig])
+    kind, payload = cli._config_experiment(parser, None, None)
+    want_kind, want = _old_figure_configs()[fig]
+    assert kind == want_kind
+    if kind != "lnS":
+        assert payload == want
+        return
+    assert np.array_equal(payload.pop("rel_q"), want.pop("rel_q"))
+    assert payload == {**want, "q": None}
+
+
+def _out_case_files(tmp_path):
+    sample = tmp_path / "sample.txt"
+    run_cli("sample", "--model", "lognormal", "--n", "300", "--seed", "2",
+            "--out", str(sample))
+    write_ini(tmp_path, """\
+[experiment]
+kind = corr
+models = lognormal
+n = 1024
+k_theta = 4
+k_rho = 30
+reps = 2
+seed = 6
+
+[correlated]
+cov = exp:tau=4
+s = 0.5,2
+""")
+    return {"SAMPLE": str(sample), "INI": str(tmp_path / "exp.ini")}
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", "--model", "lognormal", "--n", "1000", "--q-grid", "1,2"),
+    ("theory", "--model", "slep:rho=1.5", "--n", "100,1e20",
+     "--format", "json"),
+    ("estimate", "--input", "SAMPLE"),
+    ("estimate", "--input", "SAMPLE", "--format", "csv"),
+    ("mc", "--config", "INI"),
+    ("mc", "--config", "INI", "--format", "json"),
+], ids=["theory-csv", "theory-json", "estimate-json", "estimate-csv",
+        "mc-csv", "mc-json"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, argv):
+    files = _out_case_files(tmp_path)
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run_cli(*argv)
+    assert code == 0 and out
+    path = tmp_path / "out.txt"
+    code_f, out_f, err_f = run_cli(*argv, "--out", str(path))
+    assert (code_f, out_f, err_f) == (0, "", err)
+    assert path.read_bytes() == out.encode()
+
+
+def test_failing_command_writes_no_out_file(tmp_path):
+    sample = _out_case_files(tmp_path)["SAMPLE"]
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli("estimate", "--input", sample, "--corr",
+                             "--out", str(path))
+    assert code == 2 and out == "" and "--tau" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("kind", ["bogus", "propagation"])

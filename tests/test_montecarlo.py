@@ -124,25 +124,18 @@ def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
 
 # 400 reps at n = 400 run as three blocks of 163, 163 and 74 on the pool
 def test_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("MOMENTGATE_THREADS", "1")
+    monkeypatch.setattr(mc, "_pool_size", lambda: 1)
     a = csv_text(mc.run_iid(small_iid_config(reps=400)))
-    monkeypatch.setenv("MOMENTGATE_THREADS", "3")
+    monkeypatch.setattr(mc, "_pool_size", lambda: 3)
     b = csv_text(mc.run_iid(small_iid_config(reps=400)))
     assert a == b
 
 
 def test_pool_size_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("MOMENTGATE_THREADS", raising=False)
     monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
     assert mc._pool_size() == 1
-
-
-def test_bad_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("MOMENTGATE_THREADS", "many")
-    with pytest.raises(ArgumentError):
-        mc.run_iid(small_iid_config(reps=400))
 
 
 # ------------------------------------------------------------ aggregates
