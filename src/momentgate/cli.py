@@ -18,6 +18,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -92,12 +93,13 @@ def _cmd_theory(args) -> int:
         if len(ns) != 1:
             raise ArgumentError("--q-grid needs exactly one --n value")
         ceiling = theory.q_validity_ceiling(model, ns[0], args.eps)
-        for q in _floats(args.q_grid):
+        q_grid = _floats(args.q_grid)
+        log_moments = theory.moment_quadrature(model, np.array(q_grid)).tolist()
+        for q, log_moment in zip(q_grid, log_moments):
             if q > ceiling:
                 sys.stderr.write(
                     f"warning: q={q:g} exceeds validity ceiling {ceiling:.6g}\n"
                 )
-            log_moment = theory.moment_quadrature(model, q)
             q_rows.append({
                 "q": q,
                 "predicted_lnS": theory._predicted_lnS(model, curves[0], q,
@@ -242,7 +244,10 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
     corr = None
     if "correlated" in parser:
         sec = parser["correlated"]
-        covs = tuple(dep.parse_cov(s) for s in sec.get("cov", "").split(",")
+        # a list splits only before a kind, so a tab: spec keeps its commas
+        covs = tuple(dep.parse_cov(s) for s in
+                     re.split(r",(?=\s*(?:exp|tab):)", sec.get("cov", ""),
+                              flags=re.IGNORECASE)
                      if s.strip())
         if not covs:
             raise DataFormatError("correlated section needs cov")
@@ -273,14 +278,20 @@ def _cmd_mc(args) -> int:
     if (args.config is None) == (args.figure is None):
         raise ArgumentError("mc needs exactly one of --config / --figure")
     parser = configparser.ConfigParser()
-    if args.figure is not None:
-        parser.read_dict(_FIGURES[args.figure])
-        source = ("figure", args.figure)
-    elif parser.read(args.config):
-        source = ("config", args.config)
-    else:
-        raise DataFormatError(f"cannot read config file {args.config!r}")
-    kind, payload = _config_experiment(parser, args.reps, args.seed)
+    try:
+        if args.figure is not None:
+            parser.read_dict(_FIGURES[args.figure])
+            source = ("figure", args.figure)
+        elif parser.read(args.config):
+            source = ("config", args.config)
+        else:
+            raise DataFormatError(f"cannot read config file {args.config!r}")
+        kind, payload = _config_experiment(parser, args.reps, args.seed)
+    except MomentgateError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        # no section header, or a value that getint or MatchMode rejects
+        raise DataFormatError(f"malformed config: {exc}") from None
 
     if kind == "lnS":
         model = payload["model"]

@@ -402,6 +402,7 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
     report = McReport(columns=_LNS_COLUMNS,
                       meta={"kind": "lnS", "seed": seed, "reps": reps,
                             "model": tm.format_model(model)})
+    log_moments = theory.moment_quadrature(model, q_grid).tolist()
     for cell_id, n in enumerate(n_list):
         curve = theory.critical_curve(model, n)
 
@@ -416,8 +417,7 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
         mean = vals.sum(axis=0) / reps
         var = (vals * vals).sum(axis=0) / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
-        for j, q in enumerate(q_grid.tolist()):
-            log_moment = theory.moment_quadrature(model, q)
+        for j, (q, log_moment) in enumerate(zip(q_grid.tolist(), log_moments)):
             report.rows.append({
                 "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
                 "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),

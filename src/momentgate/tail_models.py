@@ -215,10 +215,9 @@ def _wrap(y, out):
 
 
 # ---------------------------------------------------------------------------
-# per-family kernels (take float arrays, return float arrays); the log_pdf
-# kernels also take a bare float.  Powers are raised with np.power: numpy's
-# scalar ** calls the C library pow, while the ufunc's loop makes a float's
-# value equal to its element in an array
+# per-family kernels (take float arrays, return float arrays).  Powers are
+# raised with np.power: numpy's scalar ** calls the C library pow, while the
+# ufunc's loop makes a float's value equal to its element in an array
 # ---------------------------------------------------------------------------
 
 class _LogWeibull:
@@ -470,9 +469,6 @@ def quantile(model: TailModel, p):
 
 def log_pdf(model: TailModel, y):
     """ln p_Y(y); p_Y = h' e^{-h}."""
-    if isinstance(y, float):
-        # the quadrature's per-node call: the kernels are elementwise
-        return float(_dispatch(model).log_pdf(model, y))
     yv = np.asarray(y, dtype=float)
     return _wrap(y, _dispatch(model).log_pdf(model, yv))
 

@@ -14,8 +14,11 @@ log scale since the raw values overflow rapidly in q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tail_models as tm
 from .errors import ArgumentError, ConvergenceError, DegenerateSaddleError, DomainError
@@ -36,9 +39,29 @@ __all__ = [
 # the left tail's contribution below -40 smaller than 1e-17 of any moment
 _UNBOUNDED_LO = -40.0
 
-_QUAD_EPSREL = 1e-10
-_QUAD_EPSABS = 1e-12
 _MOMENT_RELTOL = 1e-8
+
+# double-exponential rule (Takahasi & Mori 1974): the trapezoid rule in t,
+# with step h = _DE_H0 / 2^level, on exp-sinh nodes exp(pi/2 sinh t) for a
+# half-line and on tanh-sinh nodes 1/(1 + e^{pi |sinh t|}) for a finite
+# piece, the latter as distances from the nearer end.  The t ranges end
+# where the nodes come within e^-63 (tanh-sinh, in units of the piece's
+# length) or e^-70 (exp-sinh, in units of its scale) of the piece's start,
+# and 7e6 scales past it on a half-line.  An order stops at the first
+# level whose sum differs from the level before by at most _MOMENT_RELTOL
+# of the sum (of the sum times |ln E X^q| where that is below 1); the rule
+# converges so fast that the sum it keeps is far closer than that to the
+# integral
+_DE_H0 = 0.5
+_DE_LEVELS = 9
+_DE_T = {"exp": (-4.5, 3.0), "tanh": (-3.7, 0.0)}
+# the exponent q y + ln p(y) - k_shift rounds at about eps (q y + |ln p|)
+# near the peak, so no level resolves the integral better than this many
+# times that
+_DE_NOISE = 16.0
+
+# failure codes of _log_integral, in the order the checks are made
+_NOT_POSITIVE, _Y_STAR_OVERFLOW, _OVERFLOW, _COLLAPSED, _NOT_CONVERGED = range(1, 6)
 
 
 @dataclass(frozen=True)
@@ -81,50 +104,176 @@ def critical_curve(model: tm.TailModel, n: float) -> CriticalCurve:
                          qc_approx=qc_approx)
 
 
-def _log_integral(model: tm.TailModel, q: float, lo: float, hi: float) -> float:
-    """log of int_lo^hi e^{q y} p(y) dy, split at and rescaled by the peak: the
-    mode y*(q) capped at hi, or 0 where y* underflows (slep with rho near 1
-    at small q)."""
-    from scipy import integrate
-    try:
-        peak = min(y_star(model, q), hi)
-    except DomainError:
-        if not 0.0 < q < tm.score(model, 1.0):  # q <= 0, or y* overflowed
-            raise
-        peak = 0.0
-    k_shift = q * peak + tm.log_pdf(model, peak)
+@functools.lru_cache(maxsize=None)
+def _de_nodes(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and weights (step included) of the unit piece's nodes that are
+    new at ``level``: every multiple of h at level 0, the odd ones after.
+    ``exp`` is exp-sinh on [0, inf); ``tanh`` is one half of tanh-sinh on
+    [0, 1], as distances from either end, its midpoint weighted by half."""
+    h = _DE_H0 / 2 ** level
+    t_lo, t_hi = _DE_T[kind]
+    k = np.arange(math.ceil(t_lo / h), math.floor(t_hi / h) + 1)
+    if level:
+        k = k[k % 2 == 1]
+    t = k * h
+    if kind == "exp":
+        offset = np.exp(0.5 * math.pi * np.sinh(t))
+        weight = 0.5 * math.pi * h * np.cosh(t) * offset
+    else:
+        offset = 1.0 / (1.0 + np.exp(-math.pi * np.sinh(t)))
+        weight = math.pi * h * np.cosh(t) * offset * (1.0 - offset)
+        weight[k == 0] *= 0.5
+    offset.setflags(write=False)  # shared by every call
+    weight.setflags(write=False)
+    return offset, weight
 
-    def f(y: float) -> float:
-        if y <= model.support_lo:
-            return 0.0
-        return math.exp(q * y + tm.log_pdf(model, y) - k_shift)
 
-    total = 0.0
-    err = 0.0
-    for a, b in ((lo, peak), (peak, hi)):
-        if a == b:
-            continue
-        try:
-            res = integrate.quad(f, a, b, epsabs=_QUAD_EPSABS,
-                                 epsrel=_QUAD_EPSREL, limit=200, full_output=1)
-        except OverflowError:
-            # the exponent's rounding grows like eps * q * y_star
-            raise ConvergenceError(
-                f"moment quadrature integrand overflowed at q={q}") from None
-        total += res[0]
-        err += res[1]
-    if not math.isfinite(total) or total <= 0.0:
-        raise ConvergenceError(f"moment quadrature collapsed at q={q}")
-    if err > _MOMENT_RELTOL * total:
+def _log_integral(model: tm.TailModel, q: np.ndarray, lo: float,
+                  hi: float) -> np.ndarray:
+    """log of int_lo^hi e^{q y} p(y) dy for each order of the 1-d array q.
+
+    Each integral is shifted by its peak (_peaks) and split there (_rays).
+    Every order is refined on its own, so its value does not depend on the
+    other orders.  Raises for the first order that fails: DomainError
+    where q <= 0 or y* overflows with hi = inf, ConvergenceError where the
+    rule overflows, collapses or misses its tolerance at the finest level.
+    """
+    status, peak = _peaks(model, q, hi)
+    lp_peak = tm.log_pdf(model, peak)
+    k_shift = q * peak + lp_peak
+    order, base, step, half_line = _rays(model, q, peak, k_shift,
+                                         status == 0, lo, hi)
+    floor = _DE_NOISE * np.finfo(float).eps * (q * peak + np.abs(lp_peak))
+    sums = np.zeros(len(order))
+    total = np.zeros(len(q))
+    err = np.full(len(q), math.inf)
+    active = status == 0
+    # overflow, NaN and log(0) mark failed orders, caught below
+    with np.errstate(all="ignore"):
+        for level in range(_DE_LEVELS):
+            live = active[order]
+            for kind, of_kind in (("exp", half_line), ("tanh", ~half_line)):
+                sel = np.flatnonzero(live & of_kind)
+                if not len(sel):
+                    continue
+                offset, weight = _de_nodes(kind, level)
+                i = order[sel]
+                y = base[sel, None] + step[sel, None] * offset
+                e = q[i, None] * y + tm.log_pdf(model, y) - k_shift[i, None]
+                part = (np.exp(e) * weight).sum(axis=1) * np.abs(step[sel])
+                sums[sel] = sums[sel] * 0.5 + part
+            new = np.bincount(order[live], sums[live], minlength=len(q))
+            err[active] = np.abs(new - total)[active]
+            total[active] = new[active]
+            status[active & np.isposinf(total)] = _OVERFLOW
+            status[active & np.isnan(total)] = _COLLAPSED
+            active &= status == 0
+            if level:
+                log_moment = np.abs(k_shift + np.log(total))
+                tol = np.maximum(_MOMENT_RELTOL * np.minimum(log_moment, 1.0),
+                                 floor)
+                active &= ~(err <= tol * total)
+            if not active.any():
+                break
+    status[active] = _NOT_CONVERGED
+    status[(status == 0) & ~(total > 0.0)] = _COLLAPSED
+    failed = np.flatnonzero(status)
+    if len(failed):
+        j = failed[0]
+        _raise_failure(model, status[j], float(q[j]), err[j])
+    return k_shift + np.log(total)
+
+
+def _peaks(model: tm.TailModel, q: np.ndarray, hi: float):
+    """(failure code or 0, peak) per order: the mode y*(q) capped at hi.
+    Where y* leaves the normal doubles, 0 stands in below them (q < s(1);
+    slep with rho near 1 at small q) and hi above them; with hi = inf that
+    order fails.  A failed order gets a peak inside every support."""
+    status = np.where(q > 0.0, 0, _NOT_POSITIVE)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        peak = tm._dispatch(model).score_inv(model, np.where(status, 1.0, q))
+    abnormal = ~(np.isfinite(peak) & (peak >= np.finfo(float).tiny))
+    peak[abnormal] = np.where(q[abnormal] < tm.score(model, 1.0), 0.0, hi)
+    status[(status == 0) & np.isinf(peak)] = _Y_STAR_OVERFLOW
+    return status, np.minimum(np.where(status == 0, peak, 1.0), hi)
+
+
+def _rays(model: tm.TailModel, q: np.ndarray, peak: np.ndarray,
+          k_shift: np.ndarray, ok: np.ndarray, lo: float, hi: float):
+    """The ok orders' integrals cut at the peak and, for slep, at the kink
+    of |y|^rho at 0 and at +-1, where its density falls off in a width of
+    order 1/rho.  Each piece is one ray y = base + step * u from its end
+    nearer the peak, where its integrand is largest, or two rays, one from
+    each end, sharing the tanh-sinh nodes of a finite piece; returns
+    (order, base, step, half_line).  A half-line's step starts from
+    1/sqrt(s') at the peak, with s' taken no closer to 0 than y = 1
+    (slep's s' ~ |y|^(rho-2) is 0 or inf at the origin, where the
+    integrand keeps a width of order 1), and is rescaled by _e_fold."""
+    cuts = [lo, hi]
+    if model.family is tm.Family.STRICT_LOG_EXP_POWER:
+        cuts += [-1.0, 0.0, 1.0]
+    ends = np.sort(np.clip(np.column_stack(
+        [peak] + [np.full_like(peak, c) for c in cuts]), lo, hi), axis=1)
+    left, right = ends[:, :-1], ends[:, 1:]
+    rising = right <= peak[:, None]
+    idx, piece = np.nonzero(ok[:, None] & (left < right))
+    near = np.where(rising, right, left)[idx, piece]
+    far = np.where(rising, left, right)[idx, piece]
+    length = far - near
+    inf = np.isinf(length)
+    scale = 1.0 / np.sqrt(tm.score_prime(model, np.maximum(peak, 1.0)))
+    rays = [(idx[inf], near[inf], np.copysign(scale[idx[inf]], length[inf])),
+            (idx[~inf], near[~inf], length[~inf]),
+            (idx[~inf], far[~inf], -length[~inf])]
+    order, base, step = (np.concatenate(col) for col in zip(*rays))
+    half_line = np.repeat([True, False, False], [len(r[0]) for r in rays])
+    with np.errstate(all="ignore"):
+        step[half_line] *= _e_fold(model, q[order[half_line]],
+                                   k_shift[order[half_line]],
+                                   base[half_line], step[half_line])
+    return order, base, step, half_line
+
+
+def _e_fold(model, q, k_shift, base, step):
+    """Factor 2^k (|k| <= 20) by which step reaches, along each ray, the
+    first point where the integrand has fallen by e from its value at base;
+    1 where it falls slower than that."""
+    factor = 2.0 ** np.arange(-20, 21)
+    y = np.concatenate([base[:, None], base[:, None] + step[:, None] * factor],
+                       axis=1)
+    e = q[:, None] * y + tm.log_pdf(model, y) - k_shift[:, None]
+    fallen = e[:, 1:] <= e[:, :1] - 1.0
+    return np.where(fallen.any(axis=1), factor[fallen.argmax(axis=1)], 1.0)
+
+
+def _raise_failure(model: tm.TailModel, status: int, q: float,
+                   err: float) -> None:
+    if status == _NOT_POSITIVE:
+        raise DomainError(f"the order q must be > 0, got {q}")
+    if status == _Y_STAR_OVERFLOW:
+        raise DomainError(f"y* at q={q:.17g} is outside the normal doubles "
+                          f"for {tm.format_model(model)}")
+    if status == _OVERFLOW:
+        # the exponent's rounding grows like eps * q * y_star
         raise ConvergenceError(
-            f"moment quadrature error {err:.3e} too large at q={q}"
-        )
-    return k_shift + math.log(total)
+            f"moment quadrature integrand overflowed at q={q}")
+    if status == _COLLAPSED:
+        raise ConvergenceError(f"moment quadrature collapsed at q={q}")
+    raise ConvergenceError(
+        f"moment quadrature error {err:.3e} too large at q={q}")
 
 
-def moment_quadrature(model: tm.TailModel, q: float) -> float:
-    """ln E X^q by adaptive quadrature split at the integrand mode."""
-    return _log_integral(model, q, model.support_lo, math.inf)
+def _orders(model: tm.TailModel, q, lo: float, hi: float):
+    """_log_integral over q, a float or an array of orders, shaped like q."""
+    qv = np.asarray(q, dtype=float)
+    out = _log_integral(model, qv.ravel(), lo, hi).reshape(qv.shape)
+    return tm._wrap(q, out)
+
+
+def moment_quadrature(model: tm.TailModel, q):
+    """ln E X^q by a double-exponential rule split at the integrand mode;
+    q is a float or an array of orders (an array in, an array out)."""
+    return _orders(model, q, model.support_lo, math.inf)
 
 
 def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
@@ -148,10 +297,11 @@ def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
     return out
 
 
-def truncated_moment(model: tm.TailModel, n: float, q: float) -> float:
-    """Moment integral cut at the accessible frontier y_dagger(n)."""
+def truncated_moment(model: tm.TailModel, n: float, q):
+    """Moment integral cut at the accessible frontier y_dagger(n); q is a
+    float or an array of orders."""
     lo = model.support_lo if model.support_lo > -math.inf else _UNBOUNDED_LO
-    return _log_integral(model, q, lo, y_dagger(model, n))
+    return _orders(model, q, lo, y_dagger(model, n))
 
 
 def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:

@@ -331,6 +331,26 @@ def test_estimate_loads_scipy_only_on_demand(tmp_path):
     assert code == 0 and "scipy.special" in scipy_modules
 
 
+def test_moment_grids_load_no_scipy_integrate(tmp_path):
+    # theory --q-grid and an lnS study (lnS_curve) integrate ln E X^q in
+    # numpy alone
+    code, out, scipy_modules = run_fresh_cli(
+        "theory", "--model", "lognormal", "--n", "1000", "--q-grid", "0.5,1,2")
+    assert code == 0 and "q_table" in out
+    assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
+    ini = write_ini(tmp_path, """\
+[experiment]
+kind = lnS
+models = lognormal
+n = 100
+q = 0.5,1,2
+reps = 3
+""")
+    code, out, scipy_modules = run_fresh_cli("mc", "--config", ini)
+    assert code == 0 and "log_moment" in out
+    assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
+
+
 def test_estimate_csv_format(tmp_path):
     path = tmp_path / "sample.txt"
     run_cli("sample", "--model", "lognormal", "--n", "300", "--seed", "2",
@@ -658,6 +678,33 @@ reps = 2
     code, out, err = run_cli("mc", "--config", ini)
     assert code == 4 and out == ""
     assert repr(kind) in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("models = lognormal\nreps = 2\n", "no section headers"),
+    ("[experiment]\nmodels = lognormal\nreps = many\n", "'many'"),
+    ("[experiment]\nkind = corr\nmodels = lognormal\nn = 1024\n"
+     "[correlated]\ncov = exp:tau=4\nmatch = bogus\n", "'bogus'"),
+], ids=["no-section-header", "non-integer-reps", "unknown-match"])
+def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
+    code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
+    assert code == 4 and out == ""
+    assert err.startswith("error: malformed config") and message in err
+
+
+def test_mc_config_mixes_tabulated_and_exponential_covariances():
+    parser = configparser.ConfigParser()
+    parser.read_string("""\
+[experiment]
+kind = corr
+models = lognormal
+n = 1024
+[correlated]
+cov = tab:1,0.5,0.25, exp:tau=10,TAB:1,0.2,exp:tau=4
+""")
+    _, config = cli._config_experiment(parser, None, None)
+    assert [dep.format_cov(c) for c in config.correlated.covs] == [
+        "tab:1,0.5,0.25", "exp:tau=10", "tab:1,0.2", "exp:tau=4"]
 
 
 def test_mc_figure_without_preset_is_usage_error():

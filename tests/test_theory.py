@@ -302,6 +302,66 @@ def test_moment_quadrature_splits_at_zero_where_y_star_underflows():
         assert math.isfinite(trunc) and trunc <= full
 
 
+@pytest.mark.parametrize("rho", [1.5, 3.0, 8.0, 200.0])
+@pytest.mark.parametrize("q", [1e-4, 1e-3])
+def test_moment_quadrature_small_q_matches_cumulant_series(rho, q):
+    # Y symmetric: ln E e^{qY} = q^2 k2/2 + q^4 k4/24 + O(q^6), with
+    # E Y^{2j} = Gamma((2j+1)/rho) / Gamma(1/rho); the log is ~1e-9 here, so
+    # an absolute error of 1e-12 in E X^q would show.  At rho = 200 the
+    # density is a box on [-1, 1] whose walls are ~1/rho wide
+    g = [math.gamma((2 * j + 1) / rho) / math.gamma(1.0 / rho) for j in (0, 1, 2)]
+    k2, k4 = g[1], g[2] - 3.0 * g[1] ** 2
+    series = q * q * k2 / 2.0 + q ** 4 * k4 / 24.0
+    got = th.moment_quadrature(tm.strict_log_exp_power(rho), q)
+    assert got == pytest.approx(series, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("model, q_max", [
+    (LN, 20.0), (LW15, 20.0), (LW3, 20.0), (SLEP2, 20.0),
+    (tm.strict_log_exp_power(1.3), 20.0),
+    (tm.strict_log_exp_power(1.001), 1.0),  # y* underflows below q ~ 0.5
+])
+def test_moment_integrals_array_equals_scalar_calls(model, q_max):
+    # one batched call per grid; every order is refined on its own, so its
+    # value does not depend on the rest of the grid
+    qs = np.concatenate([np.geomspace(1e-4, q_max, 23), [0.7 * q_max, 0.5]])
+    full = th.moment_quadrature(model, qs)
+    trunc = th.truncated_moment(model, 1e4, qs)
+    assert full.shape == trunc.shape == qs.shape
+    for q, f, t in zip(qs.tolist(), full.tolist(), trunc.tolist()):
+        assert th.moment_quadrature(model, q) == f
+        assert th.truncated_moment(model, 1e4, q) == t
+    grid = th.moment_quadrature(model, qs[:24].reshape(4, 6))
+    assert grid.shape == (4, 6) and np.array_equal(grid.ravel(), full[:24])
+
+
+def test_moment_quadrature_array_raises_for_first_failing_order():
+    model = tm.strict_log_exp_power(1.1)
+    with pytest.raises(ConvergenceError, match="overflowed at q=70.0"):
+        th.moment_quadrature(model, np.array([1.0, 70.0, -1.0]))
+    with pytest.raises(DomainError, match="got -1.0"):
+        th.moment_quadrature(model, np.array([1.0, -1.0, 70.0]))
+
+
+@given(st.sampled_from(["logweibull", "slep", "lognormal"]),
+       st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
+       st.floats(min_value=-6.0, max_value=4.0),
+       st.floats(min_value=0.31, max_value=300.0))
+def test_moment_integrals_finite_or_typed_error(family, rho, log10_q,
+                                                log10_n):
+    model = tm.parse_model(family if family == "lognormal"
+                           else f"{family}:rho={rho!r}")
+    q, n = 10.0 ** log10_q, 10.0 ** log10_n
+    for integral in (lambda: th.moment_quadrature(model, q),
+                     lambda: th.truncated_moment(model, n, q)):
+        try:
+            val = integral()
+        except MomentgateError as exc:
+            assert f"q={q!r}" in str(exc) or f"q={q:.17g}" in str(exc), exc
+            continue
+        assert type(val) is float and math.isfinite(val), (model, q, n, val)
+
+
 @pytest.mark.parametrize("q", [0.5, 2.0, 10.0, 80.0])
 def test_saddlepoint_exact_for_gaussian_log(q):
     # Y Gaussian: the Laplace form is exact (lognormal q^2/2, slep rho = 2
