@@ -156,7 +156,12 @@ def _cmd_estimate(args) -> int:
             raise DataFormatError("--log-input requires strictly positive values")
         values = np.log(values)
     n = len(values)
-    sample = tm.Sample(values=values, n=n, seed=int(meta.get("seed", 0)))
+    try:
+        seed = int(meta.get("seed", 0))
+    except ValueError:
+        raise DataFormatError(
+            f"header seed {meta['seed']!r} is not an integer") from None
+    sample = tm.Sample(values=values, n=n, seed=seed)
     if args.corr:
         if args.tau is None:
             raise ArgumentError("--corr requires --tau")

@@ -313,12 +313,13 @@ def synth_series(spec: SeriesSpec, seed: int,
     n = int(spec.n)
     if n < 2:
         raise ArgumentError(f"series length must be >= 2, got {n}")
+    seed = tm._check_seed(seed)
     match_mode = MatchMode(match_mode)
     m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
     model = spec.model if match_mode is MatchMode.HERMITE else None
     z = _embed_gaussian(_spectrum(model, spec.cov, m, match_mode), seed)[:n]
     y = _gauss_to_marginal(spec.model, z)
-    return tm.Sample(values=y, n=n, seed=int(seed))
+    return tm.Sample(values=y, n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

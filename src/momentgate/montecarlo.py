@@ -3,9 +3,11 @@
 Every replication draws its own counter-based seed from (master seed,
 cell id, replication id), so reports are bitwise reproducible, replications
 can run in any order on any number of threads, and growing ``reps`` extends
-a run without disturbing earlier replications.  Failed replications (an
-estimator raising) are recorded as NaN and surface in a ``failures`` column;
-they are excluded from moment aggregates but never silently dropped.
+a run without disturbing earlier replications.  A cell's seeds are computed
+once, in one array pass of NumPy's ``SeedSequence`` hash.  Failed
+replications (an estimator raising) are recorded as NaN and surface in a
+``failures`` column; they are excluded from moment aggregates but never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -128,11 +130,108 @@ def _write_rows(stream, columns, rows) -> None:
         stream.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool of
+# four 32-bit words, the multipliers of its hashmix and mix, and the second
+# hash constant that generate_state runs the pool through
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(x: int) -> list:
+    """Little-endian 32-bit words of x >= 0, at least one (as SeedSequence
+    reads an int)."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """(hashed value, next hash constant).  value is an int or a uint32
+    array; uint32 arithmetic wraps without warning, the masks keep an int to
+    32 bits."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    r = ((x * _MIX_L & _MASK32) - (y * _MIX_R & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _check_ids(master: int, cell_id: int, rep_id: int) -> None:
+    if min(master, cell_id, rep_id) < 0:
+        raise ArgumentError(
+            f"seed, cell and replication ids must be non-negative, got "
+            f"seed {master}, cell {cell_id}, replication {rep_id}")
+
+
+def _seed_hash(master: int, cell_id: int, rep_words) -> tuple:
+    """Low and high 32-bit halves of
+    SeedSequence(master, spawn_key=(cell_id, rep)).generate_state(1, uint64).
+
+    rep_words holds rep's words as (word, live) pairs in order: word an int,
+    or a uint32 array with one entry per replication, and live None or the
+    mask of the replications that have that word.  The hash constants
+    advance with the number of words hashed, not their values, so the words
+    of master and cell_id are mixed once and shared by every replication.
+    """
+    entropy = _words(master)
+    entropy += [0] * (_POOL - len(entropy)) + _words(cell_id)
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word, live in [(w, None) for w in entropy[_POOL:]] + list(rep_words):
+        mixed = []
+        for old in pool:
+            h, const = _hashmix(word, const)
+            mixed.append(_mix(old, h))
+        if live is not None:
+            mixed = [np.where(live, m, old) for m, old in zip(mixed, pool)]
+        pool = mixed
+    const = _INIT_B
+    out = []
+    for word in pool[:2]:
+        h, const = _hashmix(word, const, _MULT_B)
+        out.append(h)
+    return tuple(out)
+
+
 def rep_seed(master: int, cell_id: int, rep_id: int) -> int:
-    """Counter-based per-replication seed; independent of execution order."""
-    ss = np.random.SeedSequence(entropy=int(master),
-                                spawn_key=(int(cell_id), int(rep_id)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Counter-based per-replication seed; independent of execution order.
+
+    Equals ``SeedSequence(entropy=master, spawn_key=(cell_id, rep_id))
+    .generate_state(1, np.uint64)[0]`` for any non-negative ints.
+    """
+    master, cell_id, rep_id = int(master), int(cell_id), int(rep_id)
+    _check_ids(master, cell_id, rep_id)
+    lo, hi = _seed_hash(master, cell_id, [(w, None) for w in _words(rep_id)])
+    return lo | hi << 32
+
+
+def _rep_seeds(master: int, cell_id: int, start: int, stop: int) -> np.ndarray:
+    """uint64 array of rep_seed(master, cell_id, r) for r in range(start,
+    stop), stop <= 2^64, in one pass over the replications."""
+    master, cell_id = int(master), int(cell_id)
+    _check_ids(master, cell_id, start)
+    r = start + np.arange(stop - start, dtype=np.uint64)
+    hi = (r >> np.uint64(32)).astype(np.uint32)
+    words = [(r.astype(np.uint32), None)]  # the low words
+    if hi.any():
+        words.append((hi, hi > 0))
+    lo, hi = _seed_hash(master, cell_id, words)
+    return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
 
 
 def _pool_size() -> int:
@@ -159,15 +258,16 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     Replications run in blocks of max(1, _LSE_BLOCK // n) rows, so a block of
     draws holds at most 2^16 values; the pool maps the blocks.  block(seeds)
     returns the (len(seeds), width) rows of the replications keyed by seeds,
-    rep_seed(seed, cell_id, r) for consecutive r.  A block that raises
-    MomentgateError is left NaN.  block is called before this returns, so it
-    may close over a caller's loop variables.
+    rep_seed(seed, cell_id, r) for consecutive r, all computed up front in
+    one pass.  A block that raises MomentgateError is left NaN.  block is
+    called before this returns, so it may close over a caller's loop
+    variables.
     """
     size = max(1, _LSE_BLOCK // n)
+    all_seeds = _rep_seeds(seed, cell_id, 0, reps).tolist()
 
     def worker(b):
-        r0 = b * size
-        seeds = [rep_seed(seed, cell_id, r) for r in range(r0, min(r0 + size, reps))]
+        seeds = all_seeds[b * size:(b + 1) * size]
         try:
             return block(seeds)
         except MomentgateError:

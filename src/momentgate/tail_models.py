@@ -482,16 +482,39 @@ def sample_iid(model: TailModel, n: int, seed: int) -> Sample:
     """
     if n < 1:
         raise ArgumentError("n must be >= 1")
-    return Sample(values=_iid_rows(model, n, (seed,))[0], n=int(n), seed=int(seed))
+    seed = _check_seed(seed)
+    return Sample(values=_iid_rows(model, n, (seed,))[0], n=int(n), seed=seed)
+
+
+def _check_seed(seed) -> int:
+    """seed as an int, which must fit a Philox key: 0 <= seed < 2^128."""
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ArgumentError(f"seed {seed} is outside [0, 2^128)")
+    return seed
 
 
 def _iid_rows(model: TailModel, n: int, seeds) -> np.ndarray:
     """(len(seeds), n) draws whose row i is sample_iid(model, n, seeds[i])'s
-    values: one Philox stream per row, mapped through the quantile once per
-    block."""
+    values, mapped through the quantile once per block.
+
+    Row i is the stream of Philox(key=seeds[i]).  One Philox serves the
+    call: each row re-keys it through its state (counter 0, key
+    [seed mod 2^64, seed >> 64], empty buffer), which is the state that
+    constructor sets.  The generator is local, so blocks may run on
+    concurrent threads.
+    """
+    key = [0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    gen = np.random.Generator(np.random.Philox(0))  # 0: no OS entropy read
     u = np.empty((len(seeds), n))
     for row, seed in zip(u, seeds):
-        np.random.Generator(np.random.Philox(key=int(seed))).random(out=row)
+        key[1], key[0] = divmod(int(seed), 2 ** 64)
+        gen.bit_generator.state = state
+        gen.random(out=row)
     np.maximum(u, _U_FLOOR, out=u)
     # quantile(model, u) = h_inv(-log1p(-u)), with the hazards formed in u so
     # that a block holds one more array of its size, h_inv's

@@ -99,6 +99,19 @@ def complex_fft_embedding(amp, seed):
     return np.fft.fft(amp * (u + 1j * v)).real
 
 
+def seed_sequence_seed(master, cell, rep):
+    """Replication seed by numpy's own SeedSequence: the first uint64 word
+    of the state keyed by entropy master and spawn key (cell, rep)."""
+    ss = np.random.SeedSequence(entropy=int(master),
+                                spawn_key=(int(cell), int(rep)))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def philox_uniforms(seed, n):
+    """The first n uniforms of a freshly constructed Philox keyed by seed."""
+    return np.random.Generator(np.random.Philox(key=int(seed))).random(n)
+
+
 def harmonic(m):
     return sum(1.0 / i for i in range(1, m + 1))
 

@@ -420,6 +420,16 @@ def test_estimate_malformed_line_is_data_error(tmp_path):
         assert "line 3" in err
 
 
+def test_estimate_non_integer_header_seed_is_data_error(tmp_path):
+    for bad in ("abc", "1.5"):
+        path = tmp_path / "seeded.txt"
+        path.write_text(f"# seed={bad}, model=unknown\n"
+                        + "".join(f"{v}\n" for v in range(1, 101)))
+        code, out, err = run_cli("estimate", "--input", str(path))
+        assert code == 4 and out == "", bad
+        assert err == f"error: header seed '{bad}' is not an integer\n"
+
+
 # ------------------------------------------------------------ mc command
 
 
@@ -719,3 +729,27 @@ def test_mc_config_file_missing_or_invalid(tmp_path):
     code, _, err = run_cli("mc", "--config", ini)
     assert code == 4
     assert "experiment" in err
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (("sample", "--model", "lognormal", "--n", "5", "--seed", "-1"), "-1"),
+    (("sample", "--model", "lognormal", "--n", "5", "--seed", str(2**128)),
+     str(2**128)),
+    (("synth", "--model", "lognormal", "--cov", "exp:tau=3", "--n", "16",
+      "--seed", "-1"), "-1"),
+    (("mc", "--figure", "3", "--reps", "2", "--seed", "-1"), "-1"),
+    (("mc", "--figure", "2", "--reps", "2", "--seed", "-1"), "-1"),
+], ids=["sample-negative", "sample-2^128", "synth-negative", "mc-iid-negative",
+        "mc-lnS-negative"])
+def test_seed_outside_its_domain_is_usage_error(argv, seed):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"seed {seed}" in err
+
+
+def test_ini_negative_seed_is_usage_error(tmp_path):
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 100\n"
+                              "reps = 2\nseed = -1\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert code == 2 and out == ""
+    assert "seed -1" in err

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import logsumexp
 
+import oracles
 import momentgate.dependence as dep
 import momentgate.estimators as est
 import momentgate.montecarlo as mc
@@ -43,6 +45,41 @@ def test_rep_seed_is_collision_free_and_bounded():
             assert 0 <= s < 2**64
             seen.add(s)
     assert len(seen) == 40 * 50
+
+
+SEED_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
+
+
+@pytest.mark.parametrize("master", SEED_MASTERS)
+@pytest.mark.parametrize("cell", (0, 2**32 + 1))
+def test_seed_kernel_matches_seed_sequence(master, cell):
+    # one block straddles 2^32, where a rep id takes a second word
+    for start in (0, 2**32 - 3):
+        seeds = mc._rep_seeds(master, cell, start, start + 6)
+        assert seeds.dtype == np.uint64
+        want = [oracles.seed_sequence_seed(master, cell, r)
+                for r in range(start, start + 6)]
+        assert seeds.tolist() == want
+        assert [mc.rep_seed(master, cell, r)
+                for r in range(start, start + 6)] == want
+    assert mc.rep_seed(master, cell, 2**70) == oracles.seed_sequence_seed(
+        master, cell, 2**70)
+
+
+@given(st.integers(0, 2**140), st.integers(0, 2**70), st.integers(0, 2**64 - 4))
+def test_seed_kernel_matches_seed_sequence_sweep(master, cell, rep):
+    want = [oracles.seed_sequence_seed(master, cell, r)
+            for r in range(rep, rep + 3)]
+    assert mc._rep_seeds(master, cell, rep, rep + 3).tolist() == want
+    assert mc.rep_seed(master, cell, rep) == want[0]
+
+
+@pytest.mark.parametrize("ids", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_seed_kernel_rejects_negative_ids(ids):
+    with pytest.raises(ArgumentError, match="non-negative"):
+        mc.rep_seed(*ids)
+    with pytest.raises(ArgumentError, match="non-negative"):
+        mc._rep_seeds(*ids, ids[2] + 2)
 
 
 def test_runs_are_deterministic_byte_identical():

@@ -315,6 +315,24 @@ def test_sampling_is_deterministic_in_seed():
     assert a.n == 64 and a.seed == 7
 
 
+@pytest.mark.parametrize("model", (LW2, SLEP2, LN))
+def test_iid_rows_are_fresh_philox_streams(model):
+    seeds = [0, 2**64 - 1, 7, 2**64, 2**128 - 1, 12345]
+    n = 50
+    rows = tm._iid_rows(model, n, seeds)
+    for row, seed in zip(rows, seeds):
+        u = np.maximum(oracles.philox_uniforms(seed, n), 2.0**-55)
+        np.testing.assert_array_equal(row, tm.quantile(model, u))
+        np.testing.assert_array_equal(row, tm.sample_iid(model, n, seed).values)
+        np.testing.assert_array_equal(row, tm._iid_rows(model, n, [seed])[0])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_sampling_rejects_seed_outside_philox_keys(seed):
+    with pytest.raises(ArgumentError, match=f"seed {seed} is outside"):
+        tm.sample_iid(LW2, 10, seed)
+
+
 def test_exponent_of_sample_is_unit_exponential():
     # h(Y) = -ln(1 - F(Y)) must be Exp(1); checks quantile/h consistency
     n = 100_000
