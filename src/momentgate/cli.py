@@ -51,7 +51,10 @@ def _floats(text: str) -> list[float]:
 
 
 def _ints(text: str) -> list[int]:
-    return [int(round(x)) for x in _floats(text)]
+    values = _floats(text)
+    if not all(x.is_integer() for x in values):
+        raise ArgumentError(f"expected comma-separated integers, got {text!r}")
+    return [int(x) for x in values]
 
 
 @contextlib.contextmanager

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -487,8 +488,12 @@ def sample_iid(model: TailModel, n: int, seed: int) -> Sample:
 
 
 def _check_seed(seed) -> int:
-    """seed as an int, which must fit a Philox key: 0 <= seed < 2^128."""
-    seed = int(seed)
+    """seed as an int, which must be an integer that fits a Philox key:
+    0 <= seed < 2^128."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ArgumentError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2 ** 128:
         raise ArgumentError(f"seed {seed} is outside [0, 2^128)")
     return seed

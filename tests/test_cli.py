@@ -702,6 +702,38 @@ def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
     assert err.startswith("error: malformed config") and message in err
 
 
+@pytest.mark.parametrize("line, value", [
+    ("n = abc", "'abc'"),
+    ("n = 100.5", "'100.5'"),
+    ("n = 100, inf", "'100, inf'"),
+    ("k_theta = 4.5", "'4.5'"),
+    ("k_rho = 20, 30.25", "'20, 30.25'"),
+], ids=["non-number", "n", "n-inf", "k_theta", "k_rho"])
+def test_mc_config_non_integral_grid_is_usage_error(tmp_path, line, value):
+    text = "[experiment]\nmodels = lognormal\nreps = 2\n" + line + "\n"
+    if not line.startswith("n "):
+        text += "n = 100\n"
+    code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected comma-separated") and value in err
+
+
+def test_mc_config_integral_float_grid_reads_as_int():
+    parser = configparser.ConfigParser()
+    parser.read_string("[experiment]\nmodels = lognormal\nn = 1e3, 2000.0\n"
+                       "k_theta = 1e1\nk_rho = 100\n")
+    _, config = cli._config_experiment(parser, None, None)
+    assert config.n_grid == (1000, 2000) and config.k_theta_grid == (10,)
+    assert all(type(k) is int for k in config.n_grid + config.k_theta_grid)
+
+
+def test_mc_reps_beyond_uint32_ids_is_usage_error(tmp_path):
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 100\n")
+    code, out, err = run_cli("mc", "--config", ini, "--reps", str(2**32 + 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: reps must be at most 2^32")
+
+
 def test_mc_config_mixes_tabulated_and_exponential_covariances():
     parser = configparser.ConfigParser()
     parser.read_string("""\

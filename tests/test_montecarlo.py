@@ -48,38 +48,76 @@ def test_rep_seed_is_collision_free_and_bounded():
 
 
 SEED_MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
+# replication ids at both ends of their uint32 range
+SEED_IDS = (0, 1, 2, 3, 4, 5, 2**32 - 3, 2**32 - 2, 2**32 - 1)
 
 
+# numpy warns when uint32 scalar arithmetic overflows, never for arrays
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("master", SEED_MASTERS)
 @pytest.mark.parametrize("cell", (0, 2**32 + 1))
 def test_seed_kernel_matches_seed_sequence(master, cell):
-    # one block straddles 2^32, where a rep id takes a second word
-    for start in (0, 2**32 - 3):
-        seeds = mc._rep_seeds(master, cell, start, start + 6)
-        assert seeds.dtype == np.uint64
-        want = [oracles.seed_sequence_seed(master, cell, r)
-                for r in range(start, start + 6)]
-        assert seeds.tolist() == want
-        assert [mc.rep_seed(master, cell, r)
-                for r in range(start, start + 6)] == want
-    assert mc.rep_seed(master, cell, 2**70) == oracles.seed_sequence_seed(
-        master, cell, 2**70)
+    seeds = mc._rep_seeds(master, cell, np.array(SEED_IDS, dtype=np.uint32))
+    assert seeds.dtype == np.uint64
+    want = [oracles.seed_sequence_seed(master, cell, r) for r in SEED_IDS]
+    assert seeds.tolist() == want
+    assert [mc.rep_seed(master, cell, r) for r in SEED_IDS] == want
+    # rep_seed takes ids of any size
+    for rep in (2**32 + 2, 2**70):
+        assert mc.rep_seed(master, cell, rep) == oracles.seed_sequence_seed(
+            master, cell, rep)
 
 
-@given(st.integers(0, 2**140), st.integers(0, 2**70), st.integers(0, 2**64 - 4))
+def _of_words(most):
+    """Integers of 1 to most 32-bit words, each word count as likely."""
+    return st.integers(1, most).flatmap(
+        lambda w: st.integers(2**(32 * w - 32) if w > 1 else 0, 2**(32 * w) - 1))
+
+
+# the hash constant the replication word starts from depends on the word
+# counts of master and cell
+@given(_of_words(6), _of_words(3), st.integers(0, 2**32 - 4))
 def test_seed_kernel_matches_seed_sequence_sweep(master, cell, rep):
     want = [oracles.seed_sequence_seed(master, cell, r)
             for r in range(rep, rep + 3)]
-    assert mc._rep_seeds(master, cell, rep, rep + 3).tolist() == want
+    ids = np.arange(rep, rep + 3, dtype=np.uint32)
+    assert mc._rep_seeds(master, cell, ids).tolist() == want
     assert mc.rep_seed(master, cell, rep) == want[0]
 
 
-@pytest.mark.parametrize("ids", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+@pytest.mark.parametrize("ids", [(-1, 0, 0), (0, -1, 0), (0, 0, -1),
+                                 (1.9, 0, 0), (0, 1.0, 0), (0, 0, 2.5),
+                                 ("1", 0, 0)])
 def test_seed_kernel_rejects_negative_ids(ids):
-    with pytest.raises(ArgumentError, match="non-negative"):
+    # and ids that are not integers, which int() would truncate
+    with pytest.raises(ArgumentError, match="non-negative integers"):
         mc.rep_seed(*ids)
-    with pytest.raises(ArgumentError, match="non-negative"):
-        mc._rep_seeds(*ids, ids[2] + 2)
+    if ids[2] == 0:
+        with pytest.raises(ArgumentError, match="non-negative integers"):
+            mc._rep_seeds(*ids[:2], np.arange(2, dtype=np.uint32))
+
+
+def test_seed_kernel_takes_numpy_integers():
+    assert mc.rep_seed(np.uint64(7), np.int32(3), np.uint8(2)) == \
+        oracles.seed_sequence_seed(7, 3, 2)
+    ids = np.arange(4, dtype=np.uint32)
+    assert mc._rep_seeds(np.int64(7), np.uint64(3), ids).tolist() == \
+        mc._rep_seeds(7, 3, ids).tolist()
+
+
+def test_non_integer_config_seed_is_rejected():
+    with pytest.raises(ArgumentError, match="integers"):
+        mc.run_iid(small_iid_config(seed=1.5))
+    with pytest.raises(ArgumentError, match="integers"):
+        mc.lnS_curve(LN, [100], [1.0], reps=2, seed=1.5)
+
+
+def test_reps_beyond_uint32_ids_rejected_before_any_block():
+    def block(seeds):
+        raise AssertionError("block called")
+
+    with pytest.raises(ArgumentError, match="2\\^32"):
+        mc._replicate(2**32 + 1, 0, 0, 10, 1, block)
 
 
 def test_runs_are_deterministic_byte_identical():

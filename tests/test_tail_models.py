@@ -333,6 +333,20 @@ def test_sampling_rejects_seed_outside_philox_keys(seed):
         tm.sample_iid(LW2, 10, seed)
 
 
+@pytest.mark.parametrize("seed", [1.9, 1.0, "1", None])
+def test_sampling_rejects_non_integer_seed(seed):
+    with pytest.raises(ArgumentError, match="seed must be an integer"):
+        tm.sample_iid(LW2, 10, seed)
+
+
+def test_sampling_takes_numpy_integer_seeds():
+    want = tm.sample_iid(LW2, 10, 7).values
+    for seed in (np.uint64(7), np.int8(7), np.uint32(7)):
+        sample = tm.sample_iid(LW2, 10, seed)
+        np.testing.assert_array_equal(sample.values, want)
+        assert type(sample.seed) is int and sample.seed == 7
+
+
 def test_exponent_of_sample_is_unit_exponential():
     # h(Y) = -ln(1 - F(Y)) must be Exp(1); checks quantile/h consistency
     n = 100_000
