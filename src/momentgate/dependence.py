@@ -89,8 +89,8 @@ class TabulatedCov:
         vals = np.asarray(self.values, dtype=float)
         if vals.size < 1 or vals[0] != 1.0:
             raise ArgumentError("tabulated covariance must start with C(0) = 1")
-        if np.any(np.abs(vals) > 1.0):
-            raise ArgumentError("covariance values must satisfy |C| <= 1")
+        if not np.all(np.abs(vals) <= 1.0):
+            raise ArgumentError("covariance values must be finite with |C| <= 1")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
 
@@ -310,7 +310,7 @@ def synth_series(spec: SeriesSpec, seed: int,
     Hermite pre-distorts the Gaussian covariance so the transformed series
     matches it instead.  Deterministic given seed.
     """
-    n = int(spec.n)
+    n = tm._as_int(spec.n, "series length")
     if n < 2:
         raise ArgumentError(f"series length must be >= 2, got {n}")
     seed = tm._check_seed(seed)
@@ -405,9 +405,6 @@ def sieve(series, s: float, beta: float = 1.0,
         js = np.arange(lo[p], hi[p])
         js = js[(js != p) & ~removed[js]]
         if len(js) == 0:
-            continue
-        if beta == 0.0:
-            removed[js] = True  # |j - i| <= s already holds inside the window
             continue
         higher = yc[js] >= yc[p]
         between = np.where(higher, n_lt[js] - n_le[p], n_lt[p] - n_le[js])

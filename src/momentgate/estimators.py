@@ -227,8 +227,8 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
 
 def _qc_rows(values: np.ndarray, k_theta: int, k_rho: int) -> np.ndarray:
     """qc_hat on each row of a (rows, n) block of samples, as rows of
-    (theta_hat, rho_hat, qc_hat, k_theta, k_rho); NaN in the rows where
-    qc_hat raises on the data.  Argument errors raise as in qc_hat."""
+    (theta_hat, rho_hat, qc_hat); NaN in the rows where qc_hat raises on the
+    data.  Argument errors raise as in qc_hat."""
     n = values.shape[-1]
     k = max(k_theta, k_rho)
     _check_k(k, n)
@@ -236,7 +236,6 @@ def _qc_rows(values: np.ndarray, k_theta: int, k_rho: int) -> np.ndarray:
     om = _omega_rows(top, k_theta)
     rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n, None))
     theta = math.log(n) / np.where(om > 0.0, om, math.nan)
-    out = np.column_stack((theta, rho, theta * rho, np.full(len(top), k_theta),
-                           np.full(len(top), k_rho)))
+    out = np.column_stack((theta, rho, theta * rho))
     out[np.isnan(out[:, 2])] = math.nan
     return out

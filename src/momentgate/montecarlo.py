@@ -7,9 +7,9 @@ a run without disturbing earlier replications.  NumPy's ``SeedSequence``
 hashes a cell's (seed, cell id) prefix once, and one array pass mixes in
 the replication ids, which are 32-bit: a cell runs at most 2^32
 replications.  Seeds and ids are non-negative integers.  Failed
-replications (an estimator raising) are recorded as NaN and surface in a
-``failures`` column; they are excluded from moment aggregates but never
-silently dropped.
+replications (a sample that is not finite, or a draw or estimator raising)
+are recorded as NaN and surface in a ``failures`` column; they are excluded
+from moment aggregates but never silently dropped.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -85,12 +86,17 @@ class ExperimentConfig:
     correlated: CorrelatedConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.reps < 2:
+        if tm._as_int(self.reps, "reps") < 2:
             raise ArgumentError("reps must be >= 2")
         if not self.models or not self.n_grid:
             raise ArgumentError("model and n grids must be nonempty")
         if not self.k_theta_grid or not self.k_rho_grid:
             raise ArgumentError("k grids must be nonempty")
+        for n in self.n_grid:
+            tm._as_int(n, "n")
+        for k in itertools.chain(self.k_theta_grid, self.k_rho_grid):
+            if k is not None:
+                tm._as_int(k, "k")
 
 
 @dataclass
@@ -211,16 +217,19 @@ def _run_blocks(count: int, worker) -> list:
 
 
 def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
-               block) -> np.ndarray:
+               draw, measure) -> np.ndarray:
     """(reps, width) array of every replication of a cell of size n.
 
     Replications run in blocks of max(1, _LSE_BLOCK // n) rows, so a block of
-    draws holds at most 2^16 values; the pool maps the blocks.  block(seeds)
-    returns the (len(seeds), width) rows of the replications keyed by seeds,
-    rep_seed(seed, cell_id, r) for consecutive r, all computed up front in
-    one pass; the ids r are uint32, so reps above 2^32 is an ArgumentError.
-    A block that raises MomentgateError is left NaN.  block is called before
-    this returns, so it may close over a caller's loop variables.
+    samples holds at most 2^16 values; the pool maps the blocks.  The seeds
+    rep_seed(seed, cell_id, r) of consecutive uint32 ids r are computed up
+    front in one pass, so reps above 2^32 is an ArgumentError.  draw(seeds)
+    returns a block's (rows, n) samples and measure(samples) their (rows,
+    width) results.  Failures are handled here alone: a sample row that is
+    not finite is zeroed before measure and NaN after it; a draw or measure
+    raising MomentgateError leaves its block NaN; other errors propagate.
+    draw and measure are called before this returns, so they may close over
+    a caller's loop variables.
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
@@ -231,62 +240,16 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     def worker(b):
         seeds = all_seeds[b * size:(b + 1) * size]
         try:
-            return block(seeds)
+            y = draw(seeds)
+            ok = np.isfinite(y).all(axis=1)
+            y[~ok] = 0.0  # measured, then discarded
+            out = measure(y)
         except MomentgateError:
             return np.full((len(seeds), width), math.nan)
-
-    return np.concatenate(_run_blocks(-(-reps // size), worker))
-
-
-def _per_row(draw, measures):
-    """A block that applies each ``(measure, width)`` pair to draw(seed), one
-    seed at a time, and holds the measures' values side by side.  A draw that
-    raises MomentgateError leaves its row NaN; a measure that raises leaves
-    NaN in its own columns only."""
-    width = sum(w for _, w in measures)
-
-    def block(seeds):
-        out = np.full((len(seeds), width), math.nan)
-        for row, s in zip(out, seeds):
-            try:
-                sample = draw(s)
-            except MomentgateError:
-                continue
-            col = 0
-            for measure, w in measures:
-                try:
-                    row[col:col + w] = measure(sample)
-                except MomentgateError:
-                    pass
-                col += w
-        return out
-
-    return block
-
-
-def _iid_draws(model: tm.TailModel, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of sample_iid(model, n, seed).values for each seed, and the mask
-    of the rows that are finite (the check a Sample makes)."""
-    y = tm._iid_rows(model, n, seeds)
-    return y, np.isfinite(y).all(axis=1)
-
-
-def _qc_block(model: tm.TailModel, n: int, k_theta: int, k_rho: int):
-    """A block of qc_hat(sample_iid(model, n, seed), k_theta, k_rho) rows,
-    (theta, rho, qc, k_theta, k_rho), NaN where qc_hat would raise."""
-
-    def block(seeds):
-        y, ok = _iid_draws(model, n, seeds)
-        y[~ok] = 0.0  # estimated in place, then discarded
-        out = est._qc_rows(y, k_theta, k_rho)
         out[~ok] = math.nan
         return out
 
-    return block
-
-
-def _estimate_row(e: est.QcEstimate) -> tuple:
-    return e.theta_hat, e.rho_hat, e.qc_hat, e.k_theta, e.k_rho
+    return np.concatenate(_run_blocks(-(-reps // size), worker))
 
 
 def _aggregate(values: np.ndarray, target: float) -> dict:
@@ -352,8 +315,9 @@ def run_iid(config: ExperimentConfig) -> McReport:
         curve = theory.critical_curve(model, n)
         targets = {"theta": curve.theta, "rho": curve.rho_l_at_dagger,
                    "qc": curve.qc_approx}
-        vals = _replicate(config.reps, config.seed, cell_id, n, 5,
-                          _qc_block(model, n, kt, kr))
+        vals = _replicate(config.reps, config.seed, cell_id, n, 3,
+                          partial(tm._iid_rows, model, n),
+                          partial(est._qc_rows, k_theta=kt, k_rho=kr))
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
@@ -392,14 +356,32 @@ def run_corr(config: ExperimentConfig) -> McReport:
                    "qc": dep.qc_theory_corr(model, n, tau_true, cc.kappa)}
         kt_u = est.default_k_theta(n) if k_t is None else int(k_t)
         kr_u = est.default_k_rho(n) if k_r is None else int(k_r)
-        vals = _replicate(config.reps, config.seed, cell_id, n, 10, _per_row(
-            lambda s: dep.synth_series(dep.SeriesSpec(model, cov, n), s,
-                                       cc.match_mode),
-            ((lambda x: _estimate_row(est.qc_hat(x, kt_u, kr_u)), 5),
-             (lambda x: _estimate_row(dep.qc_hat_corr(
-                 x, k_t, k_r, tau=tau_used, kappa=cc.kappa, s=s_val,
-                 alpha=cc.alpha, beta=cc.beta)), 5))))
-        plain, corrected = vals[:, :5], vals[:, 5:]
+        spec = dep.SeriesSpec(model, cov, n)
+
+        def draw(seeds):
+            rows = []
+            for s in seeds:
+                try:
+                    rows.append(dep.synth_series(spec, s, cc.match_mode).values)
+                except MomentgateError:
+                    rows.append(np.full(n, math.nan))
+            return np.stack(rows)
+
+        def measure(y):
+            out = np.full((len(y), 8), math.nan)
+            out[:, :3] = est._qc_rows(y, kt_u, kr_u)
+            for row, values in zip(out, y):
+                try:
+                    e = dep.qc_hat_corr(
+                        tm.Sample(values, n, seed=0), k_t, k_r, tau=tau_used,
+                        kappa=cc.kappa, s=s_val, alpha=cc.alpha, beta=cc.beta)
+                except MomentgateError:
+                    continue
+                row[3:] = e.theta_hat, e.rho_hat, e.qc_hat, e.k_theta, e.k_rho
+            return out
+
+        vals = _replicate(config.reps, config.seed, cell_id, n, 8, draw, measure)
+        plain, corrected = vals[:, :3], vals[:, 3:]
         ks = corrected[np.isfinite(corrected[:, 3]), 3:]
         kt_c, kr_c = (int(k) for k in ks[0]) if len(ks) else (-1, -1)
         s_report = s_val if s_val is not None else cc.alpha * tau_used
@@ -438,16 +420,12 @@ def _log_mean_exp(q: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int) -> None:
-    if reps < 1:
+    if tm._as_int(reps, "reps") < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     if not np.all(np.isfinite(q_grid) & (q_grid > 0.0)):
         raise ArgumentError("q grid must be finite and positive")
     for n in n_list:
-        try:
-            ok = operator.index(n) >= 2
-        except TypeError:
-            ok = False
-        if not ok:
+        if tm._as_int(n, "n") < 2:
             raise ArgumentError(f"n must be an integer >= 2, got {n!r}")
 
 
@@ -468,14 +446,10 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
     for cell_id, n in enumerate(n_list):
         curve = theory.critical_curve(model, n)
 
-        def block(seeds):
-            y, ok = _iid_draws(model, n, seeds)
-            out = np.full((len(seeds), len(q_grid)), math.nan)
-            for r in np.flatnonzero(ok):
-                out[r] = _log_mean_exp(q_grid, y[r])
-            return out
-
-        vals = _replicate(reps, seed, cell_id, n, len(q_grid), block)
+        vals = _replicate(reps, seed, cell_id, n, len(q_grid),
+                          partial(tm._iid_rows, model, n),
+                          lambda y: np.array([_log_mean_exp(q_grid, row)
+                                              for row in y]))
         mean = vals.sum(axis=0) / reps
         var = (vals * vals).sum(axis=0) / reps - mean ** 2
         se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)

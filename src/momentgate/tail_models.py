@@ -481,19 +481,26 @@ def sample_iid(model: TailModel, n: int, seed: int) -> Sample:
     uniform of the stream, so runs are reproducible across platforms and
     independent streams can be keyed per replication.
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise ArgumentError("n must be >= 1")
     seed = _check_seed(seed)
-    return Sample(values=_iid_rows(model, n, (seed,))[0], n=int(n), seed=seed)
+    return Sample(values=_iid_rows(model, n, (seed,))[0], n=n, seed=seed)
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int; an ArgumentError unless it is an integer, which
+    int() would instead truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_seed(seed) -> int:
     """seed as an int, which must be an integer that fits a Philox key:
     0 <= seed < 2^128."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ArgumentError(f"seed must be an integer, got {seed!r}") from None
+    seed = _as_int(seed, "seed")
     if not 0 <= seed < 2 ** 128:
         raise ArgumentError(f"seed {seed} is outside [0, 2^128)")
     return seed

@@ -42,7 +42,7 @@ def test_parse_format_cov_round_trip():
 
 def test_parse_cov_rejects_bad_specs():
     for spec in ("nope", "exp:tau=-1", "tab:0.9,0.5", "tab:1,1.5", "tab:",
-                 "exp:tau=abc"):
+                 "exp:tau=abc", "tab:1,nan"):
         with pytest.raises(ArgumentError):
             dep.parse_cov(spec)
 
@@ -166,6 +166,13 @@ def test_correlated_marginal_still_fits():
         assert abs(u.var() - 1.0 / 12.0) < 0.02
         gap = np.abs(np.sort(u) - np.arange(1, n + 1) / n)
         assert gap.max() < 0.08
+
+
+@pytest.mark.parametrize("n", [100.7, 100.0, "100"])
+def test_synthesis_rejects_non_integer_length(n):
+    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=5.0), n)
+    with pytest.raises(ArgumentError, match="series length must be an integer"):
+        dep.synth_series(spec, seed=0)
 
 
 def test_embedding_rejects_indefinite_covariance():

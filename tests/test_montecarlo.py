@@ -113,11 +113,11 @@ def test_non_integer_config_seed_is_rejected():
 
 
 def test_reps_beyond_uint32_ids_rejected_before_any_block():
-    def block(seeds):
-        raise AssertionError("block called")
+    def kernel(arg):
+        raise AssertionError("kernel called")
 
     with pytest.raises(ArgumentError, match="2\\^32"):
-        mc._replicate(2**32 + 1, 0, 0, 10, 1, block)
+        mc._replicate(2**32 + 1, 0, 0, 10, 1, kernel, kernel)
 
 
 def test_runs_are_deterministic_byte_identical():
@@ -132,21 +132,55 @@ def test_seed_changes_output():
     assert a != b
 
 
-def _iid_replicate(reps, model=LW2, n=400, k_theta=4, k_rho=20, seed=5,
-                   cell_id=0):
-    return mc._replicate(reps, seed, cell_id, n, 5,
-                         mc._qc_block(model, n, k_theta, k_rho))
+_REPLICATE = mc._replicate
 
 
-def test_extending_reps_preserves_existing_replications():
+def _replicated(monkeypatch, run, config):
+    """The (reps, width) replication arrays that run(config) aggregates, one
+    per cell."""
+    arrays = []
+
+    def spy(*args):
+        arrays.append(_REPLICATE(*args))
+        return arrays[-1]
+
+    monkeypatch.setattr(mc, "_replicate", spy)
+    run(config)
+    return arrays
+
+
+def _iid_config(model=LW2, n=400, k_theta=4, k_rho=20, reps=8, seed=5):
+    return mc.ExperimentConfig(models=(model,), n_grid=(n,),
+                               k_theta_grid=(k_theta,), k_rho_grid=(k_rho,),
+                               reps=reps, seed=seed)
+
+
+def test_extending_reps_preserves_existing_replications(monkeypatch):
     # at n = 1000 a block holds 65 replications: 70 reps cross its boundary
     for n, short_reps, long_reps in ((400, 6, 9), (1000, 60, 70)):
-        short = _iid_replicate(short_reps, n=n)
-        long = _iid_replicate(long_reps, n=n)
-        assert short.shape == (short_reps, 5)
-        assert long.shape == (long_reps, 5)
+        [short] = _replicated(monkeypatch, mc.run_iid,
+                              _iid_config(n=n, reps=short_reps))
+        [long] = _replicated(monkeypatch, mc.run_iid,
+                             _iid_config(n=n, reps=long_reps))
+        assert short.shape == (short_reps, 3)
+        assert long.shape == (long_reps, 3)
         assert np.isfinite(short).all()
         np.testing.assert_array_equal(short, long[:short_reps])
+
+
+def _assert_rows_equal_qc_hat(rows, samples, kt, kr):
+    """Each row is (theta, rho, qc) of qc_hat on its sample, exactly, or NaN
+    where qc_hat raises; returns the count of NaN rows."""
+    failed = 0
+    for row, sample in zip(rows, samples, strict=True):
+        try:
+            e = est.qc_hat(sample, kt, kr)
+        except MomentgateError:
+            failed += 1
+            assert np.isnan(row).all()
+            continue
+        np.testing.assert_array_equal(row, [e.theta_hat, e.rho_hat, e.qc_hat])
+    return failed
 
 
 # (model, n, k_theta, k_rho, reps, seed): LW2 from blocks of 8192 rows down to
@@ -163,19 +197,43 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("model, n, kt, kr, reps, seed", BLOCK_CASES)
-def test_block_rows_equal_scalar_qc_hat(model, n, kt, kr, reps, seed):
-    rows = _iid_replicate(reps, model, n, kt, kr, seed)
-    failed = 0
-    for r in range(reps):
-        sample = tm.sample_iid(model, n, mc.rep_seed(seed, 0, r))
-        try:
-            e = est.qc_hat(sample, kt, kr)
-        except MomentgateError:
-            failed += 1
-            assert np.isnan(rows[r]).all()
-            continue
-        np.testing.assert_allclose(rows[r], mc._estimate_row(e), rtol=1e-13,
-                                   atol=0.0)
+def test_block_rows_equal_scalar_qc_hat(model, n, kt, kr, reps, seed,
+                                        monkeypatch):
+    [rows] = _replicated(monkeypatch, mc.run_iid,
+                         _iid_config(model, n, kt, kr, reps, seed))
+    samples = (tm.sample_iid(model, n, mc.rep_seed(seed, 0, r))
+               for r in range(reps))
+    failed = _assert_rows_equal_qc_hat(rows, samples, kt, kr)
+    if model.rho == 1.5:
+        assert failed > 0
+
+
+# the uncorrected columns of run_corr, (model, n, cov, match, k_theta, k_rho,
+# reps, seed): blocks of 128 rows down to one (n = 2^16), default and
+# explicit windows, Hermite matching, and a slep cell where qc_hat fails
+CORR_BLOCK_CASES = [
+    (LN, 512, dep.ExponentialCov(5.0), "gaussian", None, None, 40, 2),
+    (LN, 1 << 16, dep.ExponentialCov(100.0), "gaussian", None, None, 3, 0),
+    (LW2, 3000, dep.TabulatedCov((1.0, 0.6, 0.3)), "hermite", 20, 60, 30, 4),
+    (tm.strict_log_exp_power(1.5), 8, dep.ExponentialCov(1.0), "gaussian",
+     2, 2, 300, 12),
+]
+
+
+@pytest.mark.parametrize("model, n, cov, match, kt, kr, reps, seed",
+                         CORR_BLOCK_CASES)
+def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
+                                             reps, seed, monkeypatch):
+    cc = mc.CorrelatedConfig(covs=(cov,), match_mode=dep.MatchMode(match))
+    cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,),
+                              k_theta_grid=(kt,), k_rho_grid=(kr,),
+                              reps=reps, seed=seed, correlated=cc)
+    [rows] = _replicated(monkeypatch, mc.run_corr, cfg)
+    assert rows.shape == (reps, 8)
+    spec = dep.SeriesSpec(model, cov, n)
+    samples = (dep.synth_series(spec, mc.rep_seed(seed, 0, r), match)
+               for r in range(reps))
+    failed = _assert_rows_equal_qc_hat(rows[:, :3], samples, kt, kr)
     if model.rho == 1.5:
         assert failed > 0
 
@@ -189,12 +247,31 @@ def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
             y[1, 7] = math.inf
         return y
 
-    clean = _iid_replicate(5)
+    [clean] = _replicated(monkeypatch, mc.run_iid, _iid_config(reps=5))
     monkeypatch.setattr(tm, "_iid_rows", spoiled)
-    rows = _iid_replicate(5)
+    [rows] = _replicated(monkeypatch, mc.run_iid, _iid_config(reps=5))
     assert np.isnan(rows[1]).all()
     np.testing.assert_array_equal(np.delete(rows, 1, axis=0),
                                   np.delete(clean, 1, axis=0))
+
+
+def test_nonfinite_row_is_measured_as_zeros_then_nan():
+    def draw(seeds):
+        y = np.ones((len(seeds), 3))
+        y[1, 2] = math.nan
+        return y
+
+    seen = []
+
+    def measure(y):
+        seen.append(y.copy())
+        return y.sum(axis=1, keepdims=True)
+
+    # n = 3: one block of all four replications
+    vals = mc._replicate(4, 0, 0, 3, 1, draw, measure)
+    np.testing.assert_array_equal(seen[0][1], 0.0)
+    assert np.isnan(vals[1, 0])
+    np.testing.assert_array_equal(np.delete(vals, 1), 3.0)
 
 
 # 400 reps at n = 400 run as three blocks of 163, 163 and 74 on the pool
@@ -214,6 +291,15 @@ def test_pool_size_follows_cpu_affinity(monkeypatch):
 
 
 # ------------------------------------------------------------ aggregates
+
+
+@pytest.mark.parametrize("field, value", [
+    ("reps", 2.5), ("reps", "8"), ("n_grid", (400, 100.5)),
+    ("k_theta_grid", (4.7,)), ("k_rho_grid", (None, 20.0))])
+def test_config_rejects_non_integer_sizes(field, value):
+    kwargs = {"models": (LW2,), "n_grid": (400,), "reps": 8, field: value}
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        mc.ExperimentConfig(**kwargs)
 
 
 def test_config_validation():
@@ -277,44 +363,72 @@ def test_window_estimates_positively_correlated():
 # ---------------------------------------------------------------- runner
 
 
-def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns():
-    def draw(seed):
-        if seed == mc.rep_seed(1, 2, 0):
-            raise ConvergenceError("draw")
-        return seed
-
-    def failing(seed):
-        if seed == mc.rep_seed(1, 2, 1):
-            raise ConvergenceError("measure")
-        return (1.0, 2.0)
-
-    vals = mc._replicate(3, 1, 2, 10, 3,
-                         mc._per_row(draw, ((failing, 2), (lambda s: 3.0, 1))))
-    assert vals.shape == (3, 3)
-    assert np.isnan(vals[0]).all()
-    assert np.isnan(vals[1, :2]).all() and vals[1, 2] == 3.0
-    np.testing.assert_array_equal(vals[2], [1.0, 2.0, 3.0])
-
-
 def test_runner_lets_other_errors_through():
-    def measure(x):
+    def ones(seeds):
+        return np.ones((len(seeds), 10))
+
+    def fail(arg):
         raise ZeroDivisionError
 
     with pytest.raises(ZeroDivisionError):
-        mc._replicate(2, 0, 0, 10, 1, mc._per_row(lambda s: s, ((measure, 1),)))
+        mc._replicate(2, 0, 0, 10, 1, ones, fail)
+    with pytest.raises(ZeroDivisionError):
+        mc._replicate(2, 0, 0, 10, 1, fail, ones)
 
 
 def test_failed_block_gives_nan_rows():
-    def block(seeds):
+    # a raising draw NaNs the block of replications 4-7, a raising measure
+    # that of 8-9
+    def draw(seeds):
         if seeds[0] == mc.rep_seed(0, 0, 4):
-            raise ConvergenceError("block")
-        return np.ones((len(seeds), 2))
+            raise ConvergenceError("draw")
+        return np.full((len(seeds), 2 ** 14), float(len(seeds)))
+
+    def measure(y):
+        if len(y) == 2:
+            raise ConvergenceError("measure")
+        return y[:, :2].copy()
 
     # n = 2^14: blocks of 4 replications
-    vals = mc._replicate(10, 0, 0, 2 ** 14, 2, block)
+    vals = mc._replicate(10, 0, 0, 2 ** 14, 2, draw, measure)
     assert vals.shape == (10, 2)
-    assert np.isnan(vals[4:8]).all()
-    assert (vals[:4] == 1.0).all() and (vals[8:] == 1.0).all()
+    assert np.isnan(vals[4:]).all()
+    assert (vals[:4] == 4.0).all()
+
+
+def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns(
+        monkeypatch):
+    # in run_corr, replication 0's synthesis raises, so its row fails in
+    # every column; replication 1's corrected estimate raises, so only the
+    # corrected columns fail; replication 2 succeeds in both
+    seeds = [mc.rep_seed(1, 0, r) for r in range(3)]
+    synth, corr = dep.synth_series, dep.qc_hat_corr
+    bad = {}
+
+    def fake_synth(spec, seed, match):
+        if seed == seeds[0]:
+            raise ConvergenceError("draw")
+        sample = synth(spec, seed, match)
+        if seed == seeds[1]:
+            bad["values"] = sample.values.copy()
+        return sample
+
+    def fake_corr(sample, *args, **kwargs):
+        if np.array_equal(sample.values, bad["values"]):
+            raise ConvergenceError("measure")
+        return corr(sample, *args, **kwargs)
+
+    monkeypatch.setattr(dep, "synth_series", fake_synth)
+    monkeypatch.setattr(dep, "qc_hat_corr", fake_corr)
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=3, seed=1,
+                              correlated=cc)
+    rows = mc.run_corr(cfg).rows
+    assert len(rows) == 6
+    for row in rows:
+        used = 1 if row["corrected"] else 2
+        assert (row["reps_used"], row["failures"]) == (used, 3 - used)
+        assert math.isfinite(row["mean"])
 
 
 # ------------------------------------------------------------- lnS curves
@@ -376,6 +490,11 @@ def test_lnS_rejects_nonpositive_orders():
 def test_lnS_rejects_zero_reps():
     with pytest.raises(ArgumentError, match="reps"):
         mc.lnS_curve(LN, [100], [1.0], reps=0, seed=0)
+
+
+def test_lnS_rejects_non_integer_reps():
+    with pytest.raises(ArgumentError, match="reps must be an integer"):
+        mc.lnS_curve(LN, [100], [1.0], reps=3.0, seed=0)
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])

@@ -339,6 +339,12 @@ def test_sampling_rejects_non_integer_seed(seed):
         tm.sample_iid(LW2, 10, seed)
 
 
+@pytest.mark.parametrize("n", [10.5, 10.0, "10"])
+def test_sampling_rejects_non_integer_size(n):
+    with pytest.raises(ArgumentError, match="n must be an integer"):
+        tm.sample_iid(LW2, n, 0)
+
+
 def test_sampling_takes_numpy_integer_seeds():
     want = tm.sample_iid(LW2, 10, 7).values
     for seed in (np.uint64(7), np.int8(7), np.uint32(7)):
