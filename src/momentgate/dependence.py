@@ -35,14 +35,7 @@ from .errors import (
     EmbeddingError,
     InsufficientSievedPoints,
 )
-from .estimators import (
-    OrderedSample,
-    QcEstimate,
-    default_k_rho,
-    default_k_theta,
-    rho_hat,
-    theta_hat,
-)
+from .estimators import OrderedSample, QcEstimate, _windows, rho_hat, theta_hat
 from .theory import critical_curve
 
 __all__ = [
@@ -115,9 +108,6 @@ class SievedSample:
 
     selected_indices: np.ndarray
     selected_values: np.ndarray
-    n_original: int
-    s: float
-    beta: float
 
 
 def parse_cov(spec: str) -> CovarianceSpec:
@@ -178,22 +168,20 @@ def correlation_length(cov: CovarianceSpec) -> float:
 
 
 def n_star(n: float, tau: float, kappa: float) -> float:
-    """Effective independent sample count n / (1 + kappa tau)."""
-    if not n >= 1.0:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    """Effective independent sample count n / (1 + kappa tau), at least 2."""
     if not tau >= 0.0 or not kappa >= 0.0:
         raise ArgumentError("tau and kappa must be >= 0")
-    return n / (1.0 + kappa * tau)
+    ns = n / (1.0 + kappa * tau)
+    if not ns >= 2.0:
+        raise ArgumentError(f"effective size n* = {ns:.3g} < 2")
+    return ns
 
 
 def qc_theory_corr(model: tm.TailModel, n: float, tau: float,
                    kappa: float = 0.08) -> float:
     """Predicted critical order of a correlated series: q_c at the effective
-    size n*."""
-    ns = n_star(n, tau, kappa)
-    if ns < 2.0:
-        raise ArgumentError(f"effective size n* = {ns:.3g} < 2")
-    return critical_curve(model, round(ns)).qc_approx
+    size n*, rounded."""
+    return critical_curve(model, round(n_star(n, tau, kappa))).qc_approx
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +363,10 @@ def sieve(series, s: float, beta: float = 1.0,
         raise ArgumentError("empty series")
     if not np.all(np.isfinite(y)):
         raise ArgumentError("series values must be finite")
-    if max_points is not None and int(max_points) < 1:
+    limit = n if max_points is None else tm._as_int(max_points, "max_points")
+    if limit < 1:
         raise ArgumentError(f"max_points must be >= 1, got {max_points}")
-    limit = n if max_points is None else min(int(max_points), n)
+    limit = min(limit, n)
 
     window = int(min(s, n))  # a window past n holds the whole series
     cut = max(n - (limit + 2 * window * (limit - 1)), 0)
@@ -387,31 +376,31 @@ def sieve(series, s: float, beta: float = 1.0,
     if window == 0:
         # d_beta >= |j - i| >= 1 between distinct indices: nothing is removable
         idx = cand[order[:limit]]
-        return SievedSample(selected_indices=idx, selected_values=y[idx],
-                            n_original=n, s=float(s), beta=float(beta))
+        return SievedSample(selected_indices=idx, selected_values=y[idx])
 
     n_lt, n_le = _rank_bounds(yc, order)
     # candidates within index distance `window`: positions lo[p] .. hi[p]-1
     lo = np.searchsorted(cand, cand - window)
     hi = np.searchsorted(cand, cand + window, side="right")
-    removed = np.zeros(cand.size, dtype=bool)
+    # selected or removed: a pick lies beyond s of every later pick
+    taken = np.zeros(cand.size, dtype=bool)
     sel: list[int] = []
     for p in order:
-        if removed[p]:
+        if taken[p]:
             continue
+        taken[p] = True
         sel.append(int(p))
         if len(sel) >= limit:
             break
         js = np.arange(lo[p], hi[p])
-        js = js[(js != p) & ~removed[js]]
+        js = js[~taken[js]]
         if len(js) == 0:
             continue
         higher = yc[js] >= yc[p]
         between = np.where(higher, n_lt[js] - n_le[p], n_lt[p] - n_le[js])
-        removed[js[beta * np.maximum(between, 0) <= s]] = True
+        taken[js[beta * np.maximum(between, 0) <= s]] = True
     idx = cand[np.asarray(sel, dtype=np.intp)]
-    return SievedSample(selected_indices=idx, selected_values=y[idx],
-                        n_original=n, s=float(s), beta=float(beta))
+    return SievedSample(selected_indices=idx, selected_values=y[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +418,7 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     """
     n = series.n
     ns = n_star(n, tau, kappa)
-    if ns < 2.0:
-        raise ArgumentError(f"effective size n* = {ns:.3g} < 2")
-    n_eff = round(ns)
-    kt = default_k_theta(n_eff) if k_theta is None else int(k_theta)
-    kr = default_k_rho(n_eff) if k_rho is None else int(k_rho)
+    kt, kr = _windows(round(ns), k_theta, k_rho)
     radius = alpha * tau if s is None else s
     k_need = max(kt, kr)
     sieved = sieve(series, radius, beta, max_points=k_need + 1)

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientPositiveValues,
     NonPositiveOmegaError,
 )
-from .tail_models import Sample
+from .tail_models import Sample, _as_int
 
 __all__ = [
     "OrderedSample",
@@ -107,9 +107,11 @@ def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.nda
     return slope, positives
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, n: int) -> int:
+    k = _as_int(k, "k")
     if not 1 <= k <= n:
         raise ArgumentError(f"k must be in [1, n]={n}, got {k}")
+    return k
 
 
 def _ladder_log_n(k_rho: int, available: int, n: int,
@@ -130,7 +132,7 @@ def _ladder_log_n(k_rho: int, available: int, n: int,
 
 def order_stats(sample: Sample, k: int) -> OrderedSample:
     """Top-k values of the sample, descending; O(n + k log k) expected."""
-    _check_k(k, sample.n)
+    k = _check_k(k, sample.n)
     values = np.asarray(sample.values, dtype=float)
     return OrderedSample(top=_top_rows(values[None, :], k)[0], n=sample.n)
 
@@ -142,6 +144,7 @@ def omega_weights(k: int) -> np.ndarray:
     H_{k-1} the harmonic sum and gamma Euler's constant; the last entry
     closes the sum to exactly 1.  k = 1 degenerates to the sample maximum.
     """
+    k = _as_int(k, "k")
     if k < 1:
         raise ArgumentError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -155,6 +158,7 @@ def omega_weights(k: int) -> np.ndarray:
 
 def omega(ordered: OrderedSample, k: int) -> float:
     """Omega_k = sum alpha_i Y_{i,n} over the k largest order statistics."""
+    k = _as_int(k, "k")
     if k > len(ordered.top):
         raise ArgumentError(f"k={k} exceeds available order stats {len(ordered.top)}")
     return float(_omega_rows(ordered.top[None, :], k)[0])
@@ -180,6 +184,7 @@ def rho_hat(ordered: OrderedSample, k_rho: int, *,
     the surviving points keep their original ranks i.  ``log_n`` substitutes
     an effective log sample size in the rank ladder.
     """
+    k_rho = _as_int(k_rho, "k_rho")
     num = _ladder_log_n(k_rho, len(ordered.top), ordered.n, log_n)
     slope, positives = _slope_rows(ordered.top[None, :], k_rho, num)
     if positives[0] < 2:
@@ -212,12 +217,19 @@ def _clamp_k(k: int, n: int) -> int:
     return int(min(max(k, 2), hi))
 
 
+def _windows(n: int, k_theta: int | None,
+             k_rho: int | None) -> tuple[int, int]:
+    """(k_theta, k_rho): each window given as an int (an ArgumentError that
+    names it unless it is an integer), or else its rule of thumb at n."""
+    kt = default_k_theta(n) if k_theta is None else _as_int(k_theta, "k_theta")
+    kr = default_k_rho(n) if k_rho is None else _as_int(k_rho, "k_rho")
+    return kt, kr
+
+
 def qc_hat(sample: Sample, k_theta: int | None = None,
            k_rho: int | None = None) -> QcEstimate:
     """q_c estimate theta_hat * rho_hat on one shared order-statistics pass."""
-    n = sample.n
-    kt = default_k_theta(n) if k_theta is None else int(k_theta)
-    kr = default_k_rho(n) if k_rho is None else int(k_rho)
+    kt, kr = _windows(sample.n, k_theta, k_rho)
     ordered = order_stats(sample, max(kt, kr))
     th = theta_hat(ordered, kt)
     rh = rho_hat(ordered, kr)

@@ -94,9 +94,10 @@ class ExperimentConfig:
             raise ArgumentError("k grids must be nonempty")
         for n in self.n_grid:
             tm._as_int(n, "n")
-        for k in itertools.chain(self.k_theta_grid, self.k_rho_grid):
-            if k is not None:
-                tm._as_int(k, "k")
+        for name in ("k_theta", "k_rho"):
+            for k in getattr(self, name + "_grid"):
+                if k is not None:
+                    tm._as_int(k, name)
 
 
 @dataclass
@@ -288,14 +289,15 @@ def _cov_pairs(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _emit_cell(report: McReport, cell: dict, block: np.ndarray,
-               targets: dict) -> None:
+               curve: theory.CriticalCurve) -> None:
     """Aggregate rows for theta, rho, qc from the first three columns of a
-    cell's replication block."""
+    cell's replication block, against curve.theta/rho_l_at_dagger/qc_approx."""
     cov_tr = _cov_pairs(block[:, 0], block[:, 1])
-    for name, vals in zip(("theta", "rho", "qc"), block[:, :3].T):
+    targets = (curve.theta, curve.rho_l_at_dagger, curve.qc_approx)
+    for name, vals, target in zip(("theta", "rho", "qc"), block[:, :3].T, targets):
         row = dict(cell)
         row["estimator"] = name
-        row.update(_aggregate(vals, targets[name]))
+        row.update(_aggregate(vals, target))
         row["cov_theta_rho"] = cov_tr
         report.rows.append(row)
 
@@ -310,18 +312,15 @@ def run_iid(config: ExperimentConfig) -> McReport:
     grid = itertools.product(config.models, config.n_grid,
                              config.k_theta_grid, config.k_rho_grid)
     for cell_id, (model, n, k_t, k_r) in enumerate(grid):
-        kt = est.default_k_theta(n) if k_t is None else int(k_t)
-        kr = est.default_k_rho(n) if k_r is None else int(k_r)
+        kt, kr = est._windows(n, k_t, k_r)
         curve = theory.critical_curve(model, n)
-        targets = {"theta": curve.theta, "rho": curve.rho_l_at_dagger,
-                   "qc": curve.qc_approx}
         vals = _replicate(config.reps, config.seed, cell_id, n, 3,
                           partial(tm._iid_rows, model, n),
                           partial(est._qc_rows, k_theta=kt, k_rho=kr))
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
-        _emit_cell(report, cell, vals, targets)
+        _emit_cell(report, cell, vals, curve)
     return report
 
 
@@ -350,12 +349,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
     for cell_id, (model, n, cov, tau_assumed, s_val, k_t, k_r) in enumerate(grid):
         tau_true = dep.correlation_length(cov)
         tau_used = tau_true if tau_assumed is None else float(tau_assumed)
-        ns_true = dep.n_star(n, tau_true, cc.kappa)
-        curve = theory.critical_curve(model, round(ns_true))
-        targets = {"theta": curve.theta, "rho": curve.rho_l_at_dagger,
-                   "qc": dep.qc_theory_corr(model, n, tau_true, cc.kappa)}
-        kt_u = est.default_k_theta(n) if k_t is None else int(k_t)
-        kr_u = est.default_k_rho(n) if k_r is None else int(k_r)
+        curve = theory.critical_curve(model, round(dep.n_star(n, tau_true, cc.kappa)))
+        kt_u, kr_u = est._windows(n, k_t, k_r)
         spec = dep.SeriesSpec(model, cov, n)
 
         def draw(seeds):
@@ -390,9 +385,9 @@ def run_corr(config: ExperimentConfig) -> McReport:
                 "beta": cc.beta, "match": cc.match_mode.value,
                 "reps": config.reps}
         cell_u = dict(base, corrected=False, k_theta=kt_u, k_rho=kr_u)
-        _emit_cell(report, cell_u, plain, targets)
+        _emit_cell(report, cell_u, plain, curve)
         cell_c = dict(base, corrected=True, k_theta=kt_c, k_rho=kr_c)
-        _emit_cell(report, cell_c, corrected, targets)
+        _emit_cell(report, cell_c, corrected, curve)
     return report
 
 

@@ -95,8 +95,8 @@ class TailModel:
     support_lo: float
 
     def __post_init__(self) -> None:
-        if not self.rho > 1.0:
-            raise ArgumentError(f"rho must be > 1, got {self.rho}")
+        if not 1.0 < self.rho < math.inf:
+            raise ArgumentError(f"rho must be finite and > 1, got {self.rho}")
         if self.family is Family.LOG_NORMAL and self.rho != 2.0:
             raise ArgumentError("lognormal has rho fixed at 2")
         expected_lo = 0.0 if self.family is Family.LOG_WEIBULL else -math.inf

@@ -311,8 +311,8 @@ def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:
     dominated by the maximum and the prediction is the boundary value
     q y_dagger - ln n + ln h'(y_dagger), linear in q.
     """
-    if not q > 0.0:
-        raise DomainError(f"moment order must be > 0, got {q}")
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"moment order must be finite and > 0, got {q}")
     return _predicted_lnS(model, critical_curve(model, n), q)
 
 
@@ -331,6 +331,8 @@ def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: float,
 def q_validity_ceiling(model: tm.TailModel, n: float, eps: float = 0.1) -> float:
     """Order (ln n)^(2 - 1/rho - eps) beyond which the finite-n moment
     asymptotics are no longer guaranteed; reported as a warning threshold."""
-    if not n >= 2.0:
-        raise ArgumentError(f"n must be >= 2, got {n}")
+    if not 2.0 <= n < math.inf:
+        raise ArgumentError(f"n must be a finite real >= 2, got {n}")
+    if not math.isfinite(eps):
+        raise ArgumentError(f"eps must be finite, got {eps}")
     return math.log(n) ** (2.0 - 1.0 / model.rho - eps)

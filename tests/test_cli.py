@@ -200,6 +200,18 @@ def test_theory_rejects_sample_size_below_two():
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("theory", "--model", "logweibull:rho=inf", "--n", "100"),
+    ("sample", "--model", "logweibull:rho=inf", "--n", "10"),
+    ("theory", "--model", "lognormal", "--n", "1000", "--q-grid", "1,50",
+     "--eps", "nan"),
+], ids=["theory-rho-inf", "sample-rho-inf", "theory-eps-nan"])
+def test_nonfinite_model_or_theory_argument_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 # ------------------------------------------------------------ sample / synth
 
 

@@ -88,6 +88,13 @@ def test_effective_sample_size():
     assert np.all(np.diff(vals) < 0)
 
 
+@pytest.mark.parametrize("n, tau", [(1, 0.0), (1.9, 0.0), (100, 1e4),
+                                    (math.nan, 0.0)])
+def test_effective_size_below_two_is_rejected(n, tau):
+    with pytest.raises(ArgumentError, match=r"effective size n\* = .* < 2"):
+        dep.n_star(n, tau, 0.08)
+
+
 def test_corrected_critical_order_theory():
     # at tau = 0 the corrected value is the plain one
     assert dep.qc_theory_corr(LN, 1000, 0.0) == th.critical_curve(
@@ -471,3 +478,19 @@ def test_corrected_estimators_reject_vanishing_effective_size():
     series = tm.sample_iid(LW2, 100, seed=1)
     with pytest.raises(ArgumentError):
         dep.qc_hat_corr(series, tau=1e5)
+
+
+@pytest.mark.parametrize("bad", [4.7, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["k_theta", "k_rho"])
+def test_corrected_estimators_reject_non_integer_windows(name, bad):
+    series = tm.sample_iid(LW2, 2000, seed=6)
+    with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+        dep.qc_hat_corr(series, tau=10.0, **{name: bad})
+
+
+def test_corrected_estimators_take_numpy_integer_windows():
+    series = dep.synth_series(
+        dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=44)
+    e = dep.qc_hat_corr(series, np.int64(10), np.int16(40), tau=50.0, s=3.0)
+    assert e == dep.qc_hat_corr(series, 10, 40, tau=50.0, s=3.0)
+    assert type(e.k_theta) is int and type(e.k_rho) is int

@@ -16,6 +16,7 @@ from scipy import stats as sps
 from scipy.linalg import null_space
 
 import oracles
+import momentgate.dependence as dep
 import momentgate.estimators as est
 import momentgate.tail_models as tm
 import momentgate.theory as th
@@ -214,6 +215,40 @@ def test_qc_hat_exact_quantiles_recover_theory():
     assert e.theta_hat == pytest.approx(curve.theta, rel=1e-10)
     assert e.rho_hat == pytest.approx(2.0, rel=1e-10)
     assert e.qc_hat == pytest.approx(curve.qc_approx, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [4.7, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["k_theta", "k_rho"])
+def test_qc_hat_rejects_non_integer_windows(name, bad):
+    s = make_sample(tm.sample_iid(LW2, 1000, seed=9).values)
+    with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+        est.qc_hat(s, **{name: bad})
+
+
+def test_qc_hat_takes_numpy_integer_windows():
+    s = make_sample(tm.sample_iid(LW2, 1000, seed=9).values)
+    e = est.qc_hat(s, np.int64(10), np.int32(40))
+    assert e == est.qc_hat(s, 10, 40)
+    assert type(e.k_theta) is int and type(e.k_rho) is int
+
+
+_TOP = est.OrderedSample(top=np.array([3.0, 2.0, 1.5, 1.0]), n=100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: est.order_stats(make_sample(np.arange(1.0, 11.0)), 2.5),
+    lambda: est.order_stats(make_sample(np.arange(1.0, 11.0)), math.nan),
+    lambda: est.omega_weights(2.5),
+    lambda: est.omega(_TOP, 2.5),
+    lambda: est.theta_hat(_TOP, 2.5),
+    lambda: est.rho_hat(_TOP, 2.5),
+    lambda: dep.sieve([3.0, 1.0, 2.0, 5.0], 1.0, max_points=2.5),
+    lambda: dep.sieve([3.0, 1.0, 2.0, 5.0], 1.0, max_points=math.nan),
+], ids=["order_stats", "order_stats-nan", "omega_weights", "omega",
+        "theta_hat", "rho_hat", "sieve", "sieve-nan"])
+def test_windows_and_sizes_must_be_integers(call):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        call()
 
 
 # ----------------------------------------------------- sampling invariants

@@ -302,6 +302,22 @@ def test_config_rejects_non_integer_sizes(field, value):
         mc.ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [4.7, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["k_theta", "k_rho"])
+def test_run_iid_rejects_non_integer_windows(name, bad):
+    with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+        mc.run_iid(mc.ExperimentConfig(models=(LW2,), n_grid=(400,), reps=4,
+                                       **{name + "_grid": (bad,)}))
+
+
+def test_run_iid_takes_numpy_integer_windows():
+    def rows(kt, kr):
+        return mc.run_iid(mc.ExperimentConfig(
+            models=(LW2,), n_grid=(400,), k_theta_grid=(kt,),
+            k_rho_grid=(kr,), reps=6, seed=3)).rows
+    assert rows(np.int64(10), np.int32(30)) == rows(10, 30)
+
+
 def test_config_validation():
     with pytest.raises(ArgumentError):
         mc.ExperimentConfig(models=(LW2,), n_grid=(100,), reps=1)
@@ -570,6 +586,22 @@ def test_correlated_run_shape_and_targets():
             assert row["target"] == target_qc
     flags = {(row["estimator"], row["corrected"]) for row in report.rows}
     assert len(flags) == 6
+
+
+@pytest.mark.parametrize("model, n, tau, kappa", [
+    (LW2, 1000, 20.0, 0.3), (tm.strict_log_exp_power(3.0), 4096, 100.0, 0.08)])
+def test_correlated_targets_are_the_curve_at_rounded_effective_size(
+        model, n, tau, kappa):
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=tau),), kappa=kappa)
+    cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,), k_theta_grid=(5,),
+                              k_rho_grid=(20,), reps=2, correlated=cc)
+    rows = {(r["estimator"], r["corrected"]): r for r in mc.run_corr(cfg).rows}
+    curve = th.critical_curve(model, round(dep.n_star(n, tau, kappa)))
+    for corrected in (False, True):
+        assert (rows[("qc", corrected)]["target"]
+                == dep.qc_theory_corr(model, n, tau, kappa))
+        assert rows[("theta", corrected)]["target"] == curve.theta
+        assert rows[("rho", corrected)]["target"] == curve.rho_l_at_dagger
 
 
 def test_correlated_run_zero_tau_agrees_with_iid():

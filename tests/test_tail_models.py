@@ -407,6 +407,13 @@ def test_model_validation():
         tm.strict_log_exp_power(0.9)
 
 
+@pytest.mark.parametrize("spec", ["logweibull:rho=inf", "slep:rho=inf",
+                                  "slep:rho=nan", "logweibull:rho=1"])
+def test_model_requires_finite_rho_above_one(spec):
+    with pytest.raises(ArgumentError, match="rho must be finite and > 1"):
+        tm.parse_model(spec)
+
+
 # -------------------------------------------------------------- file I/O
 
 
