@@ -13,37 +13,6 @@ reproducible Monte-Carlo harness.
 __version__ = "0.1.0"
 
 from . import dependence, errors, estimators, montecarlo, tail_models, theory
-from .dependence import (
-    ExponentialCov,
-    SeriesSpec,
-    TabulatedCov,
-    n_star,
-    qc_hat_corr,
-    qc_theory_corr,
-    sieve,
-    synth_series,
-)
-from .errors import MomentgateError
-from .estimators import default_k_rho, default_k_theta, qc_hat, rho_hat, theta_hat
-from .tail_models import (
-    Sample,
-    TailModel,
-    log_normal,
-    log_weibull,
-    parse_model,
-    sample_iid,
-    strict_log_exp_power,
-)
-from .theory import (
-    CriticalCurve,
-    critical_curve,
-    moment_quadrature,
-    moment_saddlepoint,
-    predicted_lnS,
-    truncated_moment,
-    y_dagger,
-    y_star,
-)
 
 __all__ = [
     "__version__",
@@ -53,33 +22,4 @@ __all__ = [
     "montecarlo",
     "tail_models",
     "theory",
-    "MomentgateError",
-    "Sample",
-    "TailModel",
-    "log_normal",
-    "log_weibull",
-    "strict_log_exp_power",
-    "parse_model",
-    "sample_iid",
-    "CriticalCurve",
-    "critical_curve",
-    "y_dagger",
-    "y_star",
-    "moment_quadrature",
-    "moment_saddlepoint",
-    "truncated_moment",
-    "predicted_lnS",
-    "qc_hat",
-    "theta_hat",
-    "rho_hat",
-    "default_k_theta",
-    "default_k_rho",
-    "ExponentialCov",
-    "TabulatedCov",
-    "SeriesSpec",
-    "n_star",
-    "qc_theory_corr",
-    "synth_series",
-    "sieve",
-    "qc_hat_corr",
 ]

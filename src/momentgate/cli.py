@@ -149,6 +149,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if not args.corr and (args.tau is not None or args.s is not None):
+        raise ArgumentError("--tau and --s apply only with --corr")
     if args.input == "-":
         values, meta = tm.read_sample(sys.stdin)
     else:
@@ -341,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    tabular = argparse.ArgumentParser(add_help=False, parents=[common])
+    tabular.add_argument("--format", choices=("csv", "json"), default=None)
 
     parser = argparse.ArgumentParser(
         prog="momentgate",
@@ -351,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("theory", parents=[common],
+    p = sub.add_parser("theory", parents=[tabular],
                        help="frontier quantities and moment predictions")
     p.add_argument("--model", required=True)
     p.add_argument("--n", required=True,
@@ -376,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("estimate", parents=[common],
+    p = sub.add_parser("estimate", parents=[tabular],
                        help="estimate theta, rho, and q_c from a sample file")
     p.add_argument("--input", required=True, help="sample file ('-' = stdin)")
     p.add_argument("--k-theta", type=int, default=None)
@@ -393,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sieve radius override (default alpha*tau)")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("mc", parents=[common],
+    p = sub.add_parser("mc", parents=[tabular],
                        help="run a Monte-Carlo experiment")
     p.add_argument("--config", default=None, help="INI experiment file")
     p.add_argument("--figure", type=int, default=None,

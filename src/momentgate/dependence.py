@@ -168,12 +168,15 @@ def correlation_length(cov: CovarianceSpec) -> float:
 
 
 def n_star(n: float, tau: float, kappa: float) -> float:
-    """Effective independent sample count n / (1 + kappa tau), at least 2."""
+    """Effective independent sample count n / (1 + kappa tau): finite and at
+    least 2."""
     if not tau >= 0.0 or not kappa >= 0.0:
         raise ArgumentError("tau and kappa must be >= 0")
     ns = n / (1.0 + kappa * tau)
     if not ns >= 2.0:
         raise ArgumentError(f"effective size n* = {ns:.3g} < 2")
+    if ns == math.inf:
+        raise ArgumentError(f"effective size n* must be finite, got n = {n}")
     return ns
 
 
@@ -354,8 +357,8 @@ def sieve(series, s: float, beta: float = 1.0,
     """
     if not s >= 0.0:
         raise ArgumentError(f"s must be >= 0, got {s}")
-    if not beta >= 0.0:
-        raise ArgumentError(f"beta must be >= 0, got {beta}")
+    if not 0.0 <= beta < math.inf:  # 0 * inf is NaN in beta * between
+        raise ArgumentError(f"beta must be finite and >= 0, got {beta}")
     y = np.asarray(series.values if isinstance(series, tm.Sample) else series,
                    dtype=float)
     n = len(y)

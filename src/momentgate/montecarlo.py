@@ -354,13 +354,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
         spec = dep.SeriesSpec(model, cov, n)
 
         def draw(seeds):
-            rows = []
-            for s in seeds:
-                try:
-                    rows.append(dep.synth_series(spec, s, cc.match_mode).values)
-                except MomentgateError:
-                    rows.append(np.full(n, math.nan))
-            return np.stack(rows)
+            return np.stack([dep.synth_series(spec, s, cc.match_mode).values
+                             for s in seeds])
 
         def measure(y):
             out = np.full((len(y), 8), math.nan)

@@ -92,18 +92,17 @@ class TailModel:
 
     family: Family
     rho: float
-    support_lo: float
 
     def __post_init__(self) -> None:
         if not 1.0 < self.rho < math.inf:
             raise ArgumentError(f"rho must be finite and > 1, got {self.rho}")
         if self.family is Family.LOG_NORMAL and self.rho != 2.0:
             raise ArgumentError("lognormal has rho fixed at 2")
-        expected_lo = 0.0 if self.family is Family.LOG_WEIBULL else -math.inf
-        if self.support_lo != expected_lo:
-            raise ArgumentError(
-                f"support_lo for {self.family.value} must be {expected_lo}"
-            )
+
+    @property
+    def support_lo(self) -> float:
+        """Lower end of Y's support: 0 for logweibull, -inf otherwise."""
+        return 0.0 if self.family is Family.LOG_WEIBULL else -math.inf
 
 
 @dataclass(frozen=True)
@@ -123,17 +122,17 @@ class Sample:
 
 def log_weibull(rho: float) -> TailModel:
     """F(y) = 1 - exp(-y**rho) on y >= 0."""
-    return TailModel(Family.LOG_WEIBULL, float(rho), 0.0)
+    return TailModel(Family.LOG_WEIBULL, float(rho))
 
 
 def strict_log_exp_power(rho: float) -> TailModel:
     """Symmetric density exp(-|y|**rho) / (2 Gamma(1 + 1/rho)) on the line."""
-    return TailModel(Family.STRICT_LOG_EXP_POWER, float(rho), -math.inf)
+    return TailModel(Family.STRICT_LOG_EXP_POWER, float(rho))
 
 
 def log_normal() -> TailModel:
     """Y standard normal (X = e^Y log-normal); rho = 2."""
-    return TailModel(Family.LOG_NORMAL, 2.0, -math.inf)
+    return TailModel(Family.LOG_NORMAL, 2.0)
 
 
 def parse_model(spec: str) -> TailModel:

@@ -386,6 +386,35 @@ def test_estimate_corr_requires_tau(tmp_path):
     assert "--tau" in err
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--s"])
+def test_estimate_correction_flag_without_corr_is_usage_error(tmp_path, flag):
+    path = tmp_path / "sample.txt"
+    run_cli("sample", "--model", "lognormal", "--n", "100", "--out", str(path))
+    code, out, err = run_cli("estimate", "--input", str(path), flag, "3")
+    assert code == 2 and out == ""
+    assert "--corr" in err
+
+
+def test_estimate_corr_rejects_infinite_beta(tmp_path):
+    path = tmp_path / "sample.txt"
+    run_cli("sample", "--model", "lognormal", "--n", "2000", "--out", str(path))
+    code, out, err = run_cli("estimate", "--input", str(path), "--corr",
+                             "--tau", "5", "--beta", "inf")
+    assert code == 2 and out == ""
+    assert "beta must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--model", "lognormal", "--n", "5", "--format", "json"),
+    ("synth", "--model", "lognormal", "--cov", "exp:tau=3", "--n", "16",
+     "--format", "csv"),
+], ids=["sample", "synth"])
+def test_format_flag_of_sample_files_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "--format" in err
+
+
 def test_estimate_corr_reports_correction_fields(tmp_path):
     path = tmp_path / "series.txt"
     run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
@@ -552,6 +581,33 @@ seed = 5
         assert float(got["mean_lnS"]) == want["mean_lnS"]
         assert float(got["se_lnS"]) == want["se_lnS"]
         assert float(got["q"]) == want["q"]
+
+
+def test_mc_lns_config_over_several_n_concatenates_their_curves(tmp_path):
+    ini = write_ini(tmp_path, """\
+[experiment]
+kind = lnS
+models = lognormal
+n = 100,200
+q_over_qc = 0.5,1.5
+reps = 3
+seed = 5
+""")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "# seed=5"
+    want = []
+    for i, n in enumerate((100, 200)):
+        q = np.array([0.5, 1.5]) * th.critical_curve(tm.log_normal(), n).qc_approx
+        want += mc.lnS_curve(tm.log_normal(), [n], q, 3,
+                             mc.rep_seed(5, i, 0)).rows
+    rows = parse_table(data_lines(out))
+    assert len(rows) == len(want) == 4
+    for got, ref in zip(rows, want):
+        assert int(got["n"]) == ref["n"]
+        for key in ("q", "q_over_qc", "mean_lnS", "se_lnS", "predicted_lnS",
+                    "log_moment"):
+            assert float(got[key]) == ref[key], key
 
 
 def test_mc_lns_config_needs_exactly_one_q_spec(tmp_path):

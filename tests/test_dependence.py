@@ -95,6 +95,13 @@ def test_effective_size_below_two_is_rejected(n, tau):
         dep.n_star(n, tau, 0.08)
 
 
+def test_infinite_effective_size_is_rejected():
+    with pytest.raises(ArgumentError, match=r"n\* must be finite"):
+        dep.n_star(math.inf, 10.0, 0.08)
+    with pytest.raises(ArgumentError, match=r"n\* must be finite"):
+        dep.qc_theory_corr(LN, math.inf, 10.0)
+
+
 def test_corrected_critical_order_theory():
     # at tau = 0 the corrected value is the plain one
     assert dep.qc_theory_corr(LN, 1000, 0.0) == th.critical_curve(
@@ -418,8 +425,9 @@ def test_sieve_values_descend():
 def test_sieve_rejects_bad_arguments():
     with pytest.raises(ArgumentError):
         dep.sieve([1.0], -1.0)
-    with pytest.raises(ArgumentError):
-        dep.sieve([1.0], 1.0, beta=-2.0)
+    for beta in (-2.0, math.nan, math.inf):
+        with pytest.raises(ArgumentError, match="beta"):
+            dep.sieve(np.arange(10.0), 2.0, beta)
     with pytest.raises(ArgumentError):
         dep.sieve(np.array([]), 1.0)
     for s in (0.0, 1.0):

@@ -412,18 +412,15 @@ def test_failed_block_gives_nan_rows():
     assert (vals[:4] == 4.0).all()
 
 
-def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns(
+def test_failed_corrected_estimate_fails_only_its_corrected_columns(
         monkeypatch):
-    # in run_corr, replication 0's synthesis raises, so its row fails in
-    # every column; replication 1's corrected estimate raises, so only the
-    # corrected columns fail; replication 2 succeeds in both
+    # in run_corr, replication 1's corrected estimate raises, so only its
+    # corrected columns fail; replications 0 and 2 succeed in both
     seeds = [mc.rep_seed(1, 0, r) for r in range(3)]
     synth, corr = dep.synth_series, dep.qc_hat_corr
     bad = {}
 
     def fake_synth(spec, seed, match):
-        if seed == seeds[0]:
-            raise ConvergenceError("draw")
         sample = synth(spec, seed, match)
         if seed == seeds[1]:
             bad["values"] = sample.values.copy()
@@ -442,7 +439,7 @@ def test_failed_draw_gives_nan_row_and_failed_measure_its_own_columns(
     rows = mc.run_corr(cfg).rows
     assert len(rows) == 6
     for row in rows:
-        used = 1 if row["corrected"] else 2
+        used = 2 if row["corrected"] else 3
         assert (row["reps_used"], row["failures"]) == (used, 3 - used)
         assert math.isfinite(row["mean"])
 

@@ -4,6 +4,7 @@ Reference values come from closed forms and frozen high-precision constants
 in oracles.py; derivative identities are checked by finite differences.
 """
 
+import dataclasses
 import io
 import math
 import sys
@@ -405,6 +406,15 @@ def test_model_validation():
         tm.log_weibull(1.0)
     with pytest.raises(ArgumentError):
         tm.strict_log_exp_power(0.9)
+
+
+def test_model_fields_are_family_and_rho():
+    assert [f.name for f in dataclasses.fields(tm.TailModel)] == ["family",
+                                                                   "rho"]
+    # the support's lower end follows from the family alone
+    assert LW2.support_lo == 0.0
+    assert SLEP15.support_lo == -math.inf
+    assert LN.support_lo == -math.inf
 
 
 @pytest.mark.parametrize("spec", ["logweibull:rho=inf", "slep:rho=inf",
