@@ -148,9 +148,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# the sieve settings of estimate --corr and of an INI [correlated] section
+# where they are not given
+_CORR_DEFAULTS = {"kappa": 0.08, "alpha": 0.01, "beta": 1.0}
+
+
 def _cmd_estimate(args) -> int:
-    if not args.corr and (args.tau is not None or args.s is not None):
-        raise ArgumentError("--tau and --s apply only with --corr")
+    corr_flags = ("tau", "s", *_CORR_DEFAULTS)
+    if not args.corr and any(getattr(args, f) is not None for f in corr_flags):
+        raise ArgumentError(
+            "--tau, --s, --kappa, --alpha and --beta apply only with --corr")
     if args.input == "-":
         values, meta = tm.read_sample(sys.stdin)
     else:
@@ -170,6 +177,9 @@ def _cmd_estimate(args) -> int:
     if args.corr:
         if args.tau is None:
             raise ArgumentError("--corr requires --tau")
+        for name, value in _CORR_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
         e = dep.qc_hat_corr(sample, args.k_theta, args.k_rho, tau=args.tau,
                             kappa=args.kappa, s=args.s, alpha=args.alpha,
                             beta=args.beta)
@@ -265,9 +275,8 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
         s_vals = sec.get("s", fallback=None)
         corr = mc.CorrelatedConfig(
             covs=covs,
-            kappa=sec.getfloat("kappa", fallback=0.08),
-            alpha=sec.getfloat("alpha", fallback=0.01),
-            beta=sec.getfloat("beta", fallback=1.0),
+            **{name: sec.getfloat(name, fallback=value)
+               for name, value in _CORR_DEFAULTS.items()},
             match_mode=dep.MatchMode(sec.get("match", "gaussian")),
             assumed_taus=tuple(_floats(assumed)) if assumed else None,
             s_values=tuple(_floats(s_vals)) if s_vals else None,
@@ -389,9 +398,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", action="store_true",
                    help="use the sieve-corrected estimators")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=0.08)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--kappa", type=float, default=None,
+                   help="with --corr (default 0.08)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="with --corr (default 0.01)")
+    p.add_argument("--beta", type=float, default=None,
+                   help="with --corr (default 1.0)")
     p.add_argument("--s", type=float, default=None,
                    help="sieve radius override (default alpha*tau)")
     p.set_defaults(func=_cmd_estimate)

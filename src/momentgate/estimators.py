@@ -237,11 +237,12 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
                       k_theta=kt, k_rho=kr)
 
 
-def _qc_rows(values: np.ndarray, k_theta: int, k_rho: int) -> np.ndarray:
-    """qc_hat on each row of a (rows, n) block of samples, as rows of
+def _qc_rows(values: np.ndarray, n: int, k_theta: int,
+             k_rho: int) -> np.ndarray:
+    """qc_hat on each row of a block of samples of size n, as rows of
     (theta_hat, rho_hat, qc_hat); NaN in the rows where qc_hat raises on the
-    data.  Argument errors raise as in qc_hat."""
-    n = values.shape[-1]
+    data.  A row holds its whole sample or, in any order, at least its
+    max(k_theta, k_rho) largest values.  Argument errors raise as in qc_hat."""
     k = max(k_theta, k_rho)
     _check_k(k, n)
     top = _top_rows(values, k)

@@ -225,12 +225,13 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     samples holds at most 2^16 values; the pool maps the blocks.  The seeds
     rep_seed(seed, cell_id, r) of consecutive uint32 ids r are computed up
     front in one pass, so reps above 2^32 is an ArgumentError.  draw(seeds)
-    returns a block's (rows, n) samples and measure(samples) their (rows,
-    width) results.  Failures are handled here alone: a sample row that is
-    not finite is zeroed before measure and NaN after it; a draw or measure
-    raising MomentgateError leaves its block NaN; other errors propagate.
-    draw and measure are called before this returns, so they may close over
-    a caller's loop variables.
+    returns a block's samples, one row each (a row may hold only the values
+    that measure reads), and measure(samples) their (rows, width) results.
+    Failures are handled here alone: a sample row that is not finite is
+    zeroed before measure and NaN after it; a draw or measure raising
+    MomentgateError leaves its block NaN; other errors propagate.  draw and
+    measure are called before this returns, so they may close over a
+    caller's loop variables.
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
@@ -314,9 +315,10 @@ def run_iid(config: ExperimentConfig) -> McReport:
     for cell_id, (model, n, k_t, k_r) in enumerate(grid):
         kt, kr = est._windows(n, k_t, k_r)
         curve = theory.critical_curve(model, n)
+        # the estimators read only each sample's max(kt, kr) largest values
         vals = _replicate(config.reps, config.seed, cell_id, n, 3,
-                          partial(tm._iid_rows, model, n),
-                          partial(est._qc_rows, k_theta=kt, k_rho=kr))
+                          partial(tm._iid_rows, model, n, top=max(kt, kr)),
+                          partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr))
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
@@ -359,7 +361,7 @@ def run_corr(config: ExperimentConfig) -> McReport:
 
         def measure(y):
             out = np.full((len(y), 8), math.nan)
-            out[:, :3] = est._qc_rows(y, kt_u, kr_u)
+            out[:, :3] = est._qc_rows(y, n, kt_u, kr_u)
             for row, values in zip(out, y):
                 try:
                     e = dep.qc_hat_corr(

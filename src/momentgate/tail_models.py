@@ -505,9 +505,16 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _iid_rows(model: TailModel, n: int, seeds) -> np.ndarray:
+def _iid_rows(model: TailModel, n: int, seeds,
+              top: int | None = None) -> np.ndarray:
     """(len(seeds), n) draws whose row i is sample_iid(model, n, seeds[i])'s
     values, mapped through the quantile once per block.
+
+    With 0 < top < n, row i holds only the top largest of those values, in no
+    particular order, and the block is (len(seeds), top): the quantile is
+    non-decreasing, so they are the images of the row's top largest uniforms,
+    and only those are mapped.  With top=None, or top outside (0, n), every
+    value is mapped and rows keep their stream order.
 
     Row i is the stream of Philox(key=seeds[i]).  One Philox serves the
     call: each row re-keys it through its state (counter 0, key
@@ -526,6 +533,9 @@ def _iid_rows(model: TailModel, n: int, seeds) -> np.ndarray:
         key[1], key[0] = divmod(int(seed), 2 ** 64)
         gen.bit_generator.state = state
         gen.random(out=row)
+    if top is not None and 0 < top < n:
+        u.partition(n - top, axis=-1)
+        u = u[:, n - top:].copy()
     np.maximum(u, _U_FLOOR, out=u)
     # quantile(model, u) = h_inv(-log1p(-u)), with the hazards formed in u so
     # that a block holds one more array of its size, h_inv's
@@ -573,6 +583,15 @@ def _check_lines(lines: list, first: int) -> None:
             raise DataFormatError(f"line {lineno}: not a finite number: {text!r}")
 
 
+def _floats(texts: list) -> np.ndarray | None:
+    """texts as a float array, or None if one is not a finite number."""
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def read_sample(stream) -> tuple[np.ndarray, dict]:
     """Parse a sample file; returns (values, header metadata).
 
@@ -585,18 +604,19 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
     blocks = []
     first = 1  # file line number of the block's first line
     while lines := list(itertools.islice(stream, _IO_BLOCK)):
-        data = list(filter(None, map(str.strip, lines)))
-        if "#" in "".join(data):  # one scan of the block for '#' lines
-            for text in data:
-                if text.startswith("#"):
-                    _read_meta(meta, text)
-            data = [text for text in data if not text.startswith("#")]
-        try:
-            values = np.fromiter(map(float, data), float, len(data))
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            _check_lines(lines, first)
+        # float() strips whitespace itself, so only a block with a blank,
+        # '#' or bad line needs its lines stripped and sorted out
+        values = _floats(lines)
+        if values is None:
+            data = list(filter(None, map(str.strip, lines)))
+            if "#" in "".join(data):  # one scan of the block for '#' lines
+                for text in data:
+                    if text.startswith("#"):
+                        _read_meta(meta, text)
+                data = [text for text in data if not text.startswith("#")]
+            values = _floats(data)
+            if values is None:
+                _check_lines(lines, first)
         blocks.append(values)
         first += len(lines)
     values = np.concatenate(blocks) if blocks else np.empty(0)

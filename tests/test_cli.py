@@ -386,7 +386,8 @@ def test_estimate_corr_requires_tau(tmp_path):
     assert "--tau" in err
 
 
-@pytest.mark.parametrize("flag", ["--tau", "--s"])
+@pytest.mark.parametrize("flag", ["--tau", "--s", "--kappa", "--alpha",
+                                  "--beta"])
 def test_estimate_correction_flag_without_corr_is_usage_error(tmp_path, flag):
     path = tmp_path / "sample.txt"
     run_cli("sample", "--model", "lognormal", "--n", "100", "--out", str(path))
@@ -436,6 +437,25 @@ def test_estimate_corr_reports_correction_fields(tmp_path):
     assert payload["qc_hat"] == e.qc_hat
     assert payload["k_theta"] == e.k_theta
     assert payload["k_rho"] == e.k_rho
+
+
+def test_estimate_corr_takes_given_sieve_settings(tmp_path):
+    path = tmp_path / "series.txt"
+    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
+            "--n", "4096", "--seed", "2", "--out", str(path))
+    code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
+                           "--tau", "5", "--kappa", "0.2", "--alpha", "0.6",
+                           "--beta", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["kappa"], payload["beta"]) == (0.2, 0.5)
+    assert payload["s"] == 0.6 * 5.0
+    with open(path) as fh:
+        values, meta = tm.read_sample(fh)
+    sample = tm.Sample(values=values, n=len(values), seed=int(meta["seed"]))
+    e = dep.qc_hat_corr(sample, None, None, tau=5.0, kappa=0.2, alpha=0.6,
+                        beta=0.5)
+    assert payload["qc_hat"] == e.qc_hat
 
 
 def test_estimate_all_negative_sample_is_numerical_failure(tmp_path):

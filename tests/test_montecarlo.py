@@ -193,6 +193,9 @@ BLOCK_CASES = [
     (LW2, 70000, 68, 330, 3, 2),
     (tm.strict_log_exp_power(2.0), 1000, 28, 80, 140, 1),
     (tm.strict_log_exp_power(1.5), 8, 2, 2, 300, 12),
+    (LN, 1000, 28, 80, 140, 6),
+    (tm.strict_log_exp_power(3.0), 1000, 28, 80, 140, 7),
+    (tm.log_weibull(1.05), 1000, 28, 80, 140, 8),
 ]
 
 
@@ -241,8 +244,8 @@ def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
 def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
     draw = tm._iid_rows
 
-    def spoiled(model, n, seeds):
-        y = draw(model, n, seeds)
+    def spoiled(model, n, seeds, **kwargs):
+        y = draw(model, n, seeds, **kwargs)
         if len(seeds) > 1:
             y[1, 7] = math.inf
         return y
@@ -355,6 +358,17 @@ def test_window_beyond_sample_fails_every_replication():
     # k_rho = 500 > n = 400: qc_hat raises ArgumentError on every sample
     cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(400,), k_theta_grid=(4,),
                               k_rho_grid=(500,), reps=6, seed=1)
+    for row in mc.run_iid(cfg).rows:
+        assert (row["reps_used"], row["failures"]) == (0, 6)
+
+
+@pytest.mark.parametrize("k_theta, k_rho", [(2, 30), (40, 30), (0, 0)])
+def test_window_above_twice_the_sample_fails_every_replication(k_theta, k_rho):
+    # windows beyond 2n, or below 1, leave no top block to draw: the cell
+    # fails as every window beyond n does, without a partition error
+    cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(8,),
+                              k_theta_grid=(k_theta,), k_rho_grid=(k_rho,),
+                              reps=6, seed=1)
     for row in mc.run_iid(cfg).rows:
         assert (row["reps_used"], row["failures"]) == (0, 6)
 

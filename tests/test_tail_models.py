@@ -328,6 +328,18 @@ def test_iid_rows_are_fresh_philox_streams(model):
         np.testing.assert_array_equal(row, tm._iid_rows(model, n, [seed])[0])
 
 
+# one model per h_inv kernel: a power, ndtri_exp scaled (slep rho=2),
+# gammainccinv, and ndtri_exp itself
+@pytest.mark.parametrize("model", (LW2, SLEP2, tm.strict_log_exp_power(3.0), LN))
+@pytest.mark.parametrize("k", (1, 28, 300))
+def test_iid_top_rows_are_the_largest_values_of_the_full_rows(model, k):
+    n, seeds = 300, [0, 5, 2**64 + 9, 77]
+    full = np.sort(tm._iid_rows(model, n, seeds), axis=-1)[:, n - k:]
+    top = tm._iid_rows(model, n, seeds, top=k)
+    assert top.shape == (len(seeds), k)
+    np.testing.assert_array_equal(np.sort(top, axis=-1), full)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128])
 def test_sampling_rejects_seed_outside_philox_keys(seed):
     with pytest.raises(ArgumentError, match=f"seed {seed} is outside"):
