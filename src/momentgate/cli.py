@@ -1,14 +1,15 @@
 """Command line interface: theory queries, sampling, synthesis, estimation,
 and Monte-Carlo experiment execution.
 
-Exit codes: 0 success; 2 usage/domain error; 3 numerical failure
-(convergence, degenerate estimator, embedding); 4 data-format or I/O error.
-``theory``, ``mc`` and ``estimate --format csv`` start with three ``#`` lines
-(version, resolved configuration, seed); with ``--format json`` these lines
-still precede the JSON document.  ``estimate``'s JSON is the bare payload,
-and ``sample``/``synth`` files start with one ``#`` metadata line.  No
-output holds a timestamp, so identical invocations produce byte-identical
-files.  ``mc --figure N`` runs
+Exit codes: 0 success; 2 usage/domain error; 3 numerical failure (a
+NumericalError: convergence, degenerate estimator, embedding); 4 data-format
+or I/O error.  ``theory``, ``mc`` and ``estimate --format csv`` start with
+three ``#`` lines (version, resolved configuration, seed: 0 for ``theory``
+and ``estimate``, which read no random stream and take no ``--seed``); with
+``--format json`` these lines still precede the JSON document.
+``estimate``'s JSON is the bare payload, and ``sample``/``synth`` files
+start with one ``#`` metadata line.  No output holds a timestamp, so
+identical invocations produce byte-identical files.  ``mc --figure N`` runs
 the INI document ``_FIGURES[N]`` exactly as ``mc --config`` runs a file.
 """
 
@@ -37,10 +38,6 @@ from .errors import (
 )
 
 _THEORY_COLUMNS = ("n", "y_dagger", "theta", "rho_l", "qc_exact", "qc_approx")
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else int(args.seed)
 
 
 def _floats(text: str) -> list[float]:
@@ -112,7 +109,7 @@ def _cmd_theory(args) -> int:
     cfg = [("command", "theory"), ("model", tm.format_model(model)),
            ("n", args.n)]
     with _output(args.out) as stream:
-        _header(stream, _seed(args), cfg)
+        _header(stream, 0, cfg)
         if args.format == "json":
             json.dump({"curves": rows, "q_table": q_rows}, stream, indent=1,
                       sort_keys=True)
@@ -128,7 +125,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = tm.parse_model(args.model)
-    sample = tm.sample_iid(model, args.n, _seed(args))
+    sample = tm.sample_iid(model, args.n, args.seed)
     with _output(args.out) as stream:
         tm.write_sample(stream, sample, model,
                         extra_header={"version": __version__})
@@ -139,7 +136,7 @@ def _cmd_synth(args) -> int:
     model = tm.parse_model(args.model)
     cov = dep.parse_cov(args.cov)
     spec = dep.SeriesSpec(model=model, cov=cov, n=args.n)
-    sample = dep.synth_series(spec, _seed(args), dep.MatchMode(args.match))
+    sample = dep.synth_series(spec, args.seed, dep.MatchMode(args.match))
     with _output(args.out) as stream:
         tm.write_sample(stream, sample, model,
                         extra_header={"cov": dep.format_cov(cov),
@@ -150,7 +147,7 @@ def _cmd_synth(args) -> int:
 
 # the sieve settings of estimate --corr and of an INI [correlated] section
 # where they are not given
-_CORR_DEFAULTS = {"kappa": 0.08, "alpha": 0.01, "beta": 1.0}
+_CORR_DEFAULTS = {"kappa": dep._KAPPA, "alpha": dep._ALPHA, "beta": dep._BETA}
 
 
 def _cmd_estimate(args) -> int:
@@ -195,7 +192,7 @@ def _cmd_estimate(args) -> int:
     with _output(args.out) as stream:
         if args.format == "csv":
             cfg = [("command", "estimate"), ("input", args.input)]
-            _header(stream, _seed(args), cfg)
+            _header(stream, 0, cfg)
             mc._write_rows(stream, tuple(payload), [payload])
         else:
             json.dump(payload, stream, indent=1, sort_keys=True)
@@ -350,7 +347,6 @@ def _cmd_mc(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     tabular = argparse.ArgumentParser(add_help=False, parents=[common])
     tabular.add_argument("--format", choices=("csv", "json"), default=None)
@@ -377,6 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", parents=[common], help="draw an i.i.d. sample")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("synth", parents=[common],
@@ -386,6 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--match", choices=("gaussian", "hermite"),
                    default="gaussian")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("estimate", parents=[tabular],
@@ -398,12 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr", action="store_true",
                    help="use the sieve-corrected estimators")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None,
-                   help="with --corr (default 0.08)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="with --corr (default 0.01)")
-    p.add_argument("--beta", type=float, default=None,
-                   help="with --corr (default 1.0)")
+    for name, value in _CORR_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=float, default=None,
+                       help=f"with --corr (default {value})")
     p.add_argument("--s", type=float, default=None,
                    help="sieve radius override (default alpha*tau)")
     p.set_defaults(func=_cmd_estimate)
@@ -415,6 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=sorted(_FIGURES),
                    help="numbered built-in experiment preset")
     p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="overrides the INI seed")
     p.set_defaults(func=_cmd_mc)
     return parser
 

@@ -57,6 +57,9 @@ __all__ = [
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+# correction defaults: n* = n / (1 + kappa tau), radius alpha tau, d_beta's beta
+_KAPPA, _ALPHA, _BETA = 0.08, 0.01, 1.0
+
 
 @dataclass(frozen=True)
 class ExponentialCov:
@@ -181,7 +184,7 @@ def n_star(n: float, tau: float, kappa: float) -> float:
 
 
 def qc_theory_corr(model: tm.TailModel, n: float, tau: float,
-                   kappa: float = 0.08) -> float:
+                   kappa: float = _KAPPA) -> float:
     """Predicted critical order of a correlated series: q_c at the effective
     size n*, rounded."""
     return critical_curve(model, round(n_star(n, tau, kappa))).qc_approx
@@ -334,7 +337,7 @@ def _rank_bounds(y: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return n_lt, n_le
 
 
-def sieve(series, s: float, beta: float = 1.0,
+def sieve(series, s: float, beta: float = _BETA,
           max_points: int | None = None) -> SievedSample:
     """Extract effectively independent extremes by repeated max-selection.
 
@@ -411,9 +414,9 @@ def sieve(series, s: float, beta: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
-                k_rho: int | None = None, *, tau: float, kappa: float = 0.08,
-                s: float | None = None, alpha: float = 0.01,
-                beta: float = 1.0) -> QcEstimate:
+                k_rho: int | None = None, *, tau: float, kappa: float = _KAPPA,
+                s: float | None = None, alpha: float = _ALPHA,
+                beta: float = _BETA) -> QcEstimate:
     """Sieve-corrected critical-order estimate for a correlated series.
 
     Defaults: k's from the rules of thumb at round(n*), sieve radius

@@ -2,9 +2,9 @@
 
 Every error raised by this package derives from :class:`MomentgateError`, so
 callers can catch the whole family with one clause.  Argument/domain problems
-additionally derive from ValueError, numerical failures from RuntimeError;
-this keeps ``except ValueError`` / ``except RuntimeError`` working for code
-that does not know about the package hierarchy.
+additionally derive from ValueError, numerical failures from NumericalError,
+a RuntimeError; this keeps ``except ValueError`` / ``except RuntimeError``
+working for code that does not know about the package hierarchy.
 """
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "ArgumentError",
     "DomainError",
     "DataFormatError",
+    "NumericalError",
     "ConvergenceError",
     "DegenerateSaddleError",
     "NonPositiveOmegaError",
@@ -39,33 +40,37 @@ class DataFormatError(MomentgateError, ValueError):
     """An input file or config document could not be parsed."""
 
 
-class ConvergenceError(MomentgateError, RuntimeError):
+class NumericalError(MomentgateError, RuntimeError):
+    """A computation failed on its data: valid arguments, no result."""
+
+
+class ConvergenceError(NumericalError):
     """An iterative procedure (root find, quadrature) failed to converge."""
 
 
-class DegenerateSaddleError(MomentgateError, RuntimeError):
+class DegenerateSaddleError(NumericalError):
     """Second derivative at the saddle point is not positive."""
 
 
-class NonPositiveOmegaError(MomentgateError, RuntimeError):
+class NonPositiveOmegaError(NumericalError):
     """The order-statistic combination is <= 0, so ln n / omega is undefined."""
 
 
-class DegenerateRegressionError(MomentgateError, RuntimeError):
+class DegenerateRegressionError(NumericalError):
     """Zero variance in the regressor (all used order statistics equal)."""
 
 
-class InsufficientPositiveValues(MomentgateError, RuntimeError):
+class InsufficientPositiveValues(NumericalError):
     """Fewer than two positive order statistics available for the tail fit."""
 
 
-class InsufficientSievedPoints(MomentgateError, RuntimeError):
+class InsufficientSievedPoints(NumericalError):
     """The sieve yielded fewer points than the estimators require."""
 
 
-class EmbeddingError(MomentgateError, RuntimeError):
+class EmbeddingError(NumericalError):
     """Circulant embedding lost too much spectral mass to eigenvalue clipping."""
 
 
-class DivergentError(MomentgateError, RuntimeError):
+class DivergentError(NumericalError):
     """A correlation-length integral has a non-positive denominator."""

@@ -7,9 +7,9 @@ a run without disturbing earlier replications.  NumPy's ``SeedSequence``
 hashes a cell's (seed, cell id) prefix once, and one array pass mixes in
 the replication ids, which are 32-bit: a cell runs at most 2^32
 replications.  Seeds and ids are non-negative integers.  Failed
-replications (a sample that is not finite, or a draw or estimator raising)
-are recorded as NaN and surface in a ``failures`` column; they are excluded
-from moment aggregates but never silently dropped.
+replications (a sample that is not finite, or a draw or estimator raising
+a NumericalError) count as NaN in a ``failures`` column, excluded from
+moment aggregates but never dropped; any other error propagates.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import dependence as dep
 from . import estimators as est
 from . import tail_models as tm
 from . import theory
-from .errors import ArgumentError, MomentgateError
+from .errors import ArgumentError, NumericalError
 
 __all__ = [
     "CorrelatedConfig",
@@ -63,9 +63,9 @@ class CorrelatedConfig:
     """Grid block for correlated-series experiments."""
 
     covs: tuple
-    kappa: float = 0.08
-    alpha: float = 0.01
-    beta: float = 1.0
+    kappa: float = dep._KAPPA
+    alpha: float = dep._ALPHA
+    beta: float = dep._BETA
     match_mode: dep.MatchMode = dep.MatchMode.GAUSSIAN_LEVEL
     assumed_taus: tuple | None = None  # tau-misspecification sweep
     s_values: tuple | None = None      # explicit sieve radii sweep
@@ -229,7 +229,7 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     that measure reads), and measure(samples) their (rows, width) results.
     Failures are handled here alone: a sample row that is not finite is
     zeroed before measure and NaN after it; a draw or measure raising
-    MomentgateError leaves its block NaN; other errors propagate.  draw and
+    NumericalError leaves its block NaN; other errors propagate.  draw and
     measure are called before this returns, so they may close over a
     caller's loop variables.
     """
@@ -246,7 +246,7 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
             ok = np.isfinite(y).all(axis=1)
             y[~ok] = 0.0  # measured, then discarded
             out = measure(y)
-        except MomentgateError:
+        except NumericalError:
             return np.full((len(seeds), width), math.nan)
         out[~ok] = math.nan
         return out
@@ -332,8 +332,7 @@ def run_corr(config: ExperimentConfig) -> McReport:
     Targets come from the true correlation length: q_c at n* = n/(1+kappa tau),
     theta(n*) and rho_l at the n* frontier.  An ``assumed_taus`` grid feeds the
     corrected estimator a misspecified tau while targets stay at the truth.
-    The corrected windows reported are those of the first replication whose
-    corrected estimate succeeded, or -1 if none did.
+    The corrected windows are the cell's, at round(n*) of the assumed tau.
     """
     if config.correlated is None:
         raise ArgumentError("run_corr requires the correlated config block")
@@ -353,6 +352,7 @@ def run_corr(config: ExperimentConfig) -> McReport:
         tau_used = tau_true if tau_assumed is None else float(tau_assumed)
         curve = theory.critical_curve(model, round(dep.n_star(n, tau_true, cc.kappa)))
         kt_u, kr_u = est._windows(n, k_t, k_r)
+        kt_c, kr_c = est._windows(round(dep.n_star(n, tau_used, cc.kappa)), k_t, k_r)
         spec = dep.SeriesSpec(model, cov, n)
 
         def draw(seeds):
@@ -360,22 +360,20 @@ def run_corr(config: ExperimentConfig) -> McReport:
                              for s in seeds])
 
         def measure(y):
-            out = np.full((len(y), 8), math.nan)
+            out = np.full((len(y), 6), math.nan)
             out[:, :3] = est._qc_rows(y, n, kt_u, kr_u)
             for row, values in zip(out, y):
                 try:
                     e = dep.qc_hat_corr(
                         tm.Sample(values, n, seed=0), k_t, k_r, tau=tau_used,
                         kappa=cc.kappa, s=s_val, alpha=cc.alpha, beta=cc.beta)
-                except MomentgateError:
+                except NumericalError:
                     continue
-                row[3:] = e.theta_hat, e.rho_hat, e.qc_hat, e.k_theta, e.k_rho
+                row[3:] = e.theta_hat, e.rho_hat, e.qc_hat
             return out
 
-        vals = _replicate(config.reps, config.seed, cell_id, n, 8, draw, measure)
+        vals = _replicate(config.reps, config.seed, cell_id, n, 6, draw, measure)
         plain, corrected = vals[:, :3], vals[:, 3:]
-        ks = corrected[np.isfinite(corrected[:, 3]), 3:]
-        kt_c, kr_c = (int(k) for k in ks[0]) if len(ks) else (-1, -1)
         s_report = s_val if s_val is not None else cc.alpha * tau_used
         base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "tau": tau_true, "tau_assumed": tau_used, "s": s_report,

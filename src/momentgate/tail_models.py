@@ -561,19 +561,19 @@ def write_sample(stream, sample: Sample, model: TailModel | None = None,
         stream.write(("%.17g\n" * len(block)) % tuple(block))
 
 
-def _read_meta(meta: dict, text: str) -> None:
-    for item in text.lstrip("#").split(","):
-        key, eq, val = item.partition("=")
-        if eq:
-            meta[key.strip()] = val.strip()
-
-
-def _check_lines(lines: list, first: int) -> None:
-    """Raise DataFormatError at the first non-numeric or non-finite data
-    line of a block whose first line is line ``first`` of the file."""
+def _read_lines(lines: list, first: int, meta: dict) -> np.ndarray:
+    """A block's values, read line by line from file line ``first``: blanks
+    skipped, '#' lines read into meta, a bad line a DataFormatError."""
+    values = []
     for lineno, line in enumerate(lines, start=first):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text:
+            continue
+        if text[0] == "#":
+            for item in text.lstrip("#").split(","):
+                key, eq, val = item.partition("=")
+                if eq:
+                    meta[key.strip()] = val.strip()
             continue
         try:
             value = float(text)
@@ -581,6 +581,8 @@ def _check_lines(lines: list, first: int) -> None:
             raise DataFormatError(f"line {lineno}: not a number: {text!r}") from None
         if not math.isfinite(value):
             raise DataFormatError(f"line {lineno}: not a finite number: {text!r}")
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def _floats(texts: list) -> np.ndarray | None:
@@ -605,18 +607,10 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
     first = 1  # file line number of the block's first line
     while lines := list(itertools.islice(stream, _IO_BLOCK)):
         # float() strips whitespace itself, so only a block with a blank,
-        # '#' or bad line needs its lines stripped and sorted out
+        # '#' or bad line is read line by line
         values = _floats(lines)
         if values is None:
-            data = list(filter(None, map(str.strip, lines)))
-            if "#" in "".join(data):  # one scan of the block for '#' lines
-                for text in data:
-                    if text.startswith("#"):
-                        _read_meta(meta, text)
-                data = [text for text in data if not text.startswith("#")]
-            values = _floats(data)
-            if values is None:
-                _check_lines(lines, first)
+            values = _read_lines(lines, first, meta)
         blocks.append(values)
         first += len(lines)
     values = np.concatenate(blocks) if blocks else np.empty(0)

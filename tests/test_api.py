@@ -34,3 +34,19 @@ def test_perfbench_traced_names_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in names
                if not hasattr(importlib.import_module(f"momentgate.{mod}"), attr)]
     assert names and missing == []
+
+
+NUMERICAL = ("ConvergenceError", "DegenerateSaddleError",
+             "NonPositiveOmegaError", "DegenerateRegressionError",
+             "InsufficientPositiveValues", "InsufficientSievedPoints",
+             "EmbeddingError", "DivergentError")
+
+
+def test_numerical_errors_share_one_base():
+    # the Monte-Carlo runner counts exactly these as failed replications
+    errors = importlib.import_module("momentgate.errors")
+    runtime = [name for name in errors.__all__
+               if issubclass(getattr(errors, name), RuntimeError)]
+    assert sorted(runtime) == sorted(("NumericalError",) + NUMERICAL)
+    for name in NUMERICAL:
+        assert issubclass(getattr(errors, name), errors.NumericalError)

@@ -7,6 +7,7 @@ wrap.
 
 import configparser
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -416,6 +417,38 @@ def test_format_flag_of_sample_files_is_usage_error(argv):
     assert "--format" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("theory", "--model", "lognormal", "--n", "1000"),
+    ("estimate", "--input", "-", "--format", "csv"),
+], ids=["theory", "estimate"])
+def test_seed_flag_of_deterministic_commands_is_usage_error(argv):
+    # theory and estimate read no random stream: they take no --seed, and
+    # their headers read seed 0
+    text = "".join(f"{v}\n" for v in range(1, 301))
+    code, out, _ = run_cli(*argv, stdin_text=text)
+    assert code == 0 and out.splitlines()[2] == "# seed=0"
+    code, out, err = run_cli(*argv, "--seed", "3", stdin_text=text)
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+def test_correction_defaults_agree(tmp_path):
+    # one set of defaults: the Monte-Carlo config, the library and the CLI
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
+    params = inspect.signature(dep.qc_hat_corr).parameters
+    assert (cc.kappa, cc.alpha, cc.beta) == tuple(
+        params[name].default for name in ("kappa", "alpha", "beta"))
+    path = tmp_path / "series.txt"
+    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
+            "--n", "4096", "--seed", "2", "--out", str(path))
+    code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
+                           "--tau", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["kappa"], payload["beta"]) == (cc.kappa, cc.beta)
+    assert payload["s"] == cc.alpha * 5.0
+
+
 def test_estimate_corr_reports_correction_fields(tmp_path):
     path = tmp_path / "series.txt"
     run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
@@ -498,6 +531,17 @@ def write_ini(tmp_path, text):
     path = tmp_path / "exp.ini"
     path.write_text(text)
     return str(path)
+
+
+def test_mc_config_negative_beta_is_usage_error(tmp_path):
+    # a sieve setting that can never give an estimate fails the run, as it
+    # fails estimate --corr, instead of reporting a cell of failures
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 512\n"
+                              "reps = 2\n[correlated]\ncov = exp:tau=5\n"
+                              "beta = -1\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert code == 2 and out == ""
+    assert "beta must be finite" in err
 
 
 def test_mc_requires_exactly_one_experiment_source(tmp_path):

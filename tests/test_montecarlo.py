@@ -232,7 +232,7 @@ def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
                               k_theta_grid=(kt,), k_rho_grid=(kr,),
                               reps=reps, seed=seed, correlated=cc)
     [rows] = _replicated(monkeypatch, mc.run_corr, cfg)
-    assert rows.shape == (reps, 8)
+    assert rows.shape == (reps, 6)
     spec = dep.SeriesSpec(model, cov, n)
     samples = (dep.synth_series(spec, mc.rep_seed(seed, 0, r), match)
                for r in range(reps))
@@ -355,22 +355,23 @@ def test_failed_replications_are_counted_not_dropped():
 
 
 def test_window_beyond_sample_fails_every_replication():
-    # k_rho = 500 > n = 400: qc_hat raises ArgumentError on every sample
+    # k_rho = 500 > n = 400 can never give an estimate, so the run raises
+    # rather than report a cell of failures
     cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(400,), k_theta_grid=(4,),
                               k_rho_grid=(500,), reps=6, seed=1)
-    for row in mc.run_iid(cfg).rows:
-        assert (row["reps_used"], row["failures"]) == (0, 6)
+    with pytest.raises(ArgumentError, match="k must be in"):
+        mc.run_iid(cfg)
 
 
 @pytest.mark.parametrize("k_theta, k_rho", [(2, 30), (40, 30), (0, 0)])
 def test_window_above_twice_the_sample_fails_every_replication(k_theta, k_rho):
-    # windows beyond 2n, or below 1, leave no top block to draw: the cell
-    # fails as every window beyond n does, without a partition error
+    # windows beyond 2n, or below 1, leave no top block to draw: the run
+    # raises as for every window beyond n, not a partition ValueError
     cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(8,),
                               k_theta_grid=(k_theta,), k_rho_grid=(k_rho,),
                               reps=6, seed=1)
-    for row in mc.run_iid(cfg).rows:
-        assert (row["reps_used"], row["failures"]) == (0, 6)
+    with pytest.raises(ArgumentError):
+        mc.run_iid(cfg)
 
 
 def test_targets_come_from_theory():
@@ -635,18 +636,35 @@ def test_correlated_run_zero_tau_agrees_with_iid():
             assert abs(a["mean"] - b["mean"]) < 4.0 * se
 
 
-def test_failing_corrected_estimator_leaves_uncorrected_rows_intact():
+def test_failing_corrected_estimator_leaves_uncorrected_rows_intact(
+        monkeypatch):
+    # an assumed tau of 10^4 puts n* below 2: the corrected estimator can
+    # never run, so the cell raises before it draws a series; a per-row
+    # numerical failure is covered by
+    # test_failed_corrected_estimate_fails_only_its_corrected_columns
+    def no_synth(*args):
+        raise AssertionError("series drawn")
+
+    monkeypatch.setattr(dep, "synth_series", no_synth)
     cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),),
                              assumed_taus=(10000.0,))
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=4, seed=0,
                               correlated=cc)
-    for row in mc.run_corr(cfg).rows:
-        if row["corrected"]:
-            assert (row["reps_used"], row["failures"]) == (0, 4)
-            assert (row["k_theta"], row["k_rho"]) == (-1, -1)
-        else:
-            assert (row["reps_used"], row["failures"]) == (4, 0)
-            assert math.isfinite(row["mean"]) and row["k_theta"] > 0
+    with pytest.raises(ArgumentError, match="n\\* = .* < 2"):
+        mc.run_corr(cfg)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"alpha": math.nan}, "s must be >= 0"),
+    ({"beta": -1.0}, "beta must be finite"),
+    ({"s_values": (-1.0,)}, "s must be >= 0"),
+])
+def test_invalid_sieve_setting_is_argument_error(setting, message):
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),), **setting)
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=4, seed=0,
+                              correlated=cc)
+    with pytest.raises(ArgumentError, match=message):
+        mc.run_corr(cfg)
 
 
 # (tau, corrected, estimator) -> (k_theta, k_rho, mean, variance,
@@ -690,9 +708,15 @@ def test_synthesis_failures_become_counted_failures():
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(64,), reps=5, seed=1,
                               correlated=cc)
     report = mc.run_corr(cfg)
+    # an indefinite covariance: every draw fails, yet the corrected rows
+    # report the cell's windows, at round(n*), as the uncorrected rows do
+    n_star = round(dep.n_star(64, report.rows[0]["tau"], cc.kappa))
+    windows = {False: est._windows(64, None, None),
+               True: est._windows(n_star, None, None)}
     for row in report.rows:
         assert row["failures"] == 5
         assert row["reps_used"] == 0
+        assert (row["k_theta"], row["k_rho"]) == windows[row["corrected"]]
 
 
 # ---------------------------------------------------------- serialization

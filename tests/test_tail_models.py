@@ -497,6 +497,8 @@ def _lines_past_one_block(extra):
     ("x1.5\n", "line 70002: not a number: 'x1.5'"),
     ("inf\n", "line 70002: not a finite number: 'inf'"),
     ("  -nan \n", "line 70002: not a finite number: '-nan'"),
+    # a '#' line before the bad line in the same block
+    ("# note=x\n2.5\n1.0 # c\n", "line 70004: not a number: '1.0 # c'"),
 ])
 def test_read_sample_names_bad_line_past_first_block(bad, message):
     with pytest.raises(DataFormatError, match=message):
