@@ -54,7 +54,8 @@ _LNS_COLUMNS = (
 )
 
 # most values held at once: by the runner's blocks of replications, and by
-# _log_mean_exp's blocks of orders q*y; one row of either once n >= 2^16
+# _lnS_rows's chunks of terms q*y over (row, order) pairs; one row of either
+# once n >= 2^16
 _LSE_BLOCK = 2 ** 16
 
 
@@ -221,8 +222,11 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
                draw, measure) -> np.ndarray:
     """(reps, width) array of every replication of a cell of size n.
 
-    Replications run in blocks of max(1, _LSE_BLOCK // n) rows, so a block of
-    samples holds at most 2^16 values; the pool maps the blocks.  The seeds
+    Replications run in blocks of at most _LSE_BLOCK // n rows, so a block of
+    samples holds at most 2^16 values (one row once n >= 2^16), and of at
+    most ceil(reps / _pool_size()) rows, so where n allows the blocks spread
+    over every worker of the pool.  Rows are independent and blocks are
+    joined in order, so the results do not depend on the split.  The seeds
     rep_seed(seed, cell_id, r) of consecutive uint32 ids r are computed up
     front in one pass, so reps above 2^32 is an ArgumentError.  draw(seeds)
     returns a block's samples, one row each (a row may hold only the values
@@ -235,7 +239,7 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
-    size = max(1, _LSE_BLOCK // n)
+    size = max(1, min(_LSE_BLOCK // n, -(-reps // _pool_size())))
     all_seeds = _rep_seeds(seed, cell_id,
                            np.arange(reps, dtype=np.uint32)).tolist()
 
@@ -386,69 +390,87 @@ def run_corr(config: ExperimentConfig) -> McReport:
     return report
 
 
-def _log_mean_exp(q: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """ln((1/n) sum_i exp(q_j y_i)) for every order q_j, in blocks of orders.
+def _lnS_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(rows, len(q)) array of ln((1/n) sum_i exp(q_j y_i)) for every row y
+    of a (rows, n) block and every order q_j.
 
-    Each row repeats scipy.special.logsumexp's arithmetic, which separates the
-    maximal terms from the sum (Blanchard, Higham & Higham 2021), so wherever
-    q*y is finite the result equals ``logsumexp(q_j * y) - ln n`` exactly.
+    The (row, order) pairs run in chunks of at most _LSE_BLOCK terms q_j*y_i.
+    Each pair repeats scipy.special.logsumexp's arithmetic, which separates
+    the maximal terms from the sum (Blanchard, Higham & Higham 2021), so
+    wherever q*y is finite the result equals ``logsumexp(q_j * y) - ln n``
+    exactly.  The maximum is q_j*max(y) with no pass over the terms: q_j > 0
+    and rounding is monotone, so fl(q_j y_i) is non-decreasing in y_i.
     """
-    rows = max(1, _LSE_BLOCK // len(y))
-    out = np.empty(len(q))
-    for start in range(0, len(q), rows):
-        a = np.multiply.outer(q[start:start + rows], y)
-        a_max = a.max(axis=1, keepdims=True)
-        top = a == a_max
-        m = top.sum(axis=1, keepdims=True, dtype=float)
-        np.subtract(a, a_max, out=a)
+    rows, n = y.shape
+    width = len(q)
+    pairs = rows * width
+    maxima = np.multiply.outer(y.max(axis=1), q).ravel()
+    size = max(1, _LSE_BLOCK // n)
+    buf = np.empty((min(size, pairs), n))
+    out = np.empty(pairs)
+    for start in range(0, pairs, size):
+        stop = min(start + size, pairs)
+        a = buf[:stop - start]
+        for r in range(start // width, (stop - 1) // width + 1):
+            # the orders of row r that fall in this chunk
+            lo, hi = max(start - r * width, 0), min(stop - r * width, width)
+            at = r * width + lo - start
+            np.multiply(q[lo:hi, None], y[r], out=a[at:at + hi - lo])
+        a_max = maxima[start:stop]
+        np.subtract(a, a_max[:, None], out=a)
+        # the maximal terms: a zero difference, or NaN where a_max is inf
+        top = np.flatnonzero(~(a < 0.0))
+        m = np.bincount(top // n, minlength=stop - start).astype(float)
         np.exp(a, out=a)
-        a[top] = 0.0
-        s = a.sum(axis=1, keepdims=True)
+        a.ravel()[top] = 0.0
+        s = a.sum(axis=1)
         s = np.where(s == 0.0, s, s / m)
-        out[start:start + rows] = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-    return out - math.log(len(y))
+        out[start:stop] = np.log1p(s) + np.log(m) + a_max
+    return out.reshape(rows, width) - math.log(n)
 
 
-def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int) -> None:
+def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int):
+    """The one n of n_list, once it, q_grid and reps are checked."""
     if tm._as_int(reps, "reps") < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     if not np.all(np.isfinite(q_grid) & (q_grid > 0.0)):
         raise ArgumentError("q grid must be finite and positive")
-    for n in n_list:
-        if tm._as_int(n, "n") < 2:
-            raise ArgumentError(f"n must be an integer >= 2, got {n!r}")
+    if len(n_list) != 1:
+        raise ArgumentError(f"lnS_curve takes one n per call, got {len(n_list)}")
+    [n] = n_list
+    if tm._as_int(n, "n") < 2:
+        raise ArgumentError(f"n must be an integer >= 2, got {n!r}")
+    return n
 
 
 def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
               seed: int) -> McReport:
-    """Mean sample-log-moment curves ln S(n, q) against their predictions.
+    """Mean sample-log-moment curve ln S(n, q) against its prediction.
 
-    S(n, q) = (1/n) sum exp(q Y_i), evaluated by log-sum-exp over blocks of
-    at most 2^16 terms; the report also carries the collapse coordinate
-    q / qc_approx(n).
+    n_list holds the one n of the study; ``mc --config`` runs a grid of n as
+    one call per n, each with its own seed.  S(n, q) = (1/n) sum exp(q Y_i),
+    evaluated by log-sum-exp over chunks of at most 2^16 terms; the report
+    also carries the collapse coordinate q / qc_approx(n).
     """
     q_grid = np.asarray(q_grid, dtype=float)
-    _check_lnS_args(n_list, q_grid, reps)
+    n = _check_lnS_args(n_list, q_grid, reps)
     report = McReport(columns=_LNS_COLUMNS,
                       meta={"kind": "lnS", "seed": seed, "reps": reps,
                             "model": tm.format_model(model)})
     log_moments = theory.moment_quadrature(model, q_grid).tolist()
-    for cell_id, n in enumerate(n_list):
-        curve = theory.critical_curve(model, n)
-
-        vals = _replicate(reps, seed, cell_id, n, len(q_grid),
-                          partial(tm._iid_rows, model, n),
-                          lambda y: np.array([_log_mean_exp(q_grid, row)
-                                              for row in y]))
-        mean = vals.sum(axis=0) / reps
-        var = (vals * vals).sum(axis=0) / reps - mean ** 2
-        se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
-        for j, (q, log_moment) in enumerate(zip(q_grid.tolist(), log_moments)):
-            report.rows.append({
-                "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
-                "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),
-                "predicted_lnS": theory._predicted_lnS(model, curve, q,
-                                                       log_moment),
-                "log_moment": log_moment,
-            })
+    curve = theory.critical_curve(model, n)
+    vals = _replicate(reps, seed, 0, n, len(q_grid),
+                      partial(tm._iid_rows, model, n),
+                      partial(_lnS_rows, q=q_grid))
+    mean = vals.sum(axis=0) / reps
+    var = (vals * vals).sum(axis=0) / reps - mean ** 2
+    se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
+    for j, (q, log_moment) in enumerate(zip(q_grid.tolist(), log_moments)):
+        report.rows.append({
+            "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
+            "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),
+            "predicted_lnS": theory._predicted_lnS(model, curve, q,
+                                                   log_moment),
+            "log_moment": log_moment,
+        })
     return report

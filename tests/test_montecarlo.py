@@ -156,7 +156,9 @@ def _iid_config(model=LW2, n=400, k_theta=4, k_rho=20, reps=8, seed=5):
 
 
 def test_extending_reps_preserves_existing_replications(monkeypatch):
-    # at n = 1000 a block holds 65 replications: 70 reps cross its boundary
+    # reps sets the block boundaries (at most ceil(reps / workers) rows, and
+    # 65 at n = 1000), so the short and long runs split their common
+    # replications differently
     for n, short_reps, long_reps in ((400, 6, 9), (1000, 60, 70)):
         [short] = _replicated(monkeypatch, mc.run_iid,
                               _iid_config(n=n, reps=short_reps))
@@ -243,11 +245,12 @@ def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
 
 def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
     draw = tm._iid_rows
+    bad = mc.rep_seed(5, 0, 1)  # replication 1, in whichever block holds it
 
     def spoiled(model, n, seeds, **kwargs):
         y = draw(model, n, seeds, **kwargs)
-        if len(seeds) > 1:
-            y[1, 7] = math.inf
+        if bad in seeds:
+            y[seeds.index(bad), 7] = math.inf
         return y
 
     [clean] = _replicated(monkeypatch, mc.run_iid, _iid_config(reps=5))
@@ -259,20 +262,21 @@ def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):
 
 
 def test_nonfinite_row_is_measured_as_zeros_then_nan():
+    bad = mc.rep_seed(0, 0, 1)  # replication 1, in whichever block holds it
+
     def draw(seeds):
         y = np.ones((len(seeds), 3))
-        y[1, 2] = math.nan
+        y[[s == bad for s in seeds], 2] = math.nan
         return y
 
     seen = []
 
     def measure(y):
-        seen.append(y.copy())
+        seen.extend(y.tolist())
         return y.sum(axis=1, keepdims=True)
 
-    # n = 3: one block of all four replications
     vals = mc._replicate(4, 0, 0, 3, 1, draw, measure)
-    np.testing.assert_array_equal(seen[0][1], 0.0)
+    assert sorted(seen) == [[0.0] * 3] + [[1.0] * 3] * 3
     assert np.isnan(vals[1, 0])
     np.testing.assert_array_equal(np.delete(vals, 1), 3.0)
 
@@ -284,6 +288,40 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(mc, "_pool_size", lambda: 3)
     b = csv_text(mc.run_iid(small_iid_config(reps=400)))
     assert a == b
+
+
+# 51 and 7 reps split unevenly: 26 + 25 and 4 + 3 rows on two workers,
+# 3 + 3 + 1 on three
+def test_thread_count_does_not_change_lnS_output(monkeypatch):
+    grids = {n: np.linspace(0.1, 3.0, 59) * th.critical_curve(LN, n).qc_exact
+             for n in (100, 1000)}
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_pool_size", lambda: workers)
+        texts.append([csv_text(mc.lnS_curve(LN, [n], grids[n], reps, 7))
+                      for n, reps in ((100, 51), (1000, 7))])
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize("workers, n, reps, blocks", [
+    (1, 100, 51, 1), (2, 100, 51, 2), (3, 100, 51, 3), (2, 1000, 7, 2),
+    (3, 1000, 7, 3), (2, 1000, 1, 1), (4, 1000, 9, 3),  # 3 rows a block
+    (2, 1000, 500, 8), (2, 2 ** 14, 10, 3), (2, 2 ** 17, 3, 3),  # 2^16 // n
+])
+def test_blocks_split_reps_over_workers(monkeypatch, workers, n, reps,
+                                        blocks):
+    # a block holds at most ceil(reps / workers) rows and 2^16 // n, if >= 1
+    monkeypatch.setattr(mc, "_pool_size", lambda: workers)
+    sizes = []
+
+    def draw(seeds):
+        sizes.append(len(seeds))
+        return np.zeros((len(seeds), 1))
+
+    vals = mc._replicate(reps, 0, 0, n, 1, draw, lambda y: y.copy())
+    assert vals.shape == (reps, 1)
+    assert len(sizes) == blocks and sum(sizes) == reps
+    assert max(sizes) == max(1, min(2 ** 16 // n, -(-reps // workers)))
 
 
 def test_pool_size_follows_cpu_affinity(monkeypatch):
@@ -407,9 +445,11 @@ def test_runner_lets_other_errors_through():
         mc._replicate(2, 0, 0, 10, 1, fail, ones)
 
 
-def test_failed_block_gives_nan_rows():
+def test_failed_block_gives_nan_rows(monkeypatch):
     # a raising draw NaNs the block of replications 4-7, a raising measure
-    # that of 8-9
+    # that of 8-9; one worker, so only 2^16 // n bounds the blocks
+    monkeypatch.setattr(mc, "_pool_size", lambda: 1)
+
     def draw(seeds):
         if seeds[0] == mc.rep_seed(0, 0, 4):
             raise ConvergenceError("draw")
@@ -431,24 +471,17 @@ def test_failed_corrected_estimate_fails_only_its_corrected_columns(
         monkeypatch):
     # in run_corr, replication 1's corrected estimate raises, so only its
     # corrected columns fail; replications 0 and 2 succeed in both
-    seeds = [mc.rep_seed(1, 0, r) for r in range(3)]
-    synth, corr = dep.synth_series, dep.qc_hat_corr
-    bad = {}
-
-    def fake_synth(spec, seed, match):
-        sample = synth(spec, seed, match)
-        if seed == seeds[1]:
-            bad["values"] = sample.values.copy()
-        return sample
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
+    bad = dep.synth_series(dep.SeriesSpec(LN, cc.covs[0], 512),
+                           mc.rep_seed(1, 0, 1), cc.match_mode).values
+    corr = dep.qc_hat_corr
 
     def fake_corr(sample, *args, **kwargs):
-        if np.array_equal(sample.values, bad["values"]):
+        if np.array_equal(sample.values, bad):
             raise ConvergenceError("measure")
         return corr(sample, *args, **kwargs)
 
-    monkeypatch.setattr(dep, "synth_series", fake_synth)
     monkeypatch.setattr(dep, "qc_hat_corr", fake_corr)
-    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=3, seed=1,
                               correlated=cc)
     rows = mc.run_corr(cfg).rows
@@ -536,47 +569,69 @@ def test_lnS_rejects_noninteger_n():
         mc.lnS_curve(LN, [100.5], [1.0], reps=2, seed=0)
 
 
+def test_lnS_rejects_more_than_one_n():
+    with pytest.raises(ArgumentError, match="one n per call"):
+        mc.lnS_curve(LN, [100, 1000], [1.0], reps=2, seed=0)
+
+
 def test_lnS_rejects_n_below_two():
     with pytest.raises(ArgumentError, match=">= 2"):
         mc.lnS_curve(LN, [1], [1.0], reps=2, seed=0)
 
 
-# per-replication ln S: the blockwise kernel against scipy, exactly
+# per-replication ln S: the block kernel against scipy, exactly
 
 
-def _assert_lnS_equals_logsumexp(q_grid, y):
+def _assert_lnS_equals_logsumexp(q_grid, ys):
+    """Every row of the block ys, for every order, equals scipy's
+    logsumexp(q*y) - ln n bit for bit."""
     q_grid = np.asarray(q_grid, dtype=float)
-    got = mc._log_mean_exp(q_grid, y)
-    want = np.array([logsumexp(q * y) for q in q_grid]) - math.log(y.size)
-    assert np.array_equal(got, want)
+    y = np.array(ys, dtype=float)
+    got = mc._lnS_rows(y, q_grid)
+    want = np.array([[logsumexp(q * row) for q in q_grid] for row in y])
+    assert np.array_equal(got, want - math.log(y.shape[1]))
 
 
 def test_lnS_kernel_partial_last_block():
+    # 21 (row, order) pairs a chunk: chunks straddle rows
     n = 3000
     q_grid = np.arange(0.1, 3.01, 0.05) * th.critical_curve(LN, n).qc_exact
     assert len(q_grid) == 59 and len(q_grid) % (mc._LSE_BLOCK // n) != 0
-    _assert_lnS_equals_logsumexp(q_grid, tm.sample_iid(LN, n, 21).values)
+    _assert_lnS_equals_logsumexp(
+        q_grid, [tm.sample_iid(LN, n, s).values for s in (21, 24, 25)])
 
 
 def test_lnS_kernel_one_order_per_block_past_block_size():
     n = mc._LSE_BLOCK + 4465
-    _assert_lnS_equals_logsumexp([0.5, 3.0, 9.0],
-                                 tm.sample_iid(LN, n, 22).values)
+    _assert_lnS_equals_logsumexp(
+        [0.5, 3.0, 9.0], [tm.sample_iid(LN, n, s).values for s in (22, 26)])
 
 
 def test_lnS_kernel_beyond_exp_overflow():
-    y = tm.sample_iid(LW2, 50, 17).values
+    ys = [tm.sample_iid(LW2, 50, s).values for s in (17, 27, 28)]
     q_grid = [200.0, 400.0, 800.0]
     with np.errstate(over="ignore"):
-        assert np.isinf(np.exp(q_grid[1] * y)).any()
-    _assert_lnS_equals_logsumexp(q_grid, y)
+        assert np.isinf(np.exp(q_grid[1] * ys[0])).any()
+    _assert_lnS_equals_logsumexp(q_grid, ys)
 
 
 def test_lnS_kernel_repeated_maximum():
-    y = tm.sample_iid(LN, 200, 23).values
-    y[7] = y.max()
-    assert np.count_nonzero(y == y.max()) == 2
-    _assert_lnS_equals_logsumexp([0.3, 2.0, 40.0], y)
+    ys = [tm.sample_iid(LN, 200, s).values for s in (23, 29, 30)]
+    ys[0][7] = ys[0].max()
+    ys[1][4] = np.nextafter(ys[1].max(), -np.inf)  # a runner-up, not a tie
+    ys[2][:3] = ys[2].max()
+    assert np.count_nonzero(ys[0] == ys[0].max()) == 2
+    _assert_lnS_equals_logsumexp([0.3, 2.0, 40.0], ys)
+
+
+# small integer values tie often, at the maximum too
+@given(st.integers(2, 40).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+           min_size=1, max_size=6)),
+       st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                min_size=1, max_size=8))
+def test_lnS_kernel_matches_logsumexp_with_ties(ys, q_grid):
+    _assert_lnS_equals_logsumexp(q_grid, ys)
 
 
 # -------------------------------------------------------- correlated runs
