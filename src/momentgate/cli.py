@@ -94,18 +94,17 @@ def _cmd_theory(args) -> int:
             raise ArgumentError("--q-grid needs exactly one --n value")
         ceiling = theory.q_validity_ceiling(model, ns[0], args.eps)
         q_grid = _floats(args.q_grid)
-        log_moments = theory.moment_quadrature(model, np.array(q_grid)).tolist()
-        for q, log_moment in zip(q_grid, log_moments):
+        qs = np.array(q_grid)
+        log_moments = theory.moment_quadrature(model, qs)
+        predicted = theory._predicted_lnS(model, curves[0], qs, log_moments)
+        for q, p, log_moment in zip(q_grid, predicted.tolist(),
+                                    log_moments.tolist()):
             if q > ceiling:
                 sys.stderr.write(
                     f"warning: q={q:g} exceeds validity ceiling {ceiling:.6g}\n"
                 )
-            q_rows.append({
-                "q": q,
-                "predicted_lnS": theory._predicted_lnS(model, curves[0], q,
-                                                       log_moment),
-                "log_moment": log_moment,
-            })
+            q_rows.append({"q": q, "predicted_lnS": p,
+                           "log_moment": log_moment})
     cfg = [("command", "theory"), ("model", tm.format_model(model)),
            ("n", args.n)]
     with _output(args.out) as stream:

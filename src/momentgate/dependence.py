@@ -355,12 +355,16 @@ def sieve(series, s: float, beta: float = _BETA,
     (all of y once V >= n), are sorted and scanned: a point outside them is
     never visited, and a value strictly between two candidates is itself a
     candidate, so their own tie groups give the "strictly between" counts.
-    Cost: one partition, a sort of at most V candidates (more only on ties
-    at t), and a window's work per selection.
+    fl(beta * k) rises with k, so beta * max(c_ij, 0) <= s exactly when
+    c_ij <= c, c the largest count in [0, n] with beta * c <= s; a point is
+    then removed when its rank band [#below, #at most] comes within c of the
+    pick's.  Cost: one partition, a sort of at most V candidates (more only
+    on ties at t; a stable sort only where two of them are equal), and one
+    vector pass over a window of contiguous candidates per selection.
     """
     if not s >= 0.0:
         raise ArgumentError(f"s must be >= 0, got {s}")
-    if not 0.0 <= beta < math.inf:  # 0 * inf is NaN in beta * between
+    if not 0.0 <= beta < math.inf:  # 0 * inf is NaN in beta * c
         raise ArgumentError(f"beta must be finite and >= 0, got {beta}")
     y = np.asarray(series.values if isinstance(series, tm.Sample) else series,
                    dtype=float)
@@ -378,33 +382,36 @@ def sieve(series, s: float, beta: float = _BETA,
     cut = max(n - (limit + 2 * window * (limit - 1)), 0)
     cand = np.flatnonzero(y >= np.partition(y, cut)[cut])
     yc = y[cand]
-    order = np.argsort(-yc, kind="stable")  # positions in cand, descending
+    order = np.argsort(-yc)  # positions in cand, descending
+    desc = yc[order]
+    if (desc[1:] == desc[:-1]).any():
+        order = np.argsort(-yc, kind="stable")  # ties keep index order
     if window == 0:
         # d_beta >= |j - i| >= 1 between distinct indices: nothing is removable
         idx = cand[order[:limit]]
         return SievedSample(selected_indices=idx, selected_values=y[idx])
 
+    c = n if beta == 0.0 else int(min(s / beta, n))
+    while c < n and beta * (c + 1) <= s:
+        c += 1
+    while beta * c > s:
+        c -= 1
     n_lt, n_le = _rank_bounds(yc, order)
     # candidates within index distance `window`: positions lo[p] .. hi[p]-1
     lo = np.searchsorted(cand, cand - window)
     hi = np.searchsorted(cand, cand + window, side="right")
-    # selected or removed: a pick lies beyond s of every later pick
+    # selected or removed: a pick lies beyond s of every later pick; each
+    # pick's band covers the pick itself
     taken = np.zeros(cand.size, dtype=bool)
     sel: list[int] = []
     for p in order:
         if taken[p]:
             continue
-        taken[p] = True
         sel.append(int(p))
         if len(sel) >= limit:
             break
-        js = np.arange(lo[p], hi[p])
-        js = js[~taken[js]]
-        if len(js) == 0:
-            continue
-        higher = yc[js] >= yc[p]
-        between = np.where(higher, n_lt[js] - n_le[p], n_lt[p] - n_le[js])
-        taken[js[beta * np.maximum(between, 0) <= s]] = True
+        a, b = lo[p], hi[p]
+        taken[a:b] |= (n_lt[a:b] <= n_le[p] + c) & (n_le[a:b] >= n_lt[p] - c)
     idx = cand[np.asarray(sel, dtype=np.intp)]
     return SievedSample(selected_indices=idx, selected_values=y[idx])
 

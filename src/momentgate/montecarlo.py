@@ -57,6 +57,8 @@ _LNS_COLUMNS = (
 # _lnS_rows's chunks of terms q*y over (row, order) pairs; one row of either
 # once n >= 2^16
 _LSE_BLOCK = 2 ** 16
+# fewest values a block is cut down to so that another worker can take it
+_SPLIT_MIN = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -223,14 +225,17 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     """(reps, width) array of every replication of a cell of size n.
 
     Replications run in blocks of at most _LSE_BLOCK // n rows, so a block of
-    samples holds at most 2^16 values (one row once n >= 2^16), and of at
-    most ceil(reps / _pool_size()) rows, so where n allows the blocks spread
-    over every worker of the pool.  Rows are independent and blocks are
-    joined in order, so the results do not depend on the split.  The seeds
-    rep_seed(seed, cell_id, r) of consecutive uint32 ids r are computed up
-    front in one pass, so reps above 2^32 is an ArgumentError.  draw(seeds)
-    returns a block's samples, one row each (a row may hold only the values
-    that measure reads), and measure(samples) their (rows, width) results.
+    samples holds at most 2^16 values (one row once n >= 2^16).  A block is
+    cut further, to ceil(reps / _pool_size()) rows so that the blocks spread
+    over every worker of the pool, only while it keeps at least 2^14 values
+    (_SPLIT_MIN // n rows): a smaller block does not pay for a thread and
+    the GIL it shares.  A study that makes one block runs on the calling
+    thread.  Rows are independent and blocks are joined in order, so the
+    results do not depend on the split.  The seeds rep_seed(seed, cell_id,
+    r) of consecutive uint32 ids r are computed up front in one pass, so
+    reps above 2^32 is an ArgumentError.  draw(seeds) returns a block's
+    samples, one row each (a row may hold only the values that measure
+    reads), and measure(samples) their (rows, width) results.
     Failures are handled here alone: a sample row that is not finite is
     zeroed before measure and NaN after it; a draw or measure raising
     NumericalError leaves its block NaN; other errors propagate.  draw and
@@ -239,7 +244,8 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
-    size = max(1, min(_LSE_BLOCK // n, -(-reps // _pool_size())))
+    size = max(1, min(_LSE_BLOCK // n,
+                      max(-(-reps // _pool_size()), _SPLIT_MIN // n)))
     all_seeds = _rep_seeds(seed, cell_id,
                            np.arange(reps, dtype=np.uint32)).tolist()
 
@@ -457,20 +463,21 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
     report = McReport(columns=_LNS_COLUMNS,
                       meta={"kind": "lnS", "seed": seed, "reps": reps,
                             "model": tm.format_model(model)})
-    log_moments = theory.moment_quadrature(model, q_grid).tolist()
+    log_moments = theory.moment_quadrature(model, q_grid)
     curve = theory.critical_curve(model, n)
+    predicted = theory._predicted_lnS(model, curve, q_grid, log_moments)
     vals = _replicate(reps, seed, 0, n, len(q_grid),
                       partial(tm._iid_rows, model, n),
                       partial(_lnS_rows, q=q_grid))
     mean = vals.sum(axis=0) / reps
     var = (vals * vals).sum(axis=0) / reps - mean ** 2
     se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
-    for j, (q, log_moment) in enumerate(zip(q_grid.tolist(), log_moments)):
+    for q, m, e, p, log_moment in zip(q_grid.tolist(), mean.tolist(),
+                                      se.tolist(), predicted.tolist(),
+                                      log_moments.tolist()):
         report.rows.append({
             "n": n, "q": q, "q_over_qc": q / curve.qc_approx,
-            "mean_lnS": float(mean[j]), "se_lnS": float(se[j]),
-            "predicted_lnS": theory._predicted_lnS(model, curve, q,
-                                                   log_moment),
+            "mean_lnS": m, "se_lnS": e, "predicted_lnS": p,
             "log_moment": log_moment,
         })
     return report

@@ -313,19 +313,23 @@ def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:
     """
     if not 0.0 < q < math.inf:
         raise DomainError(f"moment order must be finite and > 0, got {q}")
-    return _predicted_lnS(model, critical_curve(model, n), q)
+    curve = critical_curve(model, n)
+    log_moment = moment_quadrature(model, q) if q <= curve.qc_exact else math.nan
+    return float(_predicted_lnS(model, curve, np.array([q]),
+                                np.array([log_moment]))[0])
 
 
-def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: float,
-                   log_moment: float | None = None) -> float:
-    """predicted_lnS at the curve's n, given the curve and, if the caller has
-    it already, ln E X^q; the quadrature runs only when needed and missing."""
-    if q <= curve.qc_exact:
-        if log_moment is None:
-            log_moment = moment_quadrature(model, q)
+def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: np.ndarray,
+                   log_moment: np.ndarray) -> np.ndarray:
+    """predicted_lnS at the curve's n for every order of the grid q, given
+    the curve and ln E X^q at each order (read only where q <= qc_exact);
+    ln n and ln h'(y_dagger) are taken once per grid."""
+    below = q <= curve.qc_exact
+    if below.all():
         return log_moment
     yd = curve.y_dagger
-    return q * yd - math.log(curve.n) + math.log(tm.h_prime(model, yd))
+    log_n, log_h = math.log(curve.n), math.log(tm.h_prime(model, yd))
+    return np.where(below, log_moment, q * yd - log_n + log_h)
 
 
 def q_validity_ceiling(model: tm.TailModel, n: float, eps: float = 0.1) -> float:

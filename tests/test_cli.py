@@ -146,6 +146,26 @@ def test_theory_q_grid_emits_prediction_table():
         assert float(r["log_moment"]) == pytest.approx(q * q / 2.0, rel=1e-12)
 
 
+# one order at y_dagger = qc_exact, so the table has rows below, at and above
+# the critical order; frozen from the per-order evaluation this table had
+# before ln h'(y_dagger) was taken once per grid
+_Q_TABLE = """# q_table
+q,predicted_lnS,log_moment
+0.5,0.12500000000000011,0.12500000000000011
+2,2,2
+3.0902323061678132,4.7747678530416202,4.7747678530416202
+5,9.7574551445927717,12.5
+9,22.118384369264025,40.5
+"""
+
+
+def test_theory_q_grid_table_frozen():
+    code, out, err = run_cli("theory", "--model", "lognormal", "--n", "1000",
+                             "--q-grid", "0.5,2,3.0902323061678132,5,9")
+    assert code == 0 and err == ""
+    assert out.endswith(_Q_TABLE)
+
+
 def test_theory_q_grid_requires_single_n():
     code, _, err = run_cli("theory", "--model", "lognormal",
                            "--n", "100,1000", "--q-grid", "1")

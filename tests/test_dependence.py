@@ -317,6 +317,14 @@ def test_sieve_below_unit_radius_keeps_everything():
                                   np.argsort(-y, kind="stable"))
 
 
+# (s, beta) where the largest count c with fl(beta * c) <= s is easy to get
+# wrong: fl(0.1 * 3) > 0.3 and fl(0.1 * 12) > 1.2; 1.4 / 0.04 rounds to 35
+# although fl(0.04 * 35) > 1.4; 4.3 / 0.1 rounds below 43 although
+# fl(0.1 * 43) <= 4.3; no bound on the count at all where s = inf or beta = 0
+_RADIUS_EDGES = ((0.3, 0.1), (1.2, 0.1), (1.4, 0.04), (4.3, 0.1),
+                 (math.inf, 0.5), (3.0, 0.0))
+
+
 def test_sieve_matches_brute_force_fuzz():
     rng = np.random.default_rng(5)
     for trial in range(150):
@@ -329,6 +337,13 @@ def test_sieve_matches_brute_force_fuzz():
         got = dep.sieve(y, s, beta).selected_indices
         want = oracles.brute_sieve(y, s, beta)
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
+    for s, beta in _RADIUS_EDGES:
+        for trial in range(4):
+            y = rng.normal(size=150)
+            got = dep.sieve(y, s, beta).selected_indices
+            want = oracles.brute_sieve(y, s, beta)
+            np.testing.assert_array_equal(
+                got, want, err_msg=f"s={s}, beta={beta}, trial {trial}")
 
 
 def test_sieve_matches_brute_force_on_heavy_ties():
@@ -337,7 +352,7 @@ def test_sieve_matches_brute_force_on_heavy_ties():
         y = np.round(rng.normal(scale=4.0, size=n))
         zeros = np.flatnonzero(y == 0.0)
         y[zeros[::2]] = -0.0  # 0.0 == -0.0: one tie group
-        for s in (1.0, 3.0, 30.0):
+        for s in (1.0, 3.0, 30.0, 300.0):
             for beta in (0.5, 1.0, 3.0):
                 got = dep.sieve(y, s, beta).selected_indices
                 want = oracles.brute_sieve(y, s, beta)
@@ -348,10 +363,11 @@ def test_sieve_matches_brute_force_on_heavy_ties():
 def test_sieve_matches_searchsorted_counts_on_long_series():
     spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=100.0), 1 << 16)
     y = dep.synth_series(spec, seed=11).values
-    for s in (1.0, 30.0, 300.0):
-        got = dep.sieve(y, s, 1.0, max_points=300).selected_indices
-        want = oracles.searchsorted_sieve(y, s, 1.0, max_points=300)
-        np.testing.assert_array_equal(got, want, err_msg=f"s={s}")
+    finite_edges = tuple(e for e in _RADIUS_EDGES if e[0] < math.inf)
+    for s, beta in ((1.0, 1.0), (30.0, 1.0), (300.0, 1.0)) + finite_edges:
+        got = dep.sieve(y, s, beta, max_points=300).selected_indices
+        want = oracles.searchsorted_sieve(y, s, beta, max_points=300)
+        np.testing.assert_array_equal(got, want, err_msg=f"s={s}, beta={beta}")
 
 
 def _tie_heavy_series(rng, n, kind):

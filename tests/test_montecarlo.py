@@ -290,8 +290,8 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert a == b
 
 
-# 51 and 7 reps split unevenly: 26 + 25 and 4 + 3 rows on two workers,
-# 3 + 3 + 1 on three
+# 501 and 51 reps split unevenly: 251 + 250 and 26 + 25 rows on two
+# workers, 167 * 3 and 17 + 17 + 17 on three
 def test_thread_count_does_not_change_lnS_output(monkeypatch):
     grids = {n: np.linspace(0.1, 3.0, 59) * th.critical_curve(LN, n).qc_exact
              for n in (100, 1000)}
@@ -299,18 +299,23 @@ def test_thread_count_does_not_change_lnS_output(monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(mc, "_pool_size", lambda: workers)
         texts.append([csv_text(mc.lnS_curve(LN, [n], grids[n], reps, 7))
-                      for n, reps in ((100, 51), (1000, 7))])
+                      for n, reps in ((100, 501), (1000, 51))])
     assert texts[0] == texts[1] == texts[2]
 
 
 @pytest.mark.parametrize("workers, n, reps, blocks", [
-    (1, 100, 51, 1), (2, 100, 51, 2), (3, 100, 51, 3), (2, 1000, 7, 2),
-    (3, 1000, 7, 3), (2, 1000, 1, 1), (4, 1000, 9, 3),  # 3 rows a block
+    (1, 100, 51, 1), (2, 1000, 1, 1), (2, 100, 501, 2), (3, 100, 501, 3),
+    (2, 1000, 50, 2), (3, 1000, 51, 3),
+    # cut no lower than 2^14 // n rows: 163 at n = 100, 16 at n = 1000
+    (2, 100, 50, 1), (2, 100, 51, 1), (3, 100, 51, 1), (4, 100, 400, 3),
+    (2, 1000, 7, 1), (3, 1000, 7, 1), (4, 1000, 9, 1), (4, 1000, 40, 3),
+    (2, 2 ** 13, 2, 1), (2, 2 ** 14, 2, 2),
     (2, 1000, 500, 8), (2, 2 ** 14, 10, 3), (2, 2 ** 17, 3, 3),  # 2^16 // n
 ])
 def test_blocks_split_reps_over_workers(monkeypatch, workers, n, reps,
                                         blocks):
-    # a block holds at most ceil(reps / workers) rows and 2^16 // n, if >= 1
+    # a block holds at most 2^16 // n rows, if >= 1, and is cut to
+    # ceil(reps / workers) rows only while it keeps 2^14 // n of them
     monkeypatch.setattr(mc, "_pool_size", lambda: workers)
     sizes = []
 
@@ -321,7 +326,8 @@ def test_blocks_split_reps_over_workers(monkeypatch, workers, n, reps,
     vals = mc._replicate(reps, 0, 0, n, 1, draw, lambda y: y.copy())
     assert vals.shape == (reps, 1)
     assert len(sizes) == blocks and sum(sizes) == reps
-    assert max(sizes) == max(1, min(2 ** 16 // n, -(-reps // workers)))
+    size = max(1, min(2 ** 16 // n, max(-(-reps // workers), 2 ** 14 // n)))
+    assert max(sizes) == min(size, reps)
 
 
 def test_pool_size_follows_cpu_affinity(monkeypatch):

@@ -488,6 +488,25 @@ def test_predicted_profile_branches():
     assert th.predicted_lnS(LN, n, q_hi) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("model", [LW2, SLEP2, LN],
+                         ids=["logweibull", "slep", "lognormal"])
+def test_predicted_profile_grid_matches_each_order(model):
+    # below qc_exact, exactly at it, and above it: the grid pass gives the
+    # bits of the per-order rule, moment or q y_dagger - ln n + ln h'
+    n = 1e3
+    c = th.critical_curve(model, n)
+    q = np.array([0.3, 1.0, 1.7, 2.5]) * c.qc_exact
+    log_moments = th.moment_quadrature(model, q)
+    got = th._predicted_lnS(model, c, q, log_moments).tolist()
+    lead = math.log(tm.h_prime(model, c.y_dagger))
+    for j, qj in enumerate(q.tolist()):
+        if qj <= c.qc_exact:
+            want = th.moment_quadrature(model, qj)
+        else:
+            want = qj * c.y_dagger - math.log(n) + lead
+        assert got[j] == want == th.predicted_lnS(model, n, qj), j
+
+
 def test_predicted_profile_upper_branch_slope():
     n = 1e4
     c = th.critical_curve(LW2, n)
