@@ -176,12 +176,12 @@ def _cmd_estimate(args) -> int:
         for name, value in _CORR_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)
-        e = dep.qc_hat_corr(sample, args.k_theta, args.k_rho, tau=args.tau,
-                            kappa=args.kappa, s=args.s, alpha=args.alpha,
-                            beta=args.beta)
+        ns, kt, kr, s = dep._correction(n, args.tau, args.kappa, args.k_theta,
+                                        args.k_rho, args.s, args.alpha)
+        e = dep.qc_hat_corr(sample, kt, kr, tau=args.tau, kappa=args.kappa,
+                            s=s, beta=args.beta)
         extra = {"tau": args.tau, "kappa": args.kappa, "beta": args.beta,
-                 "s": args.s if args.s is not None else args.alpha * args.tau,
-                 "n_star": dep.n_star(n, args.tau, args.kappa)}
+                 "s": s, "n_star": ns}
     else:
         e = est.qc_hat(sample, args.k_theta, args.k_rho)
         extra = {}

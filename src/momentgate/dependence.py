@@ -10,7 +10,9 @@ already-selected extreme in the d_beta metric
 
     d_beta(i, j) = max(|j - i|, beta * #{k : y between y_i and y_j}),
 
-so that each local excursion of the series contributes one extreme.
+so that each local excursion of the series contributes one extreme.  Every
+caller reads the correction rule from ``_correction`` (n*, windows at
+round(n*), sieve radius), and the corrected target's size from ``_sizes``.
 
 Synthesis goes through a Gaussian copula: a stationary standard Gaussian
 series with prescribed covariance (exact circulant embedding), mapped through
@@ -183,11 +185,30 @@ def n_star(n: float, tau: float, kappa: float) -> float:
     return ns
 
 
+def _sizes(n: float, tau: float, kappa: float) -> tuple[float, int]:
+    """n* and round(n*), the size of the corrected windows and target."""
+    ns = n_star(n, tau, kappa)
+    return ns, round(ns)
+
+
+def _correction(n: float, tau: float, kappa: float, k_theta: int | None,
+                k_rho: int | None, s: float | None, alpha: float):
+    """(n*, k_theta, k_rho, radius) of the corrected estimate: windows given or
+    by the rules of thumb at round(n*); radius s, or else alpha * tau."""
+    ns, size = _sizes(n, tau, kappa)
+    kt, kr = _windows(size, k_theta, k_rho)
+    radius = alpha * tau if s is None else s
+    if s is None and not 0.0 <= radius < math.inf:
+        raise ArgumentError("the sieve radius alpha * tau must be finite and "
+                            f">= 0, got alpha = {alpha}, tau = {tau}")
+    return ns, kt, kr, radius
+
+
 def qc_theory_corr(model: tm.TailModel, n: float, tau: float,
                    kappa: float = _KAPPA) -> float:
     """Predicted critical order of a correlated series: q_c at the effective
     size n*, rounded."""
-    return critical_curve(model, round(n_star(n, tau, kappa))).qc_approx
+    return critical_curve(model, _sizes(n, tau, kappa)[1]).qc_approx
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +418,10 @@ def sieve(series, s: float, beta: float = _BETA,
     while beta * c > s:
         c -= 1
     n_lt, n_le = _rank_bounds(yc, order)
-    # candidates within index distance `window`: positions lo[p] .. hi[p]-1
-    lo = np.searchsorted(cand, cand - window)
-    hi = np.searchsorted(cand, cand + window, side="right")
+    # the candidates within index distance `window`: positions lo[p] .. hi[p]-1
+    lo, hi = np.maximum(cand - window, 0), cand + window + 1
+    if cut:  # else every index is a candidate, at its own position
+        lo, hi = np.searchsorted(cand, lo), np.searchsorted(cand, hi)
     # selected or removed: a pick lies beyond s of every later pick; each
     # pick's band covers the pick itself
     taken = np.zeros(cand.size, dtype=bool)
@@ -424,15 +446,10 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
                 k_rho: int | None = None, *, tau: float, kappa: float = _KAPPA,
                 s: float | None = None, alpha: float = _ALPHA,
                 beta: float = _BETA) -> QcEstimate:
-    """Sieve-corrected critical-order estimate for a correlated series.
-
-    Defaults: k's from the rules of thumb at round(n*), sieve radius
-    s = alpha * tau.
-    """
+    """Sieve-corrected critical-order estimate for a correlated series; by
+    default windows at round(n*) and sieve radius alpha * tau (_correction)."""
     n = series.n
-    ns = n_star(n, tau, kappa)
-    kt, kr = _windows(round(ns), k_theta, k_rho)
-    radius = alpha * tau if s is None else s
+    ns, kt, kr, radius = _correction(n, tau, kappa, k_theta, k_rho, s, alpha)
     k_need = max(kt, kr)
     sieved = sieve(series, radius, beta, max_points=k_need + 1)
     if len(sieved.selected_values) < k_need + 1:

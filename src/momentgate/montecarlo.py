@@ -342,7 +342,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
     Targets come from the true correlation length: q_c at n* = n/(1+kappa tau),
     theta(n*) and rho_l at the n* frontier.  An ``assumed_taus`` grid feeds the
     corrected estimator a misspecified tau while targets stay at the truth.
-    The corrected windows are the cell's, at round(n*) of the assumed tau.
+    The corrected windows and radius are the cell's, from the assumed tau
+    (dependence._correction decides them for the report and every series).
     """
     if config.correlated is None:
         raise ArgumentError("run_corr requires the correlated config block")
@@ -360,9 +361,10 @@ def run_corr(config: ExperimentConfig) -> McReport:
     for cell_id, (model, n, cov, tau_assumed, s_val, k_t, k_r) in enumerate(grid):
         tau_true = dep.correlation_length(cov)
         tau_used = tau_true if tau_assumed is None else float(tau_assumed)
-        curve = theory.critical_curve(model, round(dep.n_star(n, tau_true, cc.kappa)))
+        curve = theory.critical_curve(model, dep._sizes(n, tau_true, cc.kappa)[1])
         kt_u, kr_u = est._windows(n, k_t, k_r)
-        kt_c, kr_c = est._windows(round(dep.n_star(n, tau_used, cc.kappa)), k_t, k_r)
+        _, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t,
+                                                k_r, s_val, cc.alpha)
         spec = dep.SeriesSpec(model, cov, n)
 
         def draw(seeds):
@@ -375,8 +377,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
             for row, values in zip(out, y):
                 try:
                     e = dep.qc_hat_corr(
-                        tm.Sample(values, n, seed=0), k_t, k_r, tau=tau_used,
-                        kappa=cc.kappa, s=s_val, alpha=cc.alpha, beta=cc.beta)
+                        tm.Sample(values, n, seed=0), kt_c, kr_c, tau=tau_used,
+                        kappa=cc.kappa, s=radius, beta=cc.beta)
                 except NumericalError:
                     continue
                 row[3:] = e.theta_hat, e.rho_hat, e.qc_hat
@@ -384,9 +386,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
 
         vals = _replicate(config.reps, config.seed, cell_id, n, 6, draw, measure)
         plain, corrected = vals[:, :3], vals[:, 3:]
-        s_report = s_val if s_val is not None else cc.alpha * tau_used
         base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
-                "tau": tau_true, "tau_assumed": tau_used, "s": s_report,
+                "tau": tau_true, "tau_assumed": tau_used, "s": radius,
                 "beta": cc.beta, "match": cc.match_mode.value,
                 "reps": config.reps}
         cell_u = dict(base, corrected=False, k_theta=kt_u, k_rho=kr_u)

@@ -30,14 +30,9 @@ __all__ = [
     "critical_curve",
     "moment_quadrature",
     "moment_saddlepoint",
-    "truncated_moment",
     "predicted_lnS",
     "q_validity_ceiling",
 ]
-
-# lower integration edge substituted for an unbounded support: exp(q y) makes
-# the left tail's contribution below -40 smaller than 1e-17 of any moment
-_UNBOUNDED_LO = -40.0
 
 _MOMENT_RELTOL = 1e-8
 
@@ -128,21 +123,19 @@ def _de_nodes(kind: str, level: int) -> tuple[np.ndarray, np.ndarray]:
     return offset, weight
 
 
-def _log_integral(model: tm.TailModel, q: np.ndarray, lo: float,
-                  hi: float) -> np.ndarray:
-    """log of int_lo^hi e^{q y} p(y) dy for each order of the 1-d array q.
+def _log_integral(model: tm.TailModel, q: np.ndarray) -> np.ndarray:
+    """log of int e^{q y} p(y) dy for each order of the 1-d array q.
 
     Each integral is shifted by its peak (_peaks) and split there (_rays).
     Every order is refined on its own, so its value does not depend on the
     other orders.  Raises for the first order that fails: DomainError
-    where q <= 0 or y* overflows with hi = inf, ConvergenceError where the
-    rule overflows, collapses or misses its tolerance at the finest level.
+    where q <= 0 or y* overflows, ConvergenceError where the rule
+    overflows, collapses or misses its tolerance at the finest level.
     """
-    status, peak = _peaks(model, q, hi)
+    status, peak = _peaks(model, q)
     lp_peak = tm.log_pdf(model, peak)
     k_shift = q * peak + lp_peak
-    order, base, step, half_line = _rays(model, q, peak, k_shift,
-                                         status == 0, lo, hi)
+    order, base, step, half_line = _rays(model, q, peak, k_shift, status == 0)
     floor = _DE_NOISE * np.finfo(float).eps * (q * peak + np.abs(lp_peak))
     sums = np.zeros(len(order))
     total = np.zeros(len(q))
@@ -184,22 +177,22 @@ def _log_integral(model: tm.TailModel, q: np.ndarray, lo: float,
     return k_shift + np.log(total)
 
 
-def _peaks(model: tm.TailModel, q: np.ndarray, hi: float):
-    """(failure code or 0, peak) per order: the mode y*(q) capped at hi.
-    Where y* leaves the normal doubles, 0 stands in below them (q < s(1);
-    slep with rho near 1 at small q) and hi above them; with hi = inf that
-    order fails.  A failed order gets a peak inside every support."""
+def _peaks(model: tm.TailModel, q: np.ndarray):
+    """(failure code or 0, peak) per order: the mode y*(q).  Where y* leaves
+    the normal doubles, 0 stands in below them (q < s(1); slep with rho near
+    1 at small q); above them the order fails.  A failed order gets a peak
+    inside every support."""
     status = np.where(q > 0.0, 0, _NOT_POSITIVE)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         peak = tm._dispatch(model).score_inv(model, np.where(status, 1.0, q))
     abnormal = ~(np.isfinite(peak) & (peak >= np.finfo(float).tiny))
-    peak[abnormal] = np.where(q[abnormal] < tm.score(model, 1.0), 0.0, hi)
+    peak[abnormal] = np.where(q[abnormal] < tm.score(model, 1.0), 0.0, math.inf)
     status[(status == 0) & np.isinf(peak)] = _Y_STAR_OVERFLOW
-    return status, np.minimum(np.where(status == 0, peak, 1.0), hi)
+    return status, np.where(status == 0, peak, 1.0)
 
 
 def _rays(model: tm.TailModel, q: np.ndarray, peak: np.ndarray,
-          k_shift: np.ndarray, ok: np.ndarray, lo: float, hi: float):
+          k_shift: np.ndarray, ok: np.ndarray):
     """The ok orders' integrals cut at the peak and, for slep, at the kink
     of |y|^rho at 0 and at +-1, where its density falls off in a width of
     order 1/rho.  Each piece is one ray y = base + step * u from its end
@@ -209,11 +202,12 @@ def _rays(model: tm.TailModel, q: np.ndarray, peak: np.ndarray,
     1/sqrt(s') at the peak, with s' taken no closer to 0 than y = 1
     (slep's s' ~ |y|^(rho-2) is 0 or inf at the origin, where the
     integrand keeps a width of order 1), and is rescaled by _e_fold."""
-    cuts = [lo, hi]
+    lo = model.support_lo
+    cuts = [lo, math.inf]
     if model.family is tm.Family.STRICT_LOG_EXP_POWER:
         cuts += [-1.0, 0.0, 1.0]
-    ends = np.sort(np.clip(np.column_stack(
-        [peak] + [np.full_like(peak, c) for c in cuts]), lo, hi), axis=1)
+    ends = np.sort(np.maximum(np.column_stack(
+        [peak] + [np.full_like(peak, c) for c in cuts]), lo), axis=1)
     left, right = ends[:, :-1], ends[:, 1:]
     rising = right <= peak[:, None]
     idx, piece = np.nonzero(ok[:, None] & (left < right))
@@ -263,17 +257,11 @@ def _raise_failure(model: tm.TailModel, status: int, q: float,
         f"moment quadrature error {err:.3e} too large at q={q}")
 
 
-def _orders(model: tm.TailModel, q, lo: float, hi: float):
-    """_log_integral over q, a float or an array of orders, shaped like q."""
-    qv = np.asarray(q, dtype=float)
-    out = _log_integral(model, qv.ravel(), lo, hi).reshape(qv.shape)
-    return tm._wrap(q, out)
-
-
 def moment_quadrature(model: tm.TailModel, q):
     """ln E X^q by a double-exponential rule split at the integrand mode;
     q is a float or an array of orders (an array in, an array out)."""
-    return _orders(model, q, model.support_lo, math.inf)
+    qv = np.asarray(q, dtype=float)
+    return tm._wrap(q, _log_integral(model, qv.ravel()).reshape(qv.shape))
 
 
 def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
@@ -295,13 +283,6 @@ def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
     if not math.isfinite(out):
         raise DomainError(f"saddle approximation overflows at q={q}")
     return out
-
-
-def truncated_moment(model: tm.TailModel, n: float, q):
-    """Moment integral cut at the accessible frontier y_dagger(n); q is a
-    float or an array of orders."""
-    lo = model.support_lo if model.support_lo > -math.inf else _UNBOUNDED_LO
-    return _orders(model, q, lo, y_dagger(model, n))
 
 
 def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:

@@ -511,6 +511,53 @@ def test_estimate_corr_takes_given_sieve_settings(tmp_path):
     assert payload["qc_hat"] == e.qc_hat
 
 
+@pytest.mark.parametrize("s", [None, 2.5])
+def test_corrected_settings_agree_across_readers(tmp_path, s):
+    # estimate --corr, run_corr's corrected rows and qc_hat_corr read one
+    # correction rule: the same n*, windows and radius for the same settings
+    model, n, tau, alpha = tm.log_normal(), 2048, 5.0, 0.6
+    path = tmp_path / "series.txt"
+    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
+            "--n", str(n), "--seed", "4", "--out", str(path))
+    radius_flag = [] if s is None else ["--s", repr(s)]
+    code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
+                           "--tau", "5", "--alpha", "0.6", *radius_flag)
+    assert code == 0
+    payload = json.loads(out)
+    with open(path) as fh:
+        values, _ = tm.read_sample(fh)
+    e = dep.qc_hat_corr(tm.Sample(values, n, seed=0), tau=tau, s=s,
+                        alpha=alpha)
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=tau),), alpha=alpha,
+                             s_values=None if s is None else (s,))
+    cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,), reps=2, seed=0,
+                              correlated=cc)
+    rows = {r["estimator"]: r for r in mc.run_corr(cfg).rows
+            if r["corrected"]}
+    settings = (payload["k_theta"], payload["k_rho"], payload["s"])
+    assert settings == (e.k_theta, e.k_rho, alpha * tau if s is None else s)
+    assert payload["n_star"] == dep.n_star(n, tau, dep._KAPPA)
+    assert payload["qc_hat"] == e.qc_hat
+    for row in rows.values():
+        assert (row["k_theta"], row["k_rho"], row["s"]) == settings
+    assert rows["qc"]["target"] == dep.qc_theory_corr(model, n, tau)
+
+
+def test_estimate_corr_radius_error_names_alpha(tmp_path):
+    # alpha * tau = inf * 0 is NaN: the radius rule names its own input,
+    # and an explicit --s does not read alpha at all
+    path = tmp_path / "series.txt"
+    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
+            "--n", "2048", "--seed", "4", "--out", str(path))
+    args = ("estimate", "--input", str(path), "--corr", "--tau", "0",
+            "--alpha", "inf")
+    code, _, err = run_cli(*args)
+    assert code == 2
+    assert "got alpha = inf, tau = 0.0" in err
+    code, out, _ = run_cli(*args, "--s", "1")
+    assert code == 0 and json.loads(out)["s"] == 1.0
+
+
 def test_estimate_all_negative_sample_is_numerical_failure(tmp_path):
     path = tmp_path / "neg.txt"
     path.write_text("".join(f"{-v}\n" for v in range(1, 101)))

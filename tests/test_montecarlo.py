@@ -716,9 +716,10 @@ def test_failing_corrected_estimator_leaves_uncorrected_rows_intact(
 
 
 @pytest.mark.parametrize("setting, message", [
-    ({"alpha": math.nan}, "s must be >= 0"),
+    ({"alpha": math.nan}, "got alpha = nan"),
     ({"beta": -1.0}, "beta must be finite"),
     ({"s_values": (-1.0,)}, "s must be >= 0"),
+    ({"alpha": math.inf}, "got alpha = inf"),
 ])
 def test_invalid_sieve_setting_is_argument_error(setting, message):
     cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),), **setting)
