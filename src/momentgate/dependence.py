@@ -418,10 +418,9 @@ def sieve(series, s: float, beta: float = _BETA,
     while beta * c > s:
         c -= 1
     n_lt, n_le = _rank_bounds(yc, order)
-    # the candidates within index distance `window`: positions lo[p] .. hi[p]-1
-    lo, hi = np.maximum(cand - window, 0), cand + window + 1
-    if cut:  # else every index is a candidate, at its own position
-        lo, hi = np.searchsorted(cand, lo), np.searchsorted(cand, hi)
+    # candidates within index distance `window`: positions lo[p] .. hi[p]-1
+    lo = np.searchsorted(cand, cand - window)
+    hi = np.searchsorted(cand, cand + window, side="right")
     # selected or removed: a pick lies beyond s of every later pick; each
     # pick's band covers the pick itself
     taken = np.zeros(cand.size, dtype=bool)

@@ -493,67 +493,46 @@ def test_estimate_corr_reports_correction_fields(tmp_path):
 
 
 def test_estimate_corr_takes_given_sieve_settings(tmp_path):
+    # estimate --corr, qc_hat_corr and run_corr's corrected rows read one
+    # correction rule: the same windows and radius (alpha * tau, or a given
+    # --s) for the same settings
+    model, n, tau = tm.log_normal(), 4096, 5.0
     path = tmp_path / "series.txt"
     run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
-            "--n", "4096", "--seed", "2", "--out", str(path))
-    code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
-                           "--tau", "5", "--kappa", "0.2", "--alpha", "0.6",
-                           "--beta", "0.5")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["kappa"], payload["beta"]) == (0.2, 0.5)
-    assert payload["s"] == 0.6 * 5.0
+            "--n", str(n), "--seed", "2", "--out", str(path))
     with open(path) as fh:
         values, meta = tm.read_sample(fh)
     sample = tm.Sample(values=values, n=len(values), seed=int(meta["seed"]))
-    e = dep.qc_hat_corr(sample, None, None, tau=5.0, kappa=0.2, alpha=0.6,
-                        beta=0.5)
-    assert payload["qc_hat"] == e.qc_hat
-
-
-@pytest.mark.parametrize("s", [None, 2.5])
-def test_corrected_settings_agree_across_readers(tmp_path, s):
-    # estimate --corr, run_corr's corrected rows and qc_hat_corr read one
-    # correction rule: the same n*, windows and radius for the same settings
-    model, n, tau, alpha = tm.log_normal(), 2048, 5.0, 0.6
-    path = tmp_path / "series.txt"
-    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
-            "--n", str(n), "--seed", "4", "--out", str(path))
-    radius_flag = [] if s is None else ["--s", repr(s)]
-    code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
-                           "--tau", "5", "--alpha", "0.6", *radius_flag)
-    assert code == 0
-    payload = json.loads(out)
-    with open(path) as fh:
-        values, _ = tm.read_sample(fh)
-    e = dep.qc_hat_corr(tm.Sample(values, n, seed=0), tau=tau, s=s,
-                        alpha=alpha)
-    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=tau),), alpha=alpha,
-                             s_values=None if s is None else (s,))
-    cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,), reps=2, seed=0,
-                              correlated=cc)
-    rows = {r["estimator"]: r for r in mc.run_corr(cfg).rows
-            if r["corrected"]}
-    settings = (payload["k_theta"], payload["k_rho"], payload["s"])
-    assert settings == (e.k_theta, e.k_rho, alpha * tau if s is None else s)
-    assert payload["n_star"] == dep.n_star(n, tau, dep._KAPPA)
-    assert payload["qc_hat"] == e.qc_hat
-    for row in rows.values():
-        assert (row["k_theta"], row["k_rho"], row["s"]) == settings
-    assert rows["qc"]["target"] == dep.qc_theory_corr(model, n, tau)
-
-
-def test_estimate_corr_radius_error_names_alpha(tmp_path):
-    # alpha * tau = inf * 0 is NaN: the radius rule names its own input,
-    # and an explicit --s does not read alpha at all
-    path = tmp_path / "series.txt"
-    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
-            "--n", "2048", "--seed", "4", "--out", str(path))
+    for s in (None, 2.5):
+        radius_flag = [] if s is None else ["--s", repr(s)]
+        code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
+                               "--tau", "5", "--kappa", "0.2", "--alpha",
+                               "0.6", "--beta", "0.5", *radius_flag)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["kappa"], payload["beta"]) == (0.2, 0.5)
+        assert payload["s"] == (0.6 * 5.0 if s is None else s)
+        assert payload["n_star"] == dep.n_star(n, tau, 0.2)
+        e = dep.qc_hat_corr(sample, None, None, tau=tau, kappa=0.2, s=s,
+                            alpha=0.6, beta=0.5)
+        settings = (payload["k_theta"], payload["k_rho"], payload["s"])
+        assert (payload["qc_hat"], *settings[:2]) == (e.qc_hat, e.k_theta,
+                                                       e.k_rho)
+        cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=tau),),
+                                 kappa=0.2, alpha=0.6, beta=0.5,
+                                 s_values=None if s is None else (s,))
+        cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,), reps=2,
+                                  seed=0, correlated=cc)
+        rows = [r for r in mc.run_corr(cfg).rows if r["corrected"]]
+        assert {(r["k_theta"], r["k_rho"], r["s"]) for r in rows} == {settings}
+        assert [r["target"] for r in rows if r["estimator"] == "qc"] == [
+            dep.qc_theory_corr(model, n, tau, 0.2)]
+    # alpha * tau = inf * 0 is NaN: the radius rule names alpha, and a given
+    # --s does not read alpha at all
     args = ("estimate", "--input", str(path), "--corr", "--tau", "0",
             "--alpha", "inf")
     code, _, err = run_cli(*args)
-    assert code == 2
-    assert "got alpha = inf, tau = 0.0" in err
+    assert code == 2 and "got alpha = inf, tau = 0.0" in err
     code, out, _ = run_cli(*args, "--s", "1")
     assert code == 0 and json.loads(out)["s"] == 1.0
 
