@@ -134,8 +134,7 @@ def _cmd_sample(args) -> int:
 def _cmd_synth(args) -> int:
     model = tm.parse_model(args.model)
     cov = dep.parse_cov(args.cov)
-    spec = dep.SeriesSpec(model=model, cov=cov, n=args.n)
-    sample = dep.synth_series(spec, args.seed, dep.MatchMode(args.match))
+    sample = dep.synth_series(model, cov, args.n, args.seed, args.match)
     with _output(args.out) as stream:
         tm.write_sample(stream, sample, model,
                         extra_header={"cov": dep.format_cov(cov),
@@ -231,12 +230,23 @@ def _k_grid(text: str | None) -> tuple:
     return tuple(_ints(text))
 
 
+_INI_KEYS = {"experiment": {"kind", "models", "n", "k_theta", "k_rho", "reps",
+                            "seed", "q", "q_over_qc"},
+             "correlated": {"cov", "match", "assumed_tau", "s", *_CORR_DEFAULTS}}
+
+
 def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
                        seed: int | None):
     """(kind, payload) of the experiment an INI document describes; reps
     and seed, when not None, override the document's."""
     if "experiment" not in parser:
         raise DataFormatError("config needs an [experiment] section")
+    for name in parser.sections():
+        if name not in _INI_KEYS:
+            raise DataFormatError(f"malformed config: unknown section [{name}]")
+        bad = sorted(set(parser[name]) - _INI_KEYS[name])
+        if bad:
+            raise DataFormatError(f"malformed config: [{name}] takes no key {bad[0]!r}")
     exp = parser["experiment"]
     kind = exp.get("kind", "iid").strip().lower()
     if kind not in ("iid", "corr", "lns"):
@@ -249,6 +259,9 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
     seed_val = seed if seed is not None else exp.getint("seed", fallback=0)
     reps_val = reps if reps is not None else exp.getint("reps", fallback=500)
     if kind == "lns":
+        if len(models) > 1 or {"k_theta", "k_rho"} & set(exp) or "correlated" in parser:
+            raise DataFormatError("lnS config takes one model and no k_theta, "
+                                  "k_rho or [correlated] section")
         n_list = tuple(_ints(exp.get("n", "1000")))
         q = _floats(exp.get("q", ""))
         rel_q = _floats(exp.get("q_over_qc", ""))
@@ -292,7 +305,8 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
 def _cmd_mc(args) -> int:
     if (args.config is None) == (args.figure is None):
         raise ArgumentError("mc needs exactly one of --config / --figure")
-    parser = configparser.ConfigParser()
+    # [DEFAULT] reads as an ordinary section, and so as an unknown one
+    parser = configparser.ConfigParser(default_section="")
     try:
         if args.figure is not None:
             parser.read_dict(_FIGURES[args.figure])

@@ -4,15 +4,15 @@ A stationary series with correlation length tau behaves, for extreme-value
 purposes, like roughly n* = n / (1 + kappa tau) independent draws.  The
 critical order of a correlated series is therefore predicted by the i.i.d.
 theory evaluated at n*.  Estimation from a correlated series combines two
-corrections: ln n replaced by ln n* inside the estimators, and the top order
-statistics pre-filtered by a sieve that discards points too close to an
-already-selected extreme in the d_beta metric
+corrections: the estimators read ln n* from an ordered sample of size n*,
+and the top order statistics are pre-filtered by a sieve that discards
+points too close to an already-selected extreme in the d_beta metric
 
     d_beta(i, j) = max(|j - i|, beta * #{k : y between y_i and y_j}),
 
 so that each local excursion of the series contributes one extreme.  Every
-caller reads the correction rule from ``_correction`` (n*, windows at
-round(n*), sieve radius), and the corrected target's size from ``_sizes``.
+caller reads the correction rule from ``_correction`` (n*, windows of at
+most n*, sieve radius), and the corrected target's size from ``_sizes``.
 
 Synthesis goes through a Gaussian copula: a stationary standard Gaussian
 series with prescribed covariance (exact circulant embedding), mapped through
@@ -43,7 +43,6 @@ from .theory import critical_curve
 __all__ = [
     "ExponentialCov",
     "TabulatedCov",
-    "SeriesSpec",
     "SievedSample",
     "MatchMode",
     "parse_cov",
@@ -93,13 +92,6 @@ class TabulatedCov:
 
 
 CovarianceSpec = ExponentialCov | TabulatedCov
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    model: tm.TailModel
-    cov: CovarianceSpec
-    n: int
 
 
 class MatchMode(str, Enum):
@@ -193,10 +185,13 @@ def _sizes(n: float, tau: float, kappa: float) -> tuple[float, int]:
 
 def _correction(n: float, tau: float, kappa: float, k_theta: int | None,
                 k_rho: int | None, s: float | None, alpha: float):
-    """(n*, k_theta, k_rho, radius) of the corrected estimate: windows given or
-    by the rules of thumb at round(n*); radius s, or else alpha * tau."""
+    """(n*, k_theta, k_rho, radius) of the corrected estimate: windows of at
+    most n*, given or by the rules of thumb at round(n*); radius s or alpha tau."""
     ns, size = _sizes(n, tau, kappa)
     kt, kr = _windows(size, k_theta, k_rho)
+    for name, k in (("k_theta", kt), ("k_rho", kr)):
+        if k > ns:
+            raise ArgumentError(f"{name}={k} exceeds the effective size n* = {ns:.6g}")
     radius = alpha * tau if s is None else s
     if s is None and not 0.0 <= radius < math.inf:
         raise ArgumentError("the sieve radius alpha * tau must be finite and "
@@ -317,23 +312,23 @@ def _hermite_gaussian_cov(model: tm.TailModel, targets: np.ndarray) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
-def synth_series(spec: SeriesSpec, seed: int,
+def synth_series(model: tm.TailModel, cov: CovarianceSpec, n: int, seed: int,
                  match_mode: MatchMode = MatchMode.GAUSSIAN_LEVEL) -> tm.Sample:
-    """Stationary series with the spec's marginal and covariance.
+    """Stationary series of n values with the model's marginal and cov.
 
     GaussianLevel prescribes the covariance to the Gaussian copula layer;
     Hermite pre-distorts the Gaussian covariance so the transformed series
     matches it instead.  Deterministic given seed.
     """
-    n = tm._as_int(spec.n, "series length")
+    n = tm._as_int(n, "series length")
     if n < 2:
         raise ArgumentError(f"series length must be >= 2, got {n}")
     seed = tm._check_seed(seed)
     match_mode = MatchMode(match_mode)
     m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
-    model = spec.model if match_mode is MatchMode.HERMITE else None
-    z = _embed_gaussian(_spectrum(model, spec.cov, m, match_mode), seed)[:n]
-    y = _gauss_to_marginal(spec.model, z)
+    key = model if match_mode is MatchMode.HERMITE else None
+    z = _embed_gaussian(_spectrum(key, cov, m, match_mode), seed)[:n]
+    y = _gauss_to_marginal(model, z)
     return tm.Sample(values=y, n=n, seed=seed)
 
 
@@ -447,17 +442,15 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
                 beta: float = _BETA) -> QcEstimate:
     """Sieve-corrected critical-order estimate for a correlated series; by
     default windows at round(n*) and sieve radius alpha * tau (_correction)."""
-    n = series.n
-    ns, kt, kr, radius = _correction(n, tau, kappa, k_theta, k_rho, s, alpha)
+    ns, kt, kr, radius = _correction(series.n, tau, kappa, k_theta, k_rho, s, alpha)
     k_need = max(kt, kr)
-    sieved = sieve(series, radius, beta, max_points=k_need + 1)
-    if len(sieved.selected_values) < k_need + 1:
+    picks = sieve(series, radius, beta, max_points=k_need + 1).selected_values
+    if len(picks) < k_need + 1:
         raise InsufficientSievedPoints(
-            f"sieve kept {len(sieved.selected_values)} points, need {k_need + 1}"
+            f"sieve kept {len(picks)} points, need {k_need + 1}"
         )
-    ordered = OrderedSample(top=sieved.selected_values[:k_need], n=n)
-    log_ns = math.log(ns)
-    th = theta_hat(ordered, kt, log_n=log_ns)
-    rh = rho_hat(ordered, kr, log_n=log_ns)
+    ordered = OrderedSample(top=picks[:k_need], n=ns)
+    th = theta_hat(ordered, kt)
+    rh = rho_hat(ordered, kr)
     return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,
                       k_theta=kt, k_rho=kr)

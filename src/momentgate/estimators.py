@@ -41,10 +41,10 @@ _EULER_GAMMA = np.euler_gamma
 
 @dataclass(frozen=True)
 class OrderedSample:
-    """Top-k order statistics of a sample, descending, plus the full size n."""
+    """Top-k order statistics of a sample, descending, plus its size n (or n*)."""
 
     top: np.ndarray
-    n: int
+    n: float
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.top) <= self.n:
@@ -114,19 +114,17 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def _ladder_log_n(k_rho: int, available: int, n: int,
-                     log_n: float | None) -> float:
-    """rho_hat's argument checks; returns the ln n of its rank ladder, or
-    log_n where given."""
+def _ladder_log_n(k_rho: int, available: int, n: float) -> float:
+    """rho_hat's argument checks; returns the ln n of its rank ladder."""
     if k_rho < 2:
         raise ArgumentError(f"k_rho must be >= 2, got {k_rho}")
     if k_rho > available:
         raise ArgumentError(
             f"k_rho={k_rho} exceeds available order stats {available}"
         )
-    num = math.log(n) if log_n is None else float(log_n)
+    num = math.log(n)
     if num - math.log(k_rho) <= 0.0:
-        raise ArgumentError(f"k_rho={k_rho} too large for effective size e^{num:.3g}")
+        raise ArgumentError(f"k_rho={k_rho} must be below n={n:.6g}")
     return num
 
 
@@ -164,28 +162,24 @@ def omega(ordered: OrderedSample, k: int) -> float:
     return float(_omega_rows(ordered.top[None, :], k)[0])
 
 
-def theta_hat(ordered: OrderedSample, k_theta: int, *,
-              log_n: float | None = None) -> float:
-    """ln n / Omega_k; ``log_n`` overrides the numerator (effective size)."""
+def theta_hat(ordered: OrderedSample, k_theta: int) -> float:
+    """ln n / Omega_k."""
     om = omega(ordered, k_theta)
     if om <= 0.0:
         raise NonPositiveOmegaError(
             f"Omega_{k_theta} = {om:.6g} <= 0; estimator undefined"
         )
-    num = math.log(ordered.n) if log_n is None else float(log_n)
-    return num / om
+    return math.log(ordered.n) / om
 
 
-def rho_hat(ordered: OrderedSample, k_rho: int, *,
-            log_n: float | None = None) -> float:
+def rho_hat(ordered: OrderedSample, k_rho: int) -> float:
     """OLS slope of ln(ln n - ln i) against ln Y_{i,n}, i = 1..k_rho.
 
     Points with Y_{i,n} <= 0 are excluded (their log does not exist) while
-    the surviving points keep their original ranks i.  ``log_n`` substitutes
-    an effective log sample size in the rank ladder.
+    the surviving points keep their original ranks i.
     """
     k_rho = _as_int(k_rho, "k_rho")
-    num = _ladder_log_n(k_rho, len(ordered.top), ordered.n, log_n)
+    num = _ladder_log_n(k_rho, len(ordered.top), ordered.n)
     slope, positives = _slope_rows(ordered.top[None, :], k_rho, num)
     if positives[0] < 2:
         raise InsufficientPositiveValues(
@@ -247,7 +241,7 @@ def _qc_rows(values: np.ndarray, n: int, k_theta: int,
     _check_k(k, n)
     top = _top_rows(values, k)
     om = _omega_rows(top, k_theta)
-    rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n, None))
+    rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n))
     theta = math.log(n) / np.where(om > 0.0, om, math.nan)
     out = np.column_stack((theta, rho, theta * rho))
     out[np.isnan(out[:, 2])] = math.nan

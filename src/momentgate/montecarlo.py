@@ -365,10 +365,9 @@ def run_corr(config: ExperimentConfig) -> McReport:
         kt_u, kr_u = est._windows(n, k_t, k_r)
         _, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t,
                                                 k_r, s_val, cc.alpha)
-        spec = dep.SeriesSpec(model, cov, n)
 
         def draw(seeds):
-            return np.stack([dep.synth_series(spec, s, cc.match_mode).values
+            return np.stack([dep.synth_series(model, cov, n, s, cc.match_mode).values
                              for s in seeds])
 
         def measure(y):

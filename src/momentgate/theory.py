@@ -132,11 +132,8 @@ def _log_integral(model: tm.TailModel, q: np.ndarray) -> np.ndarray:
     where q <= 0 or y* overflows, ConvergenceError where the rule
     overflows, collapses or misses its tolerance at the finest level.
     """
-    status, peak = _peaks(model, q)
-    lp_peak = tm.log_pdf(model, peak)
-    k_shift = q * peak + lp_peak
+    status, peak, k_shift, floor = _peaks(model, q)
     order, base, step, half_line = _rays(model, q, peak, k_shift, status == 0)
-    floor = _DE_NOISE * np.finfo(float).eps * (q * peak + np.abs(lp_peak))
     sums = np.zeros(len(order))
     total = np.zeros(len(q))
     err = np.full(len(q), math.inf)
@@ -178,17 +175,21 @@ def _log_integral(model: tm.TailModel, q: np.ndarray) -> np.ndarray:
 
 
 def _peaks(model: tm.TailModel, q: np.ndarray):
-    """(failure code or 0, peak) per order: the mode y*(q).  Where y* leaves
-    the normal doubles, 0 stands in below them (q < s(1); slep with rho near
-    1 at small q); above them the order fails.  A failed order gets a peak
-    inside every support."""
+    """(failure code or 0, peak, k_shift, floor) per order: the mode y*(q), the
+    exponent q y + ln p(y) there and its rounding floor.  Where y* leaves the
+    normal doubles, 0 stands in below them (q < s(1); slep with rho near 1 at
+    small q); above them, or where k_shift overflows, the order fails (peak 1)."""
     status = np.where(q > 0.0, 0, _NOT_POSITIVE)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         peak = tm._dispatch(model).score_inv(model, np.where(status, 1.0, q))
-    abnormal = ~(np.isfinite(peak) & (peak >= np.finfo(float).tiny))
-    peak[abnormal] = np.where(q[abnormal] < tm.score(model, 1.0), 0.0, math.inf)
-    status[(status == 0) & np.isinf(peak)] = _Y_STAR_OVERFLOW
-    return status, np.where(status == 0, peak, 1.0)
+        abnormal = ~(np.isfinite(peak) & (peak >= np.finfo(float).tiny))
+        peak[abnormal] = np.where(q[abnormal] < tm.score(model, 1.0), 0.0, math.inf)
+        status[(status == 0) & np.isinf(peak)] = _Y_STAR_OVERFLOW
+        lp_peak = tm.log_pdf(model, peak)
+        k_shift = q * peak + lp_peak
+        floor = _DE_NOISE * np.finfo(float).eps * (q * peak + np.abs(lp_peak))
+    status[(status == 0) & ~np.isfinite(k_shift)] = _OVERFLOW
+    return status, np.where(status == 0, peak, 1.0), k_shift, floor
 
 
 def _rays(model: tm.TailModel, q: np.ndarray, peak: np.ndarray,

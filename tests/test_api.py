@@ -1,11 +1,14 @@
-"""API-surface guard: every name exported through ``__all__`` resolves, and
-so does every name the benchmark's tracer patches."""
+"""API-surface guard: every name exported through ``__all__`` resolves, so
+does every name the benchmark's tracer patches, and the README's library
+and ``theory`` examples print what the README shows."""
 
 import importlib
 import importlib.util
 import pathlib
 
 import pytest
+
+from momentgate import cli
 
 MODULES = ["momentgate"] + [f"momentgate.{m}" for m in
                             ("dependence", "errors", "estimators",
@@ -50,3 +53,35 @@ def test_numerical_errors_share_one_base():
     assert sorted(runtime) == sorted(("NumericalError",) + NUMERICAL)
     for name in NUMERICAL:
         assert issubclass(getattr(errors, name), errors.NumericalError)
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(anchor: str) -> list[str]:
+    """The README's lines after anchor, up to the end of its code block."""
+    text = README.read_text()
+    start = text.index(anchor) + len(anchor)
+    return text[start:text.index("```", start)].splitlines()
+
+
+def test_readme_quick_start_prints_what_it_shows(capsys):
+    code = _readme_block("```python\n")
+    exec(compile("\n".join(code), str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # "print(...)  # 5.7402... 6.0697...": each shown value is a prefix
+    shown = [line.partition("#")[2].split() for line in code
+             if line.startswith("print(")]
+    assert len(printed) == len(shown) > 0
+    for line, want in zip(printed, shown):
+        got = line.split()
+        assert len(got) == len(want), (line, want)
+        assert all(g.startswith(w.removesuffix("..."))
+                   for g, w in zip(got, want)), (line, want)
+
+
+def test_readme_theory_example_prints_what_it_shows(capsys):
+    command = "$ momentgate theory --model lognormal --n 1000 --q-grid 1,3\n"
+    shown = _readme_block(command)
+    assert cli.main(command.split()[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == shown

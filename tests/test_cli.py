@@ -426,6 +426,16 @@ def test_estimate_corr_rejects_infinite_beta(tmp_path):
     assert "beta must be finite" in err
 
 
+def test_estimate_corr_rejects_window_above_effective_size(tmp_path):
+    # n* = 1000 / (1 + 0.08 * 100) = 111.1 < k_theta
+    path = tmp_path / "sample.txt"
+    run_cli("sample", "--model", "lognormal", "--n", "1000", "--out", str(path))
+    code, out, err = run_cli("estimate", "--input", str(path), "--corr",
+                             "--tau", "100", "--k-theta", "150")
+    assert code == 2 and out == ""
+    assert err == "error: k_theta=150 exceeds the effective size n* = 111.111\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "--model", "lognormal", "--n", "5", "--format", "json"),
     ("synth", "--model", "lognormal", "--cov", "exp:tau=3", "--n", "16",
@@ -735,6 +745,23 @@ reps = 2
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("extra", [
+    "models = lognormal,slep:rho=3\n",
+    "models = lognormal\nk_theta = 4\n",
+    "models = lognormal\nk_rho = 40\n",
+    "models = lognormal\n[correlated]\ncov = exp:tau=4\n",
+], ids=["two-models", "k_theta", "k_rho", "correlated-section"])
+def test_mc_lns_config_refuses_input_it_would_drop(tmp_path, extra):
+    # lnS runs one model and reads no estimator window, as lnS_curve takes
+    # one n
+    ini = write_ini(tmp_path, "[experiment]\nkind = lnS\nn = 200\nq = 1,2\n"
+                              "reps = 2\n" + extra)
+    code, out, err = run_cli("mc", "--config", ini)
+    assert (code, out) == (4, "")
+    assert err == ("error: lnS config takes one model and no k_theta, k_rho "
+                   "or [correlated] section\n")
+
+
 def test_mc_figure_preset_smoke():
     code, out, err = run_cli("mc", "--figure", "3", "--reps", "2",
                              "--seed", "1")
@@ -873,11 +900,32 @@ reps = 2
     ("[experiment]\nmodels = lognormal\nreps = many\n", "'many'"),
     ("[experiment]\nkind = corr\nmodels = lognormal\nn = 1024\n"
      "[correlated]\ncov = exp:tau=4\nmatch = bogus\n", "'bogus'"),
-], ids=["no-section-header", "non-integer-reps", "unknown-match"])
+    ("[experiment]\nmodels = lognormal\nreps = 2\nseeed = 5\n",
+     "[experiment] takes no key 'seeed'"),
+    ("[experiment]\nmodels = lognormal\nreps = 2\n"
+     "[correlatd]\ncov = exp:tau=4\n", "unknown section [correlatd]"),
+    ("[experiment]\nkind = corr\nmodels = lognormal\nn = 1024\n"
+     "[correlated]\ncov = exp:tau=4\ntau = 4\n",
+     "[correlated] takes no key 'tau'"),
+    ("[DEFAULT]\nseed = 5\n[experiment]\nmodels = lognormal\nreps = 2\n",
+     "unknown section [DEFAULT]"),
+], ids=["no-section-header", "non-integer-reps", "unknown-match",
+        "misspelt-key", "misspelt-section", "key-of-another-section",
+        "default-section"])
 def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
     code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
     assert code == 4 and out == ""
     assert err.startswith("error: malformed config") and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nreps = 2\n", "config needs experiment.models"),
+    ("[experiment]\nmodels = lognormal\nreps = 2\n[correlated]\nkappa = 0.1\n",
+     "correlated section needs cov"),
+], ids=["no-models", "no-cov"])
+def test_mc_config_missing_entry_is_data_error(tmp_path, text, message):
+    code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("line, value", [

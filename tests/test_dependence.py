@@ -8,6 +8,7 @@ checked at the Gaussian layer (autocovariance) and at the marginal layer
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ def test_parse_cov_rejects_bad_specs():
                  "exp:tau=abc", "tab:1,nan"):
         with pytest.raises(ArgumentError):
             dep.parse_cov(spec)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dep.parse_cov("exp:scale=3"),
+     "exponential covariance needs tau=..., got 'exp:scale=3'"),
+    (lambda: dep.parse_cov("exp:3"),
+     "exponential covariance needs tau=..., got 'exp:3'"),
+    (lambda: dep.parse_cov("tab:1,half"),
+     "non-numeric tabulated covariance in 'tab:1,half'"),
+    (lambda: dep.n_star(1000, -1.0, 0.08), "tau and kappa must be >= 0"),
+    (lambda: dep.n_star(1000, 10.0, math.nan), "tau and kappa must be >= 0"),
+], ids=["exp-without-tau", "exp-bare-value", "tab-non-numeric",
+        "negative-tau", "nan-kappa"])
+def test_cov_and_size_errors_name_their_cause(call, message):
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_cov_at_lags():
@@ -121,25 +138,24 @@ def test_corrected_critical_order_theory():
 
 
 def test_synth_deterministic_and_sized():
-    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=10.0), 256)
-    a = dep.synth_series(spec, seed=3)
-    b = dep.synth_series(spec, seed=3)
-    c = dep.synth_series(spec, seed=4)
+    cov = dep.ExponentialCov(tau=10.0)
+    a = dep.synth_series(LN, cov, 256, seed=3)
+    b = dep.synth_series(LN, cov, 256, seed=3)
+    c = dep.synth_series(LN, cov, 256, seed=4)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.n == 256
     with pytest.raises(ArgumentError):
-        dep.synth_series(dep.SeriesSpec(LN, dep.ExponentialCov(tau=1.0), 1),
-                         seed=0)
+        dep.synth_series(LN, dep.ExponentialCov(tau=1.0), 1, seed=0)
 
 
 def test_gaussian_layer_autocovariance():
     # the standard normal marginal leaves the Gaussian layer visible
     n, tau, reps = 4096, 5.0, 100
-    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=tau), n)
+    cov = dep.ExponentialCov(tau=tau)
     acc = np.zeros(6)
     for r in range(reps):
-        z = dep.synth_series(spec, seed=1000 + r).values
+        z = dep.synth_series(LN, cov, n, seed=1000 + r).values
         zc = z - z.mean()
         for t in range(6):
             acc[t] += np.dot(zc[: n - t], zc[t:]) / n
@@ -150,8 +166,7 @@ def test_gaussian_layer_autocovariance():
 
 def test_zero_correlation_is_iid():
     n = 10_000
-    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=0.0), n)
-    z = dep.synth_series(spec, seed=9).values
+    z = dep.synth_series(LN, dep.ExponentialCov(tau=0.0), n, seed=9).values
     assert sps.kstest(z, ndtr).pvalue > 0.01
     lag1 = np.corrcoef(z[:-1], z[1:])[0, 1]
     assert abs(lag1) < 3.0 / math.sqrt(n)
@@ -173,8 +188,8 @@ def test_correlated_marginal_still_fits():
     # values with a dependence-inflated tolerance instead
     n = 10_000
     for model in (LW2, LN):
-        spec = dep.SeriesSpec(model, dep.ExponentialCov(tau=10.0), n)
-        y = dep.synth_series(spec, seed=17).values
+        y = dep.synth_series(model, dep.ExponentialCov(tau=10.0), n,
+                             seed=17).values
         u = oracles.cdf(model, y)
         assert abs(u.mean() - 0.5) < 0.05
         assert abs(u.var() - 1.0 / 12.0) < 0.02
@@ -184,16 +199,15 @@ def test_correlated_marginal_still_fits():
 
 @pytest.mark.parametrize("n", [100.7, 100.0, "100"])
 def test_synthesis_rejects_non_integer_length(n):
-    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=5.0), n)
     with pytest.raises(ArgumentError, match="series length must be an integer"):
-        dep.synth_series(spec, seed=0)
+        dep.synth_series(LN, dep.ExponentialCov(tau=5.0), n, seed=0)
 
 
 def test_embedding_rejects_indefinite_covariance():
-    spec = dep.SeriesSpec(LN, dep.TabulatedCov(values=(1.0, 0.9)), 64)
+    cov = dep.TabulatedCov(values=(1.0, 0.9))
     for _ in range(2):  # the spectrum cache keeps no exception
         with pytest.raises(EmbeddingError):
-            dep.synth_series(spec, seed=1)
+            dep.synth_series(LN, cov, 64, seed=1)
 
 
 def test_hermite_match_identity_for_gaussian_marginal():
@@ -212,8 +226,8 @@ def test_hermite_match_compensates_transform_loss():
 
 def test_hermite_synthesis_hits_value_level_correlation():
     n, tau = 8192, 10.0
-    spec = dep.SeriesSpec(LW2, dep.ExponentialCov(tau=tau), n)
-    y = dep.synth_series(spec, seed=23, match_mode=dep.MatchMode.HERMITE)
+    y = dep.synth_series(LW2, dep.ExponentialCov(tau=tau), n, seed=23,
+                         match_mode=dep.MatchMode.HERMITE)
     v = y.values
     lag1 = np.corrcoef(v[:-1], v[1:])[0, 1]
     assert abs(lag1 - math.exp(-1.0 / tau)) < 0.02
@@ -238,39 +252,39 @@ def test_embedding_matches_full_complex_fft(m, mode):
     # n = m/2 + 1 is the longest series served by an embedding of length m;
     # the lognormal marginal leaves the Gaussian layer visible
     amp = dep._spectrum(LN if hermite else None, cov, m, mode)
-    series = dep.synth_series(dep.SeriesSpec(LN, cov, m // 2 + 1), 7, mode)
+    series = dep.synth_series(LN, cov, m // 2 + 1, 7, mode)
     _assert_embedding_matches_fft(amp, series.values)
 
 
-def _cold(spec, seed, match_mode):
+def _cold(model, cov, n, seed, match_mode):
     dep._spectrum.cache_clear()
-    return dep.synth_series(spec, seed, match_mode).values
+    return dep.synth_series(model, cov, n, seed, match_mode).values
 
 
 @pytest.mark.parametrize("mode", list(dep.MatchMode))
 def test_spectrum_cache_warm_equals_cold(mode):
-    spec = dep.SeriesSpec(LW2, dep.ExponentialCov(tau=10.0), 2048)
-    cold = _cold(spec, 5, mode)
-    dep.synth_series(spec, 6, mode)
-    warm = dep.synth_series(spec, 5, mode).values
+    series = (LW2, dep.ExponentialCov(tau=10.0), 2048)
+    cold = _cold(*series, 5, mode)
+    dep.synth_series(*series, 6, mode)
+    warm = dep.synth_series(*series, 5, mode).values
     assert dep._spectrum.cache_info().hits >= 2
     np.testing.assert_array_equal(warm, cold)
 
 
 def test_spectrum_cache_keys_the_model_only_in_hermite_mode():
     cov = dep.ExponentialCov(tau=10.0)
-    a, b = (dep.SeriesSpec(m, cov, 2048) for m in (LW2, SLEP2))
+    a, b = ((m, cov, 2048) for m in (LW2, SLEP2))
     hermite = dep.MatchMode.HERMITE
-    cold_a, cold_b = _cold(a, 3, hermite), _cold(b, 3, hermite)
+    cold_a, cold_b = _cold(*a, 3, hermite), _cold(*b, 3, hermite)
     assert not np.array_equal(cold_a, cold_b)
     dep._spectrum.cache_clear()
-    for spec, cold in ((a, cold_a), (b, cold_b), (a, cold_a)):
-        np.testing.assert_array_equal(dep.synth_series(spec, 3, hermite).values,
-                                      cold)
+    for series, cold in ((a, cold_a), (b, cold_b), (a, cold_a)):
+        np.testing.assert_array_equal(
+            dep.synth_series(*series, 3, hermite).values, cold)
     assert dep._spectrum.cache_info().currsize == 2
     dep._spectrum.cache_clear()
-    dep.synth_series(a, 3)
-    dep.synth_series(b, 3)
+    dep.synth_series(*a, 3)
+    dep.synth_series(*b, 3)
     assert dep._spectrum.cache_info().currsize == 1
 
 
@@ -361,8 +375,8 @@ def test_sieve_matches_brute_force_on_heavy_ties():
 
 
 def test_sieve_matches_searchsorted_counts_on_long_series():
-    spec = dep.SeriesSpec(LN, dep.ExponentialCov(tau=100.0), 1 << 16)
-    y = dep.synth_series(spec, seed=11).values
+    y = dep.synth_series(LN, dep.ExponentialCov(tau=100.0), 1 << 16,
+                         seed=11).values
     finite_edges = tuple(e for e in _RADIUS_EDGES if e[0] < math.inf)
     for s, beta in ((1.0, 1.0), (30.0, 1.0), (300.0, 1.0)) + finite_edges:
         got = dep.sieve(y, s, beta, max_points=300).selected_indices
@@ -469,26 +483,24 @@ def test_corrected_estimators_reduce_to_iid_at_zero_tau():
 
 
 def test_corrected_theta_uses_effective_size_and_sieved_top():
-    series = dep.synth_series(
-        dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=44)
+    series = dep.synth_series(LW2, dep.ExponentialCov(tau=50.0), 4000, seed=44)
     tau, k = 50.0, 10
     got = dep.qc_hat_corr(series, k, 2, tau=tau, s=3.0).theta_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n)
-    want = est.theta_hat(ordered, k,
-                         log_n=math.log(dep.n_star(series.n, tau, 0.08)))
+    ordered = est.OrderedSample(top=sieved.selected_values[:k],
+                                n=dep.n_star(series.n, tau, 0.08))
+    want = est.theta_hat(ordered, k)
     assert got == want
 
 
 def test_corrected_rho_uses_effective_size():
-    series = dep.synth_series(
-        dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=45)
+    series = dep.synth_series(LW2, dep.ExponentialCov(tau=50.0), 4000, seed=45)
     tau, k = 50.0, 12
     got = dep.qc_hat_corr(series, 1, k, tau=tau, s=3.0).rho_hat
     sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k], n=series.n)
-    want = est.rho_hat(ordered, k,
-                       log_n=math.log(dep.n_star(series.n, tau, 0.08)))
+    ordered = est.OrderedSample(top=sieved.selected_values[:k],
+                                n=dep.n_star(series.n, tau, 0.08))
+    want = est.rho_hat(ordered, k)
     assert got == want
 
 
@@ -496,6 +508,19 @@ def test_corrected_estimators_need_enough_sieved_points():
     series = tm.Sample(values=np.arange(200.0, 0.0, -1.0), n=200, seed=0)
     with pytest.raises(InsufficientSievedPoints):
         dep.qc_hat_corr(series, 10, 10, tau=100.0, s=50.0, beta=0.0)
+
+
+@pytest.mark.parametrize("windows, message", [
+    ((150, None), "k_theta=150 exceeds the effective size n* = 111.111"),
+    ((None, 112), "k_rho=112 exceeds the effective size n* = 111.111"),
+])
+def test_corrected_window_above_effective_size_is_rejected(windows, message):
+    # n* = 1000 / (1 + 0.08 * 100): a corrected window holds at most n*
+    # values, as an uncorrected one holds at most n
+    series = tm.sample_iid(LW2, 1000, seed=1)
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        dep.qc_hat_corr(series, *windows, tau=100.0)
+    assert dep.qc_hat_corr(series, 111, 20, tau=100.0).k_theta == 111
 
 
 def test_corrected_estimators_reject_vanishing_effective_size():
@@ -513,8 +538,7 @@ def test_corrected_estimators_reject_non_integer_windows(name, bad):
 
 
 def test_corrected_estimators_take_numpy_integer_windows():
-    series = dep.synth_series(
-        dep.SeriesSpec(LW2, dep.ExponentialCov(tau=50.0), 4000), seed=44)
+    series = dep.synth_series(LW2, dep.ExponentialCov(tau=50.0), 4000, seed=44)
     e = dep.qc_hat_corr(series, np.int64(10), np.int16(40), tau=50.0, s=3.0)
     assert e == dep.qc_hat_corr(series, 10, 40, tau=50.0, s=3.0)
     assert type(e.k_theta) is int and type(e.k_rho) is int

@@ -79,6 +79,19 @@ def test_ordered_sample_validates_monotone():
         est.OrderedSample(top=np.array([1.0, 2.0]), n=5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=2.5),
+     r"len\(top\) must be in \[1, n\]"),
+    (lambda: est.OrderedSample(top=np.array([]), n=10),
+     r"len\(top\) must be in \[1, n\]"),
+    (lambda: est.omega(est.OrderedSample(top=np.array([3.0, 2.0]), n=10), 3),
+     "k=3 exceeds available order stats 2"),
+], ids=["more-than-n", "empty", "omega-beyond-top"])
+def test_ordered_sample_errors_name_their_cause(call, message):
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        call()
+
+
 # --------------------------------------------------------------- weights
 
 
@@ -111,10 +124,11 @@ def test_combination_of_constant_top_is_identity():
 
 def test_theta_hat_single_order_stat():
     ordered = est.OrderedSample(top=np.array([2.0]), n=55)
-    assert est.theta_hat(ordered, 1, log_n=4.0) == pytest.approx(2.0,
-                                                                 rel=1e-15)
     assert est.theta_hat(ordered, 1) == pytest.approx(math.log(55) / 2.0,
                                                       rel=1e-15)
+    # an effective size n* is a real
+    effective = est.OrderedSample(top=np.array([2.0]), n=math.exp(4.0))
+    assert est.theta_hat(effective, 1) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_theta_hat_rejects_nonpositive_combination():
@@ -161,10 +175,10 @@ def test_rho_hat_error_conditions():
 
 
 def test_rho_hat_ladder_needs_room():
-    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=100)
-    # effective size e^1.0 leaves no positive ladder value at rank 3
-    with pytest.raises(ArgumentError):
-        est.rho_hat(ordered, 3, log_n=1.0)
+    ordered = est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=3.0)
+    # size 3 leaves no positive ladder value ln(ln 3 - ln 3) at rank 3
+    with pytest.raises(ArgumentError, match="k_rho=3 must be below n=3"):
+        est.rho_hat(ordered, 3)
 
 
 # ------------------------------------------------------------- window rules

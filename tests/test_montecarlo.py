@@ -235,8 +235,7 @@ def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
                               reps=reps, seed=seed, correlated=cc)
     [rows] = _replicated(monkeypatch, mc.run_corr, cfg)
     assert rows.shape == (reps, 6)
-    spec = dep.SeriesSpec(model, cov, n)
-    samples = (dep.synth_series(spec, mc.rep_seed(seed, 0, r), match)
+    samples = (dep.synth_series(model, cov, n, mc.rep_seed(seed, 0, r), match)
                for r in range(reps))
     failed = _assert_rows_equal_qc_hat(rows[:, :3], samples, kt, kr)
     if model.rho == 1.5:
@@ -365,6 +364,21 @@ def test_run_iid_takes_numpy_integer_windows():
     assert rows(np.int64(10), np.int32(30)) == rows(10, 30)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: mc.CorrelatedConfig(covs=()),
+     "correlated config needs at least one covariance"),
+    (lambda: mc.ExperimentConfig(models=(LW2,), n_grid=(100,),
+                                 k_theta_grid=()), "k grids must be nonempty"),
+    (lambda: mc.ExperimentConfig(models=(LW2,), n_grid=(100,),
+                                 k_rho_grid=()), "k grids must be nonempty"),
+    (lambda: mc.run_corr(small_iid_config()),
+     "run_corr requires the correlated config block"),
+], ids=["no-covs", "no-k_theta", "no-k_rho", "run_corr-without-block"])
+def test_config_errors_name_their_cause(call, message):
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        call()
+
+
 def test_config_validation():
     with pytest.raises(ArgumentError):
         mc.ExperimentConfig(models=(LW2,), n_grid=(100,), reps=1)
@@ -478,8 +492,8 @@ def test_failed_corrected_estimate_fails_only_its_corrected_columns(
     # in run_corr, replication 1's corrected estimate raises, so only its
     # corrected columns fail; replications 0 and 2 succeed in both
     cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
-    bad = dep.synth_series(dep.SeriesSpec(LN, cc.covs[0], 512),
-                           mc.rep_seed(1, 0, 1), cc.match_mode).values
+    bad = dep.synth_series(LN, cc.covs[0], 512, mc.rep_seed(1, 0, 1),
+                           cc.match_mode).values
     corr = dep.qc_hat_corr
 
     def fake_corr(sample, *args, **kwargs):
@@ -712,6 +726,24 @@ def test_failing_corrected_estimator_leaves_uncorrected_rows_intact(
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=4, seed=0,
                               correlated=cc)
     with pytest.raises(ArgumentError, match="n\\* = .* < 2"):
+        mc.run_corr(cfg)
+
+
+def test_corrected_window_above_effective_size_is_refused_before_any_draw(
+        monkeypatch):
+    # n* = 1000 / (1 + 0.08 * 100) = 111.1 holds no corrected window of 150,
+    # as n holds no uncorrected window above n
+    def no_synth(*args):
+        raise AssertionError("series drawn")
+
+    monkeypatch.setattr(dep, "synth_series", no_synth)
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=100.0),))
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(1000,),
+                              k_theta_grid=(150,), reps=4, seed=0,
+                              correlated=cc)
+    with pytest.raises(ArgumentError,
+                       match=r"^k_theta=150 exceeds the effective size "
+                             r"n\* = 111\.111$"):
         mc.run_corr(cfg)
 
 

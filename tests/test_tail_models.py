@@ -436,6 +436,24 @@ def test_model_requires_finite_rho_above_one(spec):
         tm.parse_model(spec)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tm.TailModel(tm.Family.LOG_NORMAL, 3.0), ArgumentError,
+     "lognormal has rho fixed at 2"),
+    (lambda: tm.Sample(values=np.array([1.0, 2.0]), n=3, seed=0),
+     ArgumentError, "values length must equal n >= 1"),
+    (lambda: tm.parse_model("slep:rho"), ArgumentError,
+     "malformed model parameter 'rho' in 'slep:rho'"),
+    (lambda: tm.h(LW2, -1.0), DomainError, "logweibull h requires y >= 0"),
+    (lambda: tm.rho_local(LW2, 0.0), DomainError,
+     r"rho_local requires h\(y\) > 0"),
+    (lambda: tm.sample_iid(LW2, 0, 0), ArgumentError, "n must be >= 1"),
+], ids=["lognormal-rho", "sample-length", "model-parameter", "h-below-support",
+        "rho_local-at-zero-h", "sample_iid-empty"])
+def test_model_and_sample_errors_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # -------------------------------------------------------------- file I/O
 
 

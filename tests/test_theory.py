@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 import momentgate.tail_models as tm
@@ -341,6 +341,13 @@ def test_moment_quadrature_array_raises_for_first_failing_order():
 @given(st.sampled_from(["logweibull", "slep", "lognormal"]),
        st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
        st.floats(min_value=-6.0, max_value=4.0))
+# far past the drawn orders: q y* + ln p(y*) overflows at the peak itself
+@example("lognormal", 2.0, 160.0)
+@example("lognormal", 2.0, 300.0)
+@example("logweibull", 2.0, 160.0)
+@example("logweibull", 2.0, 300.0)
+@example("slep", 2.0, 160.0)
+@example("slep", 2.0, 300.0)
 def test_moment_integrals_finite_or_typed_error(family, rho, log10_q):
     model = tm.parse_model(family if family == "lognormal"
                            else f"{family}:rho={rho!r}")
@@ -349,7 +356,10 @@ def test_moment_integrals_finite_or_typed_error(family, rho, log10_q):
         val = th.moment_quadrature(model, q)
     except MomentgateError as exc:
         assert f"q={q!r}" in str(exc) or f"q={q:.17g}" in str(exc), exc
+        assert (log10_q <= 4.0 or
+                str(exc) == f"moment quadrature integrand overflowed at q={q}")
         return
+    assert log10_q <= 4.0, (model, q, val)
     assert type(val) is float and math.isfinite(val), (model, q, val)
 
 
