@@ -21,6 +21,7 @@ import contextlib
 import json
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -230,6 +231,7 @@ def _k_grid(text: str | None) -> tuple:
     return tuple(_ints(text))
 
 
+# the keys each section takes; q and q_over_qc only where kind = lnS
 _INI_KEYS = {"experiment": {"kind", "models", "n", "k_theta", "k_rho", "reps",
                             "seed", "q", "q_over_qc"},
              "correlated": {"cov", "match", "assumed_tau", "s", *_CORR_DEFAULTS}}
@@ -237,39 +239,46 @@ _INI_KEYS = {"experiment": {"kind", "models", "n", "k_theta", "k_rho", "reps",
 
 def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
                        seed: int | None):
-    """(kind, payload) of the experiment an INI document describes; reps
-    and seed, when not None, override the document's."""
+    """(kind, seed, calls) of the experiment an INI document describes:
+    calls are the zero-argument study calls whose reports, joined in order,
+    make its output.  reps and seed, when not None, override the document's."""
     if "experiment" not in parser:
         raise DataFormatError("config needs an [experiment] section")
-    for name in parser.sections():
-        if name not in _INI_KEYS:
-            raise DataFormatError(f"malformed config: unknown section [{name}]")
-        bad = sorted(set(parser[name]) - _INI_KEYS[name])
-        if bad:
-            raise DataFormatError(f"malformed config: [{name}] takes no key {bad[0]!r}")
     exp = parser["experiment"]
     kind = exp.get("kind", "iid").strip().lower()
     if kind not in ("iid", "corr", "lns"):
         raise DataFormatError(
             f"unknown experiment kind {kind!r} (expected iid, corr or lnS)")
+    for name in parser.sections():
+        if name not in _INI_KEYS:
+            raise DataFormatError(f"malformed config: unknown section [{name}]")
+        keys = _INI_KEYS[name] - (set() if kind == "lns" else {"q", "q_over_qc"})
+        bad = sorted(set(parser[name]) - keys)
+        if bad:
+            raise DataFormatError(f"malformed config: [{name}] takes no key {bad[0]!r}")
     models = tuple(tm.parse_model(s) for s in exp.get("models", "").split(",")
                    if s.strip())
     if not models:
         raise DataFormatError("config needs experiment.models")
-    seed_val = seed if seed is not None else exp.getint("seed", fallback=0)
-    reps_val = reps if reps is not None else exp.getint("reps", fallback=500)
+    seed = seed if seed is not None else exp.getint("seed", fallback=0)
+    reps = reps if reps is not None else exp.getint("reps", fallback=500)
+    n_grid = tuple(_ints(exp.get("n", "1000")))
     if kind == "lns":
         if len(models) > 1 or {"k_theta", "k_rho"} & set(exp) or "correlated" in parser:
             raise DataFormatError("lnS config takes one model and no k_theta, "
                                   "k_rho or [correlated] section")
-        n_list = tuple(_ints(exp.get("n", "1000")))
         q = _floats(exp.get("q", ""))
         rel_q = _floats(exp.get("q_over_qc", ""))
-        if bool(q) == bool(rel_q):
-            raise DataFormatError("lnS config needs exactly one of q / q_over_qc")
-        return ("lnS", {"model": models[0], "n_list": n_list,
-                        "q": q or None, "rel_q": rel_q or None,
-                        "reps": reps_val, "seed": seed_val})
+        if bool(q) == bool(rel_q) or not n_grid:
+            raise DataFormatError("lnS config needs n and exactly one of q / q_over_qc")
+        # one lnS_curve per n, on its own seed; q_over_qc is in units of q_c(n)
+        calls = []
+        for i, n in enumerate(n_grid):
+            scale = theory.critical_curve(models[0], n).qc_approx if rel_q else 1.0
+            calls.append(partial(mc.lnS_curve, models[0], [n],
+                                 np.asarray(q or rel_q, dtype=float) * scale,
+                                 reps, mc.rep_seed(seed, i, 0)))
+        return "lnS", seed, calls
     corr = None
     if "correlated" in parser:
         sec = parser["correlated"]
@@ -292,14 +301,16 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
         )
     config = mc.ExperimentConfig(
         models=models,
-        n_grid=tuple(_ints(exp.get("n", "1000"))),
+        n_grid=n_grid,
         k_theta_grid=_k_grid(exp.get("k_theta", fallback=None)),
         k_rho_grid=_k_grid(exp.get("k_rho", fallback=None)),
-        reps=reps_val,
-        seed=seed_val,
+        reps=reps,
+        seed=seed,
         correlated=corr,
     )
-    return ("corr" if kind == "corr" or corr is not None else "iid", config)
+    if kind == "corr" or corr is not None:
+        return "corr", seed, [partial(mc.run_corr, config)]
+    return "iid", seed, [partial(mc.run_iid, config)]
 
 
 def _cmd_mc(args) -> int:
@@ -315,38 +326,20 @@ def _cmd_mc(args) -> int:
             source = ("config", args.config)
         else:
             raise DataFormatError(f"cannot read config file {args.config!r}")
-        kind, payload = _config_experiment(parser, args.reps, args.seed)
+        kind, seed, calls = _config_experiment(parser, args.reps, args.seed)
     except MomentgateError:
         raise
     except (configparser.Error, ValueError) as exc:
         # no section header, or a value that getint or MatchMode rejects
         raise DataFormatError(f"malformed config: {exc}") from None
-
-    if kind == "lnS":
-        model = payload["model"]
-        rel_q = payload.get("rel_q")
-        seed_val = payload["seed"]
-        reports = []
-        for ci, n in enumerate(payload["n_list"]):
-            if rel_q is not None:
-                qc = theory.critical_curve(model, n).qc_approx
-                grid = np.asarray(rel_q, dtype=float) * qc
-            else:
-                grid = np.asarray(payload["q"], dtype=float)
-            sub_seed = mc.rep_seed(seed_val, ci, 0)
-            reports.append(mc.lnS_curve(model, [n], grid, payload["reps"],
-                                        sub_seed))
-        report = reports[0]
-        for extra in reports[1:]:
-            report.rows.extend(extra.rows)
-        report.meta["seed"] = seed_val
-    else:
-        report = (mc.run_corr if kind == "corr" else mc.run_iid)(payload)
-        seed_val = payload.seed
+    report = calls[0]()
+    for call in calls[1:]:
+        report.rows.extend(call().rows)
+    report.meta["seed"] = seed
 
     cfg_desc = [("command", "mc"), source, ("kind", kind)]
     with _output(args.out) as stream:
-        _header(stream, seed_val, cfg_desc)
+        _header(stream, seed, cfg_desc)
         if args.format == "json":
             report.to_json(stream)
         else:

@@ -324,7 +324,11 @@ def synth_series(model: tm.TailModel, cov: CovarianceSpec, n: int, seed: int,
     if n < 2:
         raise ArgumentError(f"series length must be >= 2, got {n}")
     seed = tm._check_seed(seed)
-    match_mode = MatchMode(match_mode)
+    try:
+        match_mode = MatchMode(match_mode)
+    except ValueError:
+        raise ArgumentError(f"unknown match mode {match_mode!r} "
+                            "(expected gaussian or hermite)") from None
     m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
     key = model if match_mode is MatchMode.HERMITE else None
     z = _embed_gaussian(_spectrum(key, cov, m, match_mode), seed)[:n]

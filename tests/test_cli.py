@@ -781,8 +781,8 @@ def test_mc_figure_rejects_reps_below_two():
 
 
 # the hand-built grids the figure presets held before they became INI
-# documents; each preset must load to exactly these configs
-def _old_figure_configs():
+# documents; each preset must load to calls of exactly these arguments
+def _old_figure_calls():
     lw2, ln, exp = tm.log_weibull(2.0), tm.log_normal(), dep.ExponentialCov
     taus = (exp(10.0), exp(50.0), exp(100.0))
     sweep = mc.ExperimentConfig(models=(lw2,), n_grid=(1000, 10000, 100000),
@@ -790,29 +790,32 @@ def _old_figure_configs():
     corr = mc.ExperimentConfig(
         models=(ln,), n_grid=(65536,), k_theta_grid=(10,), k_rho_grid=(100,),
         reps=200, seed=0, correlated=mc.CorrelatedConfig(covs=taus))
+    # figure 2: one lnS_curve per n on the q / q_c(n) grid, seeded per n
+    lns = [(mc.lnS_curve, (ln, [n], np.linspace(0.1, 3.0, 30)
+                           * th.critical_curve(ln, n).qc_approx, 500,
+                           mc.rep_seed(0, i, 0)))
+           for i, n in enumerate((100, 1000, 1000000))]
     return {
-        2: ("lnS", {"model": ln, "n_list": (100, 1000, 1000000),
-                    "rel_q": np.linspace(0.1, 3.0, 30), "reps": 500,
-                    "seed": 0}),
-        3: ("iid", mc.ExperimentConfig(
+        2: ("lnS", lns),
+        3: ("iid", [(mc.run_iid, (mc.ExperimentConfig(
             models=(lw2,), n_grid=(1000,), k_theta_grid=(1, 2, 4, 8, 16, 28),
-            k_rho_grid=(80,), reps=500, seed=0)),
-        5: ("iid", sweep),
-        6: ("iid", mc.ExperimentConfig(
+            k_rho_grid=(80,), reps=500, seed=0),))]),
+        5: ("iid", [(mc.run_iid, (sweep,))]),
+        6: ("iid", [(mc.run_iid, (mc.ExperimentConfig(
             models=(lw2,), n_grid=(1000,), k_theta_grid=(28,),
-            k_rho_grid=(10, 20, 40, 80, 120, 160, 200), reps=500, seed=0)),
-        8: ("iid", sweep),
-        11: ("corr", corr),
-        12: ("corr", mc.ExperimentConfig(
+            k_rho_grid=(10, 20, 40, 80, 120, 160, 200), reps=500, seed=0),))]),
+        8: ("iid", [(mc.run_iid, (sweep,))]),
+        11: ("corr", [(mc.run_corr, (corr,))]),
+        12: ("corr", [(mc.run_corr, (mc.ExperimentConfig(
             models=(ln,), n_grid=(65536,), k_theta_grid=(1,),
             k_rho_grid=(100,), reps=200, seed=0,
-            correlated=mc.CorrelatedConfig(covs=taus))),
-        15: ("corr", corr),
-        16: ("corr", mc.ExperimentConfig(
+            correlated=mc.CorrelatedConfig(covs=taus)),))]),
+        15: ("corr", [(mc.run_corr, (corr,))]),
+        16: ("corr", [(mc.run_corr, (mc.ExperimentConfig(
             models=(ln,), n_grid=(65536,), k_theta_grid=(10,),
             k_rho_grid=(100,), reps=200, seed=0,
             correlated=mc.CorrelatedConfig(
-                covs=(exp(100.0),), assumed_taus=(100.0, 200.0, 400.0)))),
+                covs=(exp(100.0),), assumed_taus=(100.0, 200.0, 400.0))),))]),
     }
 
 
@@ -820,14 +823,13 @@ def _old_figure_configs():
 def test_figure_preset_loads_the_old_grid(fig):
     parser = configparser.ConfigParser()
     parser.read_dict(cli._FIGURES[fig])
-    kind, payload = cli._config_experiment(parser, None, None)
-    want_kind, want = _old_figure_configs()[fig]
-    assert kind == want_kind
-    if kind != "lnS":
-        assert payload == want
-        return
-    assert np.array_equal(payload.pop("rel_q"), want.pop("rel_q"))
-    assert payload == {**want, "q": None}
+    kind, seed, calls = cli._config_experiment(parser, None, None)
+    want_kind, want = _old_figure_calls()[fig]
+    assert (kind, seed) == (want_kind, 0)
+    assert [(c.func, c.keywords) for c in calls] == [(f, {}) for f, _ in want]
+    for call, (_, args) in zip(calls, want):
+        # exact equality, element by element for the q grids
+        np.testing.assert_equal(call.args, args)
 
 
 def _out_case_files(tmp_path):
@@ -909,9 +911,14 @@ reps = 2
      "[correlated] takes no key 'tau'"),
     ("[DEFAULT]\nseed = 5\n[experiment]\nmodels = lognormal\nreps = 2\n",
      "unknown section [DEFAULT]"),
+    ("[experiment]\nmodels = lognormal\nn = 100\nreps = 2\nq = 1\n",
+     "[experiment] takes no key 'q'"),
+    ("[experiment]\nkind = corr\nmodels = lognormal\nn = 1024\n"
+     "q_over_qc = 0.5\n[correlated]\ncov = exp:tau=4\n",
+     "[experiment] takes no key 'q_over_qc'"),
 ], ids=["no-section-header", "non-integer-reps", "unknown-match",
         "misspelt-key", "misspelt-section", "key-of-another-section",
-        "default-section"])
+        "default-section", "iid-with-lnS-q", "corr-with-lnS-q_over_qc"])
 def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
     code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
     assert code == 4 and out == ""
@@ -922,7 +929,9 @@ def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
     ("[experiment]\nreps = 2\n", "config needs experiment.models"),
     ("[experiment]\nmodels = lognormal\nreps = 2\n[correlated]\nkappa = 0.1\n",
      "correlated section needs cov"),
-], ids=["no-models", "no-cov"])
+    ("[experiment]\nkind = lnS\nmodels = lognormal\nn =\nq = 1\nreps = 2\n",
+     "lnS config needs n and exactly one of q / q_over_qc"),
+], ids=["no-models", "no-cov", "lnS-no-n"])
 def test_mc_config_missing_entry_is_data_error(tmp_path, text, message):
     code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
     assert (code, out, err) == (4, "", f"error: {message}\n")
@@ -948,7 +957,9 @@ def test_mc_config_integral_float_grid_reads_as_int():
     parser = configparser.ConfigParser()
     parser.read_string("[experiment]\nmodels = lognormal\nn = 1e3, 2000.0\n"
                        "k_theta = 1e1\nk_rho = 100\n")
-    _, config = cli._config_experiment(parser, None, None)
+    _, _, [call] = cli._config_experiment(parser, None, None)
+    assert call.func is mc.run_iid
+    [config] = call.args
     assert config.n_grid == (1000, 2000) and config.k_theta_grid == (10,)
     assert all(type(k) is int for k in config.n_grid + config.k_theta_grid)
 
@@ -970,7 +981,9 @@ n = 1024
 [correlated]
 cov = tab:1,0.5,0.25, exp:tau=10,TAB:1,0.2,exp:tau=4
 """)
-    _, config = cli._config_experiment(parser, None, None)
+    _, _, [call] = cli._config_experiment(parser, None, None)
+    assert call.func is mc.run_corr
+    [config] = call.args
     assert [dep.format_cov(c) for c in config.correlated.covs] == [
         "tab:1,0.5,0.25", "exp:tau=10", "tab:1,0.2", "exp:tau=4"]
 

@@ -57,8 +57,10 @@ def test_parse_cov_rejects_bad_specs():
      "non-numeric tabulated covariance in 'tab:1,half'"),
     (lambda: dep.n_star(1000, -1.0, 0.08), "tau and kappa must be >= 0"),
     (lambda: dep.n_star(1000, 10.0, math.nan), "tau and kappa must be >= 0"),
+    (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=4.0), 16, 0, "bogus"),
+     "unknown match mode 'bogus' (expected gaussian or hermite)"),
 ], ids=["exp-without-tau", "exp-bare-value", "tab-non-numeric",
-        "negative-tau", "nan-kappa"])
+        "negative-tau", "nan-kappa", "unknown-match-mode"])
 def test_cov_and_size_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call()
