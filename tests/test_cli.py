@@ -344,6 +344,17 @@ def test_estimate_reads_stdin():
     assert json.loads(out)["qc_hat"] == e.qc_hat
 
 
+def test_estimate_piped_stdin_matches_file(tmp_path):
+    path = tmp_path / "sample.txt"
+    run_cli("sample", "--model", "logweibull:rho=2", "--n", "40000",
+            "--seed", "8", "--out", str(path))
+    text = path.read_text()
+    assert len(text) > 2 * tm._CHUNK  # three chunks or more
+    code, piped, _ = run_fresh_cli("estimate", "--input", "-", stdin_text=text)
+    assert code == 0
+    assert piped == run_fresh_cli("estimate", "--input", str(path))[1]
+
+
 def test_estimate_loads_scipy_only_on_demand(tmp_path):
     path = tmp_path / "sample.txt"
     with open(path, "w") as fh:
@@ -568,6 +579,14 @@ def test_estimate_malformed_line_is_data_error(tmp_path):
         code, _, err = run_cli("estimate", "--input", str(path))
         assert code == 4, bad
         assert "line 3" in err
+
+
+def test_estimate_undecodable_file_is_data_error(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"# seed=1\n1.5\n\xff2.0\n3\n")
+    code, out, err = run_cli("estimate", "--input", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: sample file is not utf-8 text: invalid start byte b'\\xff'\n"
 
 
 def test_estimate_non_integer_header_seed_is_data_error(tmp_path):

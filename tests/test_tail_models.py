@@ -5,13 +5,16 @@ in oracles.py; derivative identities are checked by finite differences.
 """
 
 import dataclasses
+import decimal
 import io
 import math
+import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy import special as sp
 from scipy import stats as sps
 from scipy.special import ndtr
@@ -505,10 +508,15 @@ def test_write_sample_matches_per_value_format():
     assert body == "".join(f"{v:.17g}\n" for v in values)
 
 
+# a numeric line of 20 characters: 70,000 of them fill more than one chunk
+_FILLER = "0.50000000000000000\n"
+
+
 def _lines_past_one_block(extra):
     """A header, 70,000 numeric lines and ``extra`` appended: the extra line
-    is file line 70,002, in the second 2^16-line block."""
-    return "# seed=1\n" + "0.5\n" * 70_000 + extra
+    is file line 70,002, past the first chunk."""
+    assert 70_000 * len(_FILLER) > tm._CHUNK
+    return "# seed=1\n" + _FILLER * 70_000 + extra
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -525,11 +533,130 @@ def test_read_sample_names_bad_line_past_first_block(bad, message):
 
 def test_read_sample_metadata_anywhere():
     text = _lines_past_one_block("   # note = late, seed=9\n2.5\n")
-    text = text.replace("0.5\n", "\t# mid=1\n", 1)
+    text = text.replace(_FILLER, "\t# mid=1\n", 1)
     values, meta = tm.read_sample(io.StringIO(text))
     assert meta == {"seed": "9", "mid": "1", "note": "late"}
     assert len(values) == 70_000 and values[-1] == 2.5
     assert np.all(values[:-1] == 0.5)
+
+
+def test_read_sample_line_split_at_chunk_seam():
+    # the first chunk is the first data line and one read, which ends inside
+    # data line i; the readline after it finishes that line
+    end = len(_FILLER) + tm._CHUNK
+    assert end % len(_FILLER)
+    i = end // len(_FILLER)
+    lines = _lines_past_one_block("").splitlines(True)
+    lines[1 + i] = "1.23456789012345678\n"
+    values, _ = tm.read_sample(io.StringIO("".join(lines)))
+    assert len(values) == 70_000
+    assert values[i] == 1.23456789012345678 and values[i + 1] == 0.5
+    lines[1 + i] = "0.500000000000000?0\n"
+    with pytest.raises(DataFormatError,
+                       match=rf"^line {i + 2}: not a number: '0.500000000000000\?0'$"):
+        tm.read_sample(io.StringIO("".join(lines)))
+
+
+def test_read_sample_without_trailing_newline():
+    text = _lines_past_one_block("2.5")
+    values, meta = tm.read_sample(io.StringIO(text))
+    assert meta == {"seed": "1"}
+    assert len(values) == 70_001 and values[-1] == 2.5
+    values, _ = tm.read_sample(io.StringIO("1.5\n-2"))
+    np.testing.assert_array_equal(values, [1.5, -2.0])
+
+
+_DBL_MAX = float(np.finfo(float).max)
+
+
+@st.composite
+def _number_lines(draw):
+    """Texts of one double: its common formats, or the exact decimal midpoint
+    to the next double away from 0 and that midpoint's neighbours 1e-30 away."""
+    x = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-2 ** 52, 2 ** 52).map(lambda k: k * 5e-324),  # subnormal
+        st.integers(0, 2 ** 10).map(lambda k: _DBL_MAX - k * math.ulp(_DBL_MAX)),
+    ))
+    how = draw(st.sampled_from(["%.17g", "repr", "int", "e", "f", "mid"]))
+    if how == "%.17g":
+        texts = ["%.17g" % x]
+    elif how == "repr":
+        texts = [repr(x)]
+    elif how == "int":
+        texts = [str(int(x))]
+    elif how in ("e", "f"):
+        texts = [f"%.{draw(st.integers(0, 30))}{how}" % x]
+    else:
+        with decimal.localcontext(prec=2000):
+            mid = (decimal.Decimal(x)
+                   + decimal.Decimal(math.copysign(math.ulp(x), x)) / 2)
+            texts = [str(mid * (1 + e)) for e in (0, decimal.Decimal("1e-30"),
+                                                  decimal.Decimal("-1e-30"))]
+    # near DBL_MAX some texts ('2e+308', the midpoint above it) overflow
+    return [t for t in texts if math.isfinite(float(t))]
+
+
+@pytest.mark.parametrize("x87", [tm._X87, False], ids=["native", "double"])
+@given(data=st.data())
+def test_read_sample_is_float_bit_for_bit(x87, data):
+    lines = sum(data.draw(st.lists(_number_lines(), min_size=2, max_size=40)), [])
+    assume(len(lines) >= 2)
+    text = "\n".join(lines) + "\n"
+    chunk = data.draw(st.integers(1, max(1, len(text) // 3)))
+    # the first chunk (the first line, one read and the rest of its last
+    # line) ends before the text does, so the seam between chunks is crossed
+    assume(0 < text.find("\n", len(lines[0]) + chunk) + 1 < len(text))
+    with mock.patch.object(tm, "_X87", x87), mock.patch.object(tm, "_CHUNK", chunk):
+        values, _ = tm.read_sample(io.StringIO(text))
+    expected = np.array([float(t) for t in lines])
+    np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("text, read", [
+    ("1\n0x10\n", "line 2: not a number: '0x10'"),
+    ("1\nnan(1)\n", "line 2: not a number: 'nan(1)'"),
+    ("1\n1 2\n", "line 2: not a number: '1 2'"),
+    ("1e\n2\n", "line 1: not a number: '1e'"),
+    ("1\n1e309\n", "line 2: not a finite number: '1e309'"),
+    # 2^53 + 1 is a midpoint, read again from its line
+    ("1\n\n9007199254740993\n\n", [1.0, 2.0 ** 53]),
+    ("\t1.5\t\n2\n", [1.5, 2.0]),
+    ("1\r\n2\r\n", [1.0, 2.0]),
+    ("1\n\v2\f\n\x1c3\n", [1.0, 2.0, 3.0]),
+    ("1_000\n", [1000.0]),
+    ("\u0661.5\n", [1.5]),
+], ids=["hex", "nan-payload", "two-numbers", "bad-exponent", "overflow",
+        "blank-lines", "tabs", "crlf", "other-whitespace", "underscore",
+        "non-ascii-digit"])
+def test_read_sample_keeps_float_semantics(text, read):
+    """What float() accepts and refuses, on the chunk read and the double one."""
+    for x87 in (tm._X87, False):
+        with mock.patch.object(tm, "_X87", x87):
+            if isinstance(read, str):
+                with pytest.raises(DataFormatError, match=f"^{re.escape(read)}$"):
+                    tm.read_sample(io.StringIO(text))
+            else:
+                np.testing.assert_array_equal(
+                    tm.read_sample(io.StringIO(text))[0], read)
+
+
+def test_read_sample_skips_blank_line_starting_a_chunk():
+    # numpy reads a lone '\n' as one value (0 or -1)
+    with mock.patch.object(tm, "_CHUNK", 4):
+        for x87 in (tm._X87, False):
+            with mock.patch.object(tm, "_X87", x87):
+                values, meta = tm.read_sample(io.StringIO("# a=1\n1.5\n2.5\n\n"))
+                np.testing.assert_array_equal(values, [1.5, 2.5])
+                assert meta == {"a": "1"}
+
+
+def test_read_sample_rejects_undecodable_bytes():
+    stream = io.TextIOWrapper(io.BytesIO(b"# seed=1\n1.5\n\xff2.0\n3\n"),
+                              encoding="utf-8")
+    with pytest.raises(DataFormatError,
+                       match=r"^sample file is not utf-8 text: invalid start byte b'\\xff'$"):
+        tm.read_sample(stream)
 
 
 def test_read_sample_crlf_blanks_and_whitespace():
