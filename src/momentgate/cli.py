@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import io
 import json
 import re
 import sys
@@ -155,9 +156,14 @@ def _cmd_estimate(args) -> int:
         raise ArgumentError(
             "--tau, --s, --kappa, --alpha and --beta apply only with --corr")
     if args.input == "-":
-        values, meta = tm.read_sample(sys.stdin)
+        # strict UTF-8, as a file is read; detached so that stdin stays open
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            values, meta = tm.read_sample(stream)
+        finally:
+            stream.detach()
     else:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             values, meta = tm.read_sample(fh)
     if args.log_input:
         if np.any(values <= 0.0):

@@ -210,18 +210,8 @@ def _pool_size() -> int:
     return os.cpu_count() or 1
 
 
-def _run_blocks(count: int, worker) -> list:
-    """Evaluate worker(b) for blocks b = 0..count-1; results indexed by block
-    so the aggregation order never depends on scheduling."""
-    workers = min(_pool_size(), count)
-    if workers <= 1:
-        return [worker(b) for b in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
-
-
 def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
-               draw, measure) -> np.ndarray:
+               draw, measure, *, gil_bound: bool = False) -> np.ndarray:
     """(reps, width) array of every replication of a cell of size n.
 
     Replications run in blocks of at most _LSE_BLOCK // n rows, so a block of
@@ -230,7 +220,11 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     over every worker of the pool, only while it keeps at least 2^14 values
     (_SPLIT_MIN // n rows): a smaller block does not pay for a thread and
     the GIL it shares.  A study that makes one block runs on the calling
-    thread.  Rows are independent and blocks are joined in order, so the
+    thread, and so does a gil_bound study (run_iid's) while a row holds
+    fewer than _SPLIT_MIN values: its kernels release the GIL only for one
+    Philox fill of each row's n uniforms and one partition of the block, so
+    a second thread mostly waits for the GIL, costing CPU and saving no
+    time.  Rows are independent and blocks are joined in order, so the
     results do not depend on the split.  The seeds rep_seed(seed, cell_id,
     r) of consecutive uint32 ids r are computed up front in one pass, so
     reps above 2^32 is an ArgumentError.  draw(seeds) returns a block's
@@ -244,8 +238,11 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
+    workers = _pool_size()
     size = max(1, min(_LSE_BLOCK // n,
-                      max(-(-reps // _pool_size()), _SPLIT_MIN // n)))
+                      max(-(-reps // workers), _SPLIT_MIN // n)))
+    count = -(-reps // size)
+    workers = 1 if gil_bound and n < _SPLIT_MIN else min(workers, count)
     all_seeds = _rep_seeds(seed, cell_id,
                            np.arange(reps, dtype=np.uint32)).tolist()
 
@@ -261,7 +258,11 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
         out[~ok] = math.nan
         return out
 
-    return np.concatenate(_run_blocks(-(-reps // size), worker))
+    # results indexed by block, so the join order never depends on scheduling
+    if workers <= 1:
+        return np.concatenate([worker(b) for b in range(count)])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(worker, range(count))))
 
 
 def _aggregate(values: np.ndarray, target: float) -> dict:
@@ -328,7 +329,8 @@ def run_iid(config: ExperimentConfig) -> McReport:
         # the estimators read only each sample's max(kt, kr) largest values
         vals = _replicate(config.reps, config.seed, cell_id, n, 3,
                           partial(tm._iid_rows, model, n, top=max(kt, kr)),
-                          partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr))
+                          partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr),
+                          gil_bound=True)
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}

@@ -29,11 +29,15 @@ from momentgate import theory as th
 
 
 def run_cli(*argv, stdin_text=None):
-    """Invoke the CLI in process; returns (exit_code, stdout, stderr)."""
+    """Invoke the CLI in process; returns (exit_code, stdout, stderr).
+
+    stdin is a text layer over bytes, as a real one is, so the CLI can read
+    its ``.buffer``."""
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()),
+                                     encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -57,17 +61,21 @@ sys.exit(code)
 """
 
 
-def run_fresh_cli(*argv, stdin_text=None):
-    """Invoke the CLI in a new interpreter; returns (exit_code, stdout, the
-    scipy modules loaded)."""
+def run_fresh_cli(*argv, stdin_text=None, env=None):
+    """Invoke the CLI in a new interpreter, with the variables in env added
+    to its environment and stdin_text (str or bytes) on a real pipe;
+    returns (exit_code, stdout, stderr, the scipy modules loaded)."""
     src = str(Path(momentgate.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
-                          input=stdin_text, capture_output=True, text=True,
-                          env=env, timeout=120)
-    return (proc.returncode, proc.stdout,
-            json.loads(proc.stderr.splitlines()[-1]))
+    env = dict(os.environ, **(env or {}),
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, *argv], capture_output=True,
+        input=stdin_text.encode() if isinstance(stdin_text, str) else stdin_text,
+        env=env, timeout=120)
+    *err, scipy_modules = proc.stderr.decode().splitlines(True)
+    return (proc.returncode, proc.stdout.decode(), "".join(err),
+            json.loads(scipy_modules))
 
 
 def data_lines(text):
@@ -350,7 +358,7 @@ def test_estimate_piped_stdin_matches_file(tmp_path):
             "--seed", "8", "--out", str(path))
     text = path.read_text()
     assert len(text) > 2 * tm._CHUNK  # three chunks or more
-    code, piped, _ = run_fresh_cli("estimate", "--input", "-", stdin_text=text)
+    code, piped, _, _ = run_fresh_cli("estimate", "--input", "-", stdin_text=text)
     assert code == 0
     assert piped == run_fresh_cli("estimate", "--input", str(path))[1]
 
@@ -359,26 +367,26 @@ def test_estimate_loads_scipy_only_on_demand(tmp_path):
     path = tmp_path / "sample.txt"
     with open(path, "w") as fh:
         tm.write_sample(fh, tm.sample_iid(tm.log_weibull(2.0), 3000, 8))
-    code, out, scipy_modules = run_fresh_cli("estimate", "--input", str(path))
+    code, out, _, scipy_modules = run_fresh_cli("estimate", "--input", str(path))
     assert code == 0 and scipy_modules == []
     assert out == run_cli("estimate", "--input", str(path))[1]
     # a real pipe on stdin reads like the file
-    code, out_stdin, scipy_modules = run_fresh_cli(
+    code, out_stdin, _, scipy_modules = run_fresh_cli(
         "estimate", "--input", "-", stdin_text=path.read_text())
     assert code == 0 and scipy_modules == [] and out_stdin == out
-    code, out_corr, _ = run_fresh_cli("estimate", "--input", str(path),
-                                      "--corr", "--tau", "10")
+    code, out_corr, _, _ = run_fresh_cli("estimate", "--input", str(path),
+                                         "--corr", "--tau", "10")
     assert code == 0 and json.loads(out_corr)["tau"] == 10.0
     # commands whose kernels call scipy import it when they reach them
-    code, _, scipy_modules = run_fresh_cli("theory", "--model", "slep:rho=1.5",
-                                           "--n", "1000")
+    code, _, _, scipy_modules = run_fresh_cli(
+        "theory", "--model", "slep:rho=1.5", "--n", "1000")
     assert code == 0 and "scipy.special" in scipy_modules
 
 
 def test_moment_grids_load_no_scipy_integrate(tmp_path):
     # theory --q-grid and an lnS study (lnS_curve) integrate ln E X^q in
     # numpy alone
-    code, out, scipy_modules = run_fresh_cli(
+    code, out, _, scipy_modules = run_fresh_cli(
         "theory", "--model", "lognormal", "--n", "1000", "--q-grid", "0.5,1,2")
     assert code == 0 and "q_table" in out
     assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
@@ -390,7 +398,7 @@ n = 100
 q = 0.5,1,2
 reps = 3
 """)
-    code, out, scipy_modules = run_fresh_cli("mc", "--config", ini)
+    code, out, _, scipy_modules = run_fresh_cli("mc", "--config", ini)
     assert code == 0 and "log_moment" in out
     assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
 
@@ -584,9 +592,27 @@ def test_estimate_malformed_line_is_data_error(tmp_path):
 def test_estimate_undecodable_file_is_data_error(tmp_path):
     path = tmp_path / "binary.txt"
     path.write_bytes(b"# seed=1\n1.5\n\xff2.0\n3\n")
+    message = "error: sample file is not utf-8 text: invalid start byte b'\\xff'\n"
     code, out, err = run_cli("estimate", "--input", str(path))
-    assert code == 4 and out == ""
-    assert err == "error: sample file is not utf-8 text: invalid start byte b'\\xff'\n"
+    assert code == 4 and out == "" and err == message
+    # a real pipe on stdin reports the byte as the file does
+    code, out, err, _ = run_fresh_cli("estimate", "--input", "-",
+                                      stdin_text=path.read_bytes())
+    assert code == 4 and out == "" and err == message
+
+
+def test_estimate_reads_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, open() would default to ASCII
+    path = tmp_path / "noted.txt"
+    path.write_bytes("# seed=3, note=\u00e9\n".encode()
+                     + "".join(f"{1 + v / 7}\n" for v in range(200)).encode())
+    code, expected, _ = run_cli("estimate", "--input", str(path))
+    assert code == 0
+    c_locale = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+    for argv, stdin in ((str(path), None), ("-", path.read_bytes())):
+        code, out, err, _ = run_fresh_cli("estimate", "--input", argv,
+                                          stdin_text=stdin, env=c_locale)
+        assert (code, out, err) == (0, expected, ""), argv
 
 
 def test_estimate_non_integer_header_seed_is_data_error(tmp_path):

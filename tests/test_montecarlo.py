@@ -140,8 +140,8 @@ def _replicated(monkeypatch, run, config):
     per cell."""
     arrays = []
 
-    def spy(*args):
-        arrays.append(_REPLICATE(*args))
+    def spy(*args, **kwargs):
+        arrays.append(_REPLICATE(*args, **kwargs))
         return arrays[-1]
 
     monkeypatch.setattr(mc, "_replicate", spy)
@@ -280,13 +280,60 @@ def test_nonfinite_row_is_measured_as_zeros_then_nan():
     np.testing.assert_array_equal(np.delete(vals, 1), 3.0)
 
 
-# 400 reps at n = 400 run as three blocks of 163, 163 and 74 on the pool
-def test_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setattr(mc, "_pool_size", lambda: 1)
-    a = csv_text(mc.run_iid(small_iid_config(reps=400)))
-    monkeypatch.setattr(mc, "_pool_size", lambda: 3)
-    b = csv_text(mc.run_iid(small_iid_config(reps=400)))
-    assert a == b
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every thread pool the runner builds."""
+    built = []
+    real = mc.ThreadPoolExecutor
+
+    def spy(max_workers):
+        built.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", spy)
+    return built
+
+
+# 6 reps at n = 2^14 run as three blocks of 2 on a pool of three workers
+def test_thread_count_does_not_change_results(monkeypatch, pools):
+    cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(2 ** 14,), reps=6,
+                              seed=5)
+    texts = []
+    for workers in (1, 3):
+        monkeypatch.setattr(mc, "_pool_size", lambda: workers)
+        texts.append(csv_text(mc.run_iid(cfg)))
+    assert texts[0] == texts[1]
+    assert pools == [3]
+
+
+def test_iid_study_on_criterion_07_grid_builds_no_pool(monkeypatch, pools):
+    monkeypatch.setattr(mc, "_pool_size", lambda: 2)
+    cfg = mc.ExperimentConfig(models=(LW2, tm.strict_log_exp_power(2.0)),
+                              n_grid=(1000,), reps=500, seed=0)
+    assert len(mc.run_iid(cfg).rows) == 6
+    assert pools == []
+
+
+# run_iid threads once a row holds 2^14 values; 2 reps make two blocks of
+# one row at either size
+@pytest.mark.parametrize("n, built", [(2 ** 14 - 1, []), (2 ** 14, [2])])
+def test_iid_study_threads_from_rows_of_2_14(monkeypatch, pools, n, built):
+    monkeypatch.setattr(mc, "_pool_size", lambda: 2)
+    cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(n,), reps=2, seed=1)
+    mc.run_iid(cfg)
+    assert pools == built
+
+
+# lnS and corr kernels release the GIL over whole blocks: 50 reps at
+# n = 1000 run as two blocks of 25, 10 series of 4096 as two of 5
+def test_lnS_and_corr_studies_keep_the_pool(monkeypatch, pools):
+    monkeypatch.setattr(mc, "_pool_size", lambda: 2)
+    mc.lnS_curve(LN, [1000], np.array([0.5, 1.0, 2.0]), 50, 3)
+    assert pools == [2]
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
+    mc.run_corr(mc.ExperimentConfig(models=(LN,), n_grid=(4096,), reps=10,
+                                    seed=2, correlated=cc))
+    assert pools == [2, 2]
 
 
 # 501 and 51 reps split unevenly: 251 + 250 and 26 + 25 rows on two
@@ -315,18 +362,21 @@ def test_blocks_split_reps_over_workers(monkeypatch, workers, n, reps,
                                         blocks):
     # a block holds at most 2^16 // n rows, if >= 1, and is cut to
     # ceil(reps / workers) rows only while it keeps 2^14 // n of them
+    # whichever thread runs them: a gil_bound study's blocks are the same
     monkeypatch.setattr(mc, "_pool_size", lambda: workers)
-    sizes = []
-
-    def draw(seeds):
-        sizes.append(len(seeds))
-        return np.zeros((len(seeds), 1))
-
-    vals = mc._replicate(reps, 0, 0, n, 1, draw, lambda y: y.copy())
-    assert vals.shape == (reps, 1)
-    assert len(sizes) == blocks and sum(sizes) == reps
     size = max(1, min(2 ** 16 // n, max(-(-reps // workers), 2 ** 14 // n)))
-    assert max(sizes) == min(size, reps)
+    for gil_bound in (False, True):
+        sizes = []
+
+        def draw(seeds):
+            sizes.append(len(seeds))
+            return np.zeros((len(seeds), 1))
+
+        vals = mc._replicate(reps, 0, 0, n, 1, draw, lambda y: y.copy(),
+                             gil_bound=gil_bound)
+        assert vals.shape == (reps, 1)
+        assert len(sizes) == blocks and sum(sizes) == reps
+        assert max(sizes) == min(size, reps)
 
 
 def test_pool_size_follows_cpu_affinity(monkeypatch):
