@@ -1,12 +1,12 @@
 """Command line interface: theory queries, sampling, synthesis, estimation,
 and Monte-Carlo experiment execution.
 
-Exit codes: 0 success; 2 usage/domain error; 3 numerical failure (a
-NumericalError: convergence, degenerate estimator, embedding); 4 data-format
-or I/O error.  ``theory``, ``mc`` and ``estimate --format csv`` start with
-three ``#`` lines (version, resolved configuration, seed: 0 for ``theory``
-and ``estimate``, which read no random stream and take no ``--seed``); with
-``--format json`` these lines still precede the JSON document.
+A command exits 0 on success, and on failure with its error's
+``exit_code`` (``errors.py``).  ``theory``, ``mc`` and ``estimate --format
+csv`` start with three ``#`` lines (version, resolved configuration, seed:
+0 for ``theory`` and ``estimate``, which read no random stream and take no
+``--seed``); with ``--format json`` these lines still precede the JSON
+document.
 ``estimate``'s JSON is the bare payload, and ``sample``/``synth`` files
 start with one ``#`` metadata line.  No output holds a timestamp, so
 identical invocations produce byte-identical files.  ``mc --figure N`` runs
@@ -32,12 +32,7 @@ from . import estimators as est
 from . import montecarlo as mc
 from . import tail_models as tm
 from . import theory
-from .errors import (
-    ArgumentError,
-    DataFormatError,
-    DomainError,
-    MomentgateError,
-)
+from .errors import ArgumentError, DataFormatError, MomentgateError
 
 _THEORY_COLUMNS = ("n", "y_dagger", "theta", "rho_l", "qc_exact", "qc_approx")
 
@@ -206,8 +201,9 @@ def _cmd_estimate(args) -> int:
 
 
 # ``mc --figure N`` runs the INI document _FIGURES[N] (read_dict form):
-# numbered standard estimator studies.  Unset keys take the loader's
-# defaults (kind iid, reps 500, default k windows, seed 0).
+# numbered standard estimator studies.  Unset keys take the loader's defaults
+# (kind corr with a [correlated] section, else iid; reps 500; default k
+# windows; seed 0).
 _FIGURES = {
     2: {"experiment": {
         "kind": "lnS", "models": "lognormal", "n": "100,1000,1000000",
@@ -218,14 +214,14 @@ _FIGURES = {
                        "n": "1000,10000,100000"}},
     6: {"experiment": {"models": "logweibull:rho=2", "n": "1000",
                        "k_theta": "28", "k_rho": "10,20,40,80,120,160,200"}},
-    11: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
-                        "k_theta": "10", "k_rho": "100", "reps": "200"},
+    11: {"experiment": {"models": "lognormal", "n": "65536", "k_theta": "10",
+                        "k_rho": "100", "reps": "200"},
          "correlated": {"cov": "exp:tau=10,exp:tau=50,exp:tau=100"}},
-    12: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
-                        "k_theta": "1", "k_rho": "100", "reps": "200"},
+    12: {"experiment": {"models": "lognormal", "n": "65536", "k_theta": "1",
+                        "k_rho": "100", "reps": "200"},
          "correlated": {"cov": "exp:tau=10,exp:tau=50,exp:tau=100"}},
-    16: {"experiment": {"kind": "corr", "models": "lognormal", "n": "65536",
-                        "k_theta": "10", "k_rho": "100", "reps": "200"},
+    16: {"experiment": {"models": "lognormal", "n": "65536", "k_theta": "10",
+                        "k_rho": "100", "reps": "200"},
          "correlated": {"cov": "exp:tau=100", "assumed_tau": "100,200,400"}},
 }
 _FIGURES[8], _FIGURES[15] = _FIGURES[5], _FIGURES[11]
@@ -251,7 +247,8 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
     if "experiment" not in parser:
         raise DataFormatError("config needs an [experiment] section")
     exp = parser["experiment"]
-    kind = exp.get("kind", "iid").strip().lower()
+    correlated = "correlated" in parser
+    kind = exp.get("kind", "corr" if correlated else "iid").strip().lower()
     if kind not in ("iid", "corr", "lns"):
         raise DataFormatError(
             f"unknown experiment kind {kind!r} (expected iid, corr or lnS)")
@@ -262,6 +259,10 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
         bad = sorted(set(parser[name]) - keys)
         if bad:
             raise DataFormatError(f"malformed config: [{name}] takes no key {bad[0]!r}")
+    if kind != "lns" and (kind == "corr") != correlated:
+        raise DataFormatError(f"experiment kind {kind} "
+                              f"{'takes no' if correlated else 'needs a'} "
+                              "[correlated] section")
     models = tuple(tm.parse_model(s) for s in exp.get("models", "").split(",")
                    if s.strip())
     if not models:
@@ -270,7 +271,7 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
     reps = reps if reps is not None else exp.getint("reps", fallback=500)
     n_grid = tuple(_ints(exp.get("n", "1000")))
     if kind == "lns":
-        if len(models) > 1 or {"k_theta", "k_rho"} & set(exp) or "correlated" in parser:
+        if len(models) > 1 or {"k_theta", "k_rho"} & set(exp) or correlated:
             raise DataFormatError("lnS config takes one model and no k_theta, "
                                   "k_rho or [correlated] section")
         q = _floats(exp.get("q", ""))
@@ -286,7 +287,7 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
                                  reps, mc.rep_seed(seed, i, 0)))
         return "lnS", seed, calls
     corr = None
-    if "correlated" in parser:
+    if correlated:
         sec = parser["correlated"]
         # a list splits only before a kind, so a tab: spec keeps its commas
         covs = tuple(dep.parse_cov(s) for s in
@@ -314,9 +315,8 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
         seed=seed,
         correlated=corr,
     )
-    if kind == "corr" or corr is not None:
-        return "corr", seed, [partial(mc.run_corr, config)]
-    return "iid", seed, [partial(mc.run_iid, config)]
+    run = mc.run_corr if kind == "corr" else mc.run_iid
+    return kind, seed, [partial(run, config)]
 
 
 def _cmd_mc(args) -> int:
@@ -432,18 +432,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArgumentError, DomainError) as exc:
+    except (MomentgateError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except DataFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except MomentgateError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        return getattr(exc, "exit_code", 4)  # 4: an OSError
 
 
 if __name__ == "__main__":

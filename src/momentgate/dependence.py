@@ -132,8 +132,8 @@ def parse_cov(spec: str) -> CovarianceSpec:
 
 def format_cov(cov: CovarianceSpec) -> str:
     if isinstance(cov, ExponentialCov):
-        return f"exp:tau={cov.tau:g}"
-    return "tab:" + ",".join(f"{v:g}" for v in cov.values)
+        return f"exp:tau={tm._spec_number(cov.tau)}"
+    return "tab:" + ",".join(map(tm._spec_number, cov.values))
 
 
 def cov_at_lags(cov: CovarianceSpec, lags: np.ndarray) -> np.ndarray:

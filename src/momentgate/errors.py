@@ -5,6 +5,9 @@ callers can catch the whole family with one clause.  Argument/domain problems
 additionally derive from ValueError, numerical failures from NumericalError,
 a RuntimeError; this keeps ``except ValueError`` / ``except RuntimeError``
 working for code that does not know about the package hierarchy.
+
+A class's ``exit_code`` is the command line's exit status on that error: 2
+usage or domain, 4 unreadable input (as for an OSError), 3 any other.
 """
 
 __all__ = [
@@ -26,18 +29,22 @@ __all__ = [
 
 class MomentgateError(Exception):
     """Base class for all package errors."""
+    exit_code = 3
 
 
 class ArgumentError(MomentgateError, ValueError):
     """An argument violates a precondition (wrong range, size, or type)."""
+    exit_code = 2
 
 
 class DomainError(MomentgateError, ValueError):
     """A point lies outside the mathematical domain of the requested function."""
+    exit_code = 2
 
 
 class DataFormatError(MomentgateError, ValueError):
     """An input file or config document could not be parsed."""
+    exit_code = 4
 
 
 class NumericalError(MomentgateError, RuntimeError):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -185,10 +186,16 @@ def parse_model(spec: str) -> TailModel:
     raise ArgumentError(f"unknown model family {name!r}")
 
 
+def _spec_number(x: float) -> str:
+    """x as a spec prints it: ``:g`` where that reads back, else repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x)).removesuffix(".0")
+
+
 def format_model(model: TailModel) -> str:
     if model.family is Family.LOG_NORMAL:
         return "lognormal"
-    return f"{model.family.value}:rho={model.rho:g}"
+    return f"{model.family.value}:rho={_spec_number(model.rho)}"
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +285,9 @@ class _LogWeibull:
         c = q * lo / r1
 
         def root(ci, hi):
+            if ci < 2.0 ** -53:  # c/rho to rounding; brentq fails below ~1e-156
+                return ci / m.rho
+
             def g(t):
                 return np.expm1(r1 * t) - np.expm1(-t) - ci
             if not g(hi) > 0.0:  # c swamps the margin 1 - e^-hi, or hi = inf
@@ -591,7 +601,8 @@ def _read_lines(lines: list, first: int, meta: dict) -> np.ndarray:
         if not text:
             continue
         if text[0] == "#":
-            for item in text.lstrip("#").split(","):
+            # split only before a key=, so that cov=tab:1,0.5 keeps its comma
+            for item in re.split(r",(?=\s*[A-Za-z_]\w*\s*=)", text.lstrip("#")):
                 key, eq, val = item.partition("=")
                 if eq:
                     meta[key.strip()] = val.strip()

@@ -223,6 +223,14 @@ def test_theory_quadrature_overflow_is_numerical_failure():
     assert "q=70" in err and "Traceback" not in err
 
 
+def test_theory_tiny_order_is_finite():
+    # the logweibull saddle at q = 1e-200 is taken in closed form
+    code, out, err = run_cli("theory", "--model", "logweibull:rho=1.5",
+                             "--n", "100", "--q-grid", "1e-200")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "9.9999999999999998e-201,0,0"
+
+
 def test_theory_rejects_sample_size_below_two():
     code, _, err = run_cli("theory", "--model", "lognormal", "--n", "1.5")
     assert code == 2
@@ -276,6 +284,15 @@ def test_synth_header_and_determinism():
     assert "model=lognormal" in header
     assert "seed=3" in header
     assert len(data_lines(out_a)) == 64
+
+
+def test_synth_header_reads_back_a_tabulated_cov():
+    code, out, _ = run_cli("synth", "--model", "lognormal", "--cov",
+                           "tab:1,0.5,0.25", "--n", "16", "--seed", "1")
+    assert code == 0
+    _, meta = tm.read_sample(io.StringIO(out))
+    assert dep.parse_cov(meta["cov"]) == dep.TabulatedCov((1.0, 0.5, 0.25))
+    assert meta["match"] == "gaussian" and meta["seed"] == "1"
 
 
 # ------------------------------------------------------------ estimate
@@ -976,7 +993,13 @@ def test_mc_config_malformed_value_is_data_error(tmp_path, text, message):
      "correlated section needs cov"),
     ("[experiment]\nkind = lnS\nmodels = lognormal\nn =\nq = 1\nreps = 2\n",
      "lnS config needs n and exactly one of q / q_over_qc"),
-], ids=["no-models", "no-cov", "lnS-no-n"])
+    ("[experiment]\nkind = corr\nmodels = lognormal\nreps = 2\n",
+     "experiment kind corr needs a [correlated] section"),
+    ("[experiment]\nkind = iid\nmodels = lognormal\nreps = 2\n"
+     "[correlated]\ncov = exp:tau=4\n",
+     "experiment kind iid takes no [correlated] section"),
+], ids=["no-models", "no-cov", "lnS-no-n", "corr-no-section",
+        "iid-with-section"])
 def test_mc_config_missing_entry_is_data_error(tmp_path, text, message):
     code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
     assert (code, out, err) == (4, "", f"error: {message}\n")

@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats as sps
 from scipy.special import ndtr
 
@@ -38,6 +39,14 @@ LN = tm.log_normal()
 def test_parse_format_cov_round_trip():
     for spec in ("exp:tau=100", "exp:tau=2.5", "tab:1,0.5,0.25"):
         cov = dep.parse_cov(spec)
+        assert dep.parse_cov(dep.format_cov(cov)) == cov
+
+
+@given(st.floats(min_value=0.0, max_value=1e300),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=5))
+@example(100.0000001, [0.5000001])  # ":g" printed tau=100, tab:1,0.5
+def test_format_cov_reads_back(tau, table):
+    for cov in (dep.ExponentialCov(tau), dep.TabulatedCov((1.0, *table))):
         assert dep.parse_cov(dep.format_cov(cov)) == cov
 
 

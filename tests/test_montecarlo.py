@@ -16,7 +16,7 @@ import momentgate.estimators as est
 import momentgate.montecarlo as mc
 import momentgate.tail_models as tm
 import momentgate.theory as th
-from momentgate.errors import ArgumentError, ConvergenceError, MomentgateError
+from momentgate.errors import ArgumentError, ConvergenceError, NumericalError
 
 LW2 = tm.log_weibull(2.0)
 LN = tm.log_normal()
@@ -170,14 +170,14 @@ def test_extending_reps_preserves_existing_replications(monkeypatch):
         np.testing.assert_array_equal(short, long[:short_reps])
 
 
-def _assert_rows_equal_qc_hat(rows, samples, kt, kr):
-    """Each row is (theta, rho, qc) of qc_hat on its sample, exactly, or NaN
-    where qc_hat raises; returns the count of NaN rows."""
+def _assert_rows_equal_estimates(rows, samples, estimate):
+    """Each row is (theta, rho, qc) of estimate(sample), exactly, or NaN
+    where it raises a NumericalError; returns the count of NaN rows."""
     failed = 0
     for row, sample in zip(rows, samples, strict=True):
         try:
-            e = est.qc_hat(sample, kt, kr)
-        except MomentgateError:
+            e = estimate(sample)
+        except NumericalError:
             failed += 1
             assert np.isnan(row).all()
             continue
@@ -208,14 +208,16 @@ def test_block_rows_equal_scalar_qc_hat(model, n, kt, kr, reps, seed,
                          _iid_config(model, n, kt, kr, reps, seed))
     samples = (tm.sample_iid(model, n, mc.rep_seed(seed, 0, r))
                for r in range(reps))
-    failed = _assert_rows_equal_qc_hat(rows, samples, kt, kr)
+    failed = _assert_rows_equal_estimates(
+        rows, samples, lambda sample: est.qc_hat(sample, kt, kr))
     if model.rho == 1.5:
         assert failed > 0
 
 
-# the uncorrected columns of run_corr, (model, n, cov, match, k_theta, k_rho,
-# reps, seed): blocks of 128 rows down to one (n = 2^16), default and
-# explicit windows, Hermite matching, and a slep cell where qc_hat fails
+# run_corr's uncorrected and corrected columns, (model, n, cov, match,
+# k_theta, k_rho, reps, seed): blocks of 128 rows down to one (n = 2^16),
+# default and explicit windows, Hermite matching, and a slep cell where
+# qc_hat fails
 CORR_BLOCK_CASES = [
     (LN, 512, dep.ExponentialCov(5.0), "gaussian", None, None, 40, 2),
     (LN, 1 << 16, dep.ExponentialCov(100.0), "gaussian", None, None, 3, 0),
@@ -230,16 +232,42 @@ CORR_BLOCK_CASES = [
 def test_corr_block_rows_equal_scalar_qc_hat(model, n, cov, match, kt, kr,
                                              reps, seed, monkeypatch):
     cc = mc.CorrelatedConfig(covs=(cov,), match_mode=dep.MatchMode(match))
+    failed, _ = _corr_failures(monkeypatch, cc, model, n, kt, kr, reps, seed)
+    if model.rho == 1.5:
+        assert failed > 0
+
+
+def test_corr_rows_nan_where_the_sieve_leaves_every_series_short(monkeypatch):
+    # beta = 0 and radius 60: too few picks survive in 512 values
+    cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(5.0),), beta=0.0,
+                             s_values=(60.0,))
+    failures = _corr_failures(monkeypatch, cc, LN, 512, None, None, 40, 9)
+    assert failures == (0, 40)
+
+
+def _corr_failures(monkeypatch, cc, model, n, kt, kr, reps, seed):
+    """Checks the one cell of run_corr row by row: the uncorrected columns
+    are qc_hat's, the corrected ones qc_hat_corr's with the cell's windows
+    and radius.  Returns the NaN row counts of each half."""
     cfg = mc.ExperimentConfig(models=(model,), n_grid=(n,),
                               k_theta_grid=(kt,), k_rho_grid=(kr,),
                               reps=reps, seed=seed, correlated=cc)
+    [cov], [s] = cc.covs, cc.s_values or (None,)
     [rows] = _replicated(monkeypatch, mc.run_corr, cfg)
     assert rows.shape == (reps, 6)
-    samples = (dep.synth_series(model, cov, n, mc.rep_seed(seed, 0, r), match)
-               for r in range(reps))
-    failed = _assert_rows_equal_qc_hat(rows[:, :3], samples, kt, kr)
-    if model.rho == 1.5:
-        assert failed > 0
+    samples = [dep.synth_series(model, cov, n, mc.rep_seed(seed, 0, r),
+                                cc.match_mode) for r in range(reps)]
+    tau = dep.correlation_length(cov)
+    _, kt_c, kr_c, radius = dep._correction(n, tau, cc.kappa, kt, kr, s,
+                                            cc.alpha)
+    return (
+        _assert_rows_equal_estimates(
+            rows[:, :3], samples, lambda sample: est.qc_hat(sample, kt, kr)),
+        _assert_rows_equal_estimates(
+            rows[:, 3:], samples, lambda sample: dep.qc_hat_corr(
+                sample, kt_c, kr_c, tau=tau, kappa=cc.kappa, s=radius,
+                beta=cc.beta)),
+    )
 
 
 def test_nonfinite_draw_fails_only_its_own_row(monkeypatch):

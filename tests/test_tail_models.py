@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy import special as sp
 from scipy import stats as sps
 from scipy.special import ndtr
@@ -402,6 +402,15 @@ def test_parse_format_round_trip():
                  "lognormal"):
         model = tm.parse_model(spec)
         assert tm.parse_model(tm.format_model(model)) == model
+
+
+@given(st.sampled_from(["logweibull", "slep"]),
+       st.floats(min_value=1.0, max_value=8.0, exclude_min=True))
+@example("logweibull", 1.0000001)  # ":g" printed rho=1
+@example("slep", 2.0000001)
+def test_format_model_reads_back(family, rho):
+    model = tm.parse_model(f"{family}:rho={rho!r}")
+    assert tm.parse_model(tm.format_model(model)) == model
 
 
 def test_parse_default_shape():

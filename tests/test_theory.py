@@ -141,7 +141,9 @@ def _score(model, y):
 
 @given(st.sampled_from(["logweibull", "slep", "lognormal"]),
        st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
-       st.floats(min_value=-6.0, max_value=4.0))
+       st.floats(min_value=-300.0, max_value=4.0))
+# brentq stopped converging for logweibull below about q = 1e-156
+@example("logweibull", 1.5, -200.0)
 def test_y_star_solves_score_equation_or_raises(family, rho, log10_q):
     model = tm.parse_model(family if family == "lognormal"
                            else f"{family}:rho={rho!r}")
@@ -340,7 +342,8 @@ def test_moment_quadrature_array_raises_for_first_failing_order():
 
 @given(st.sampled_from(["logweibull", "slep", "lognormal"]),
        st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
-       st.floats(min_value=-6.0, max_value=4.0))
+       st.floats(min_value=-300.0, max_value=4.0))
+@example("logweibull", 1.5, -200.0)
 # far past the drawn orders: q y* + ln p(y*) overflows at the peak itself
 @example("lognormal", 2.0, 160.0)
 @example("lognormal", 2.0, 300.0)
