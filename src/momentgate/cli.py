@@ -20,6 +20,7 @@ import configparser
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 from functools import partial
@@ -75,6 +76,9 @@ def _header(stream, seed, config_items) -> None:
 def _cmd_theory(args) -> int:
     model = tm.parse_model(args.model)
     ns = _floats(args.n)
+    q_grid = None if args.q_grid is None else _floats(args.q_grid)
+    if not ns or q_grid == []:
+        raise ArgumentError("--n and --q-grid each need at least one number")
     curves = [theory.critical_curve(model, n) for n in ns]
     for c in curves:
         if c.qc_exact < 0.0:
@@ -86,11 +90,10 @@ def _cmd_theory(args) -> int:
              "rho_l": c.rho_l_at_dagger, "qc_exact": c.qc_exact,
              "qc_approx": c.qc_approx} for c in curves]
     q_rows = []
-    if args.q_grid:
+    if q_grid is not None:
         if len(ns) != 1:
             raise ArgumentError("--q-grid needs exactly one --n value")
-        ceiling = theory.q_validity_ceiling(model, ns[0], args.eps)
-        q_grid = _floats(args.q_grid)
+        ceiling = theory.q_validity_ceiling(model, ns[0])
         qs = np.array(q_grid)
         log_moments = theory.moment_quadrature(model, qs)
         predicted = theory._predicted_lnS(model, curves[0], qs, log_moments)
@@ -378,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sample sizes (real, >= 2)")
     p.add_argument("--q-grid", default=None,
                    help="orders for the predicted-lnS table (single n only)")
-    p.add_argument("--eps", type=float, default=0.1,
-                   help="validity-ceiling exponent slack")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("sample", parents=[common], help="draw an i.i.d. sample")
@@ -431,7 +432,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that an EPIPE here is caught below
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (| head); devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (MomentgateError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "exit_code", 4)  # 4: an OSError

@@ -225,12 +225,12 @@ def _spectrum(model: tm.TailModel | None, cov: CovarianceSpec, m: int,
     if match_mode is MatchMode.HERMITE:
         half = m // 2 + 1
         r_half = _hermite_gaussian_cov(model, c[:half])
-        c = np.concatenate([r_half, r_half[1:-1][::-1]]) if m > 2 else r_half[:m]
+        c = np.concatenate([r_half, r_half[1:-1][::-1]])
         c[0] = 1.0
     lam = np.fft.fft(c).real
     lam_max = float(lam.max())
     bad = lam < -1e-10 * max(lam_max, 1.0)
-    clipped_mass = float(-lam[bad].sum()) if bad.any() else 0.0
+    clipped_mass = float(-lam[bad].sum())
     total_mass = float(np.abs(lam).sum())
     if clipped_mass > 0.01 * total_mass:
         raise EmbeddingError(
@@ -357,6 +357,14 @@ def _rank_bounds(y: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return n_lt, n_le
 
 
+def _check_sieve(s: float, beta: float) -> None:
+    """sieve's checks of its radius s and its beta."""
+    if not s >= 0.0:
+        raise ArgumentError(f"s must be >= 0, got {s}")
+    if not 0.0 <= beta < math.inf:  # 0 * inf is NaN in beta * c
+        raise ArgumentError(f"beta must be finite and >= 0, got {beta}")
+
+
 def sieve(series, s: float, beta: float = _BETA,
           max_points: int | None = None) -> SievedSample:
     """Extract effectively independent extremes by repeated max-selection.
@@ -382,10 +390,7 @@ def sieve(series, s: float, beta: float = _BETA,
     on ties at t; a stable sort only where two of them are equal), and one
     vector pass over a window of contiguous candidates per selection.
     """
-    if not s >= 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if not 0.0 <= beta < math.inf:  # 0 * inf is NaN in beta * c
-        raise ArgumentError(f"beta must be finite and >= 0, got {beta}")
+    _check_sieve(s, beta)
     y = np.asarray(series.values if isinstance(series, tm.Sample) else series,
                    dtype=float)
     n = len(y)

@@ -323,18 +323,23 @@ def run_iid(config: ExperimentConfig) -> McReport:
                             "reps": config.reps})
     grid = itertools.product(config.models, config.n_grid,
                              config.k_theta_grid, config.k_rho_grid)
+    cells = []
     for cell_id, (model, n, k_t, k_r) in enumerate(grid):
         kt, kr = est._windows(n, k_t, k_r)
         curve = theory.critical_curve(model, n)
+        est._qc_rows(np.empty((0, n)), n, kt, kr)  # its checks, on no data
         # the estimators read only each sample's max(kt, kr) largest values
-        vals = _replicate(config.reps, config.seed, cell_id, n, 3,
-                          partial(tm._iid_rows, model, n, top=max(kt, kr)),
-                          partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr),
-                          gil_bound=True)
+        replicate = partial(_replicate, config.reps, config.seed, cell_id, n, 3,
+                            partial(tm._iid_rows, model, n, top=max(kt, kr)),
+                            partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr),
+                            gil_bound=True)
         cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "k_theta": kt, "k_rho": kr, "reps": config.reps,
                 "corrected": False}
-        _emit_cell(report, cell, vals, curve)
+        cells.append((cell, curve, replicate))
+    # every cell is decided, and so checked, before the first draw
+    for cell, curve, replicate in cells:
+        _emit_cell(report, cell, replicate(), curve)
     return report
 
 
@@ -360,13 +365,18 @@ def run_corr(config: ExperimentConfig) -> McReport:
     grid = itertools.product(config.models, config.n_grid, cc.covs,
                              assumed_grid, s_grid,
                              config.k_theta_grid, config.k_rho_grid)
-    for cell_id, (model, n, cov, tau_assumed, s_val, k_t, k_r) in enumerate(grid):
+
+    def cell(cell_id, model, n, cov, tau_assumed, s_val, k_t, k_r):
         tau_true = dep.correlation_length(cov)
         tau_used = tau_true if tau_assumed is None else float(tau_assumed)
         curve = theory.critical_curve(model, dep._sizes(n, tau_true, cc.kappa)[1])
         kt_u, kr_u = est._windows(n, k_t, k_r)
-        _, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t,
-                                                k_r, s_val, cc.alpha)
+        ns, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t,
+                                                 k_r, s_val, cc.alpha)
+        # the estimators' own checks, on no data
+        est._qc_rows(np.empty((0, n)), n, kt_u, kr_u)
+        dep._check_sieve(radius, cc.beta)
+        est._qc_rows(np.empty((0, n)), ns, kt_c, kr_c)
 
         def draw(seeds):
             return np.stack([dep.synth_series(model, cov, n, s, cc.match_mode).values
@@ -385,16 +395,22 @@ def run_corr(config: ExperimentConfig) -> McReport:
                 row[3:] = e.theta_hat, e.rho_hat, e.qc_hat
             return out
 
-        vals = _replicate(config.reps, config.seed, cell_id, n, 6, draw, measure)
-        plain, corrected = vals[:, :3], vals[:, 3:]
         base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "tau": tau_true, "tau_assumed": tau_used, "s": radius,
                 "beta": cc.beta, "match": cc.match_mode.value,
                 "reps": config.reps}
         cell_u = dict(base, corrected=False, k_theta=kt_u, k_rho=kr_u)
-        _emit_cell(report, cell_u, plain, curve)
         cell_c = dict(base, corrected=True, k_theta=kt_c, k_rho=kr_c)
-        _emit_cell(report, cell_c, corrected, curve)
+
+        def run():
+            vals = _replicate(config.reps, config.seed, cell_id, n, 6, draw, measure)
+            _emit_cell(report, cell_u, vals[:, :3], curve)
+            _emit_cell(report, cell_c, vals[:, 3:], curve)
+        return run
+
+    # every cell is decided, and so checked, before the first draw
+    for run in [cell(i, *key) for i, key in enumerate(grid)]:
+        run()
     return report
 
 
@@ -432,7 +448,7 @@ def _lnS_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.exp(a, out=a)
         a.ravel()[top] = 0.0
         s = a.sum(axis=1)
-        s = np.where(s == 0.0, s, s / m)
+        s /= m
         out[start:stop] = np.log1p(s) + np.log(m) + a_max
     return out.reshape(rows, width) - math.log(n)
 

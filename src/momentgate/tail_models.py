@@ -378,16 +378,9 @@ class _LogNormal:
 
     @staticmethod
     def h_prime(m, y):
+        # phi(y) / Phi(-y) at every y; 0 below y ~ -37.7, where erfcx overflows
         from scipy import special as sp
-        out = np.empty_like(y)
-        pos = y >= 0.0
-        if pos.any():
-            out[pos] = _SQRT_2_OVER_PI / sp.erfcx(y[pos] / _SQRT2)
-        if (~pos).any():
-            yn = y[~pos]
-            pdf = np.exp(-0.5 * yn * yn) / math.sqrt(2.0 * math.pi)
-            out[~pos] = pdf / (0.5 * sp.erfc(yn / _SQRT2))
-        return out
+        return _SQRT_2_OVER_PI / sp.erfcx(y / _SQRT2)
 
     @staticmethod
     def score(m, y):

@@ -307,18 +307,14 @@ def _predicted_lnS(model: tm.TailModel, curve: CriticalCurve, q: np.ndarray,
     the curve and ln E X^q at each order (read only where q <= qc_exact);
     ln n and ln h'(y_dagger) are taken once per grid."""
     below = q <= curve.qc_exact
-    if below.all():
-        return log_moment
     yd = curve.y_dagger
     log_n, log_h = math.log(curve.n), math.log(tm.h_prime(model, yd))
     return np.where(below, log_moment, q * yd - log_n + log_h)
 
 
-def q_validity_ceiling(model: tm.TailModel, n: float, eps: float = 0.1) -> float:
-    """Order (ln n)^(2 - 1/rho - eps) beyond which the finite-n moment
+def q_validity_ceiling(model: tm.TailModel, n: float) -> float:
+    """Order (ln n)^(2 - 1/rho - 0.1) beyond which the finite-n moment
     asymptotics are no longer guaranteed; reported as a warning threshold."""
     if not 2.0 <= n < math.inf:
         raise ArgumentError(f"n must be a finite real >= 2, got {n}")
-    if not math.isfinite(eps):
-        raise ArgumentError(f"eps must be finite, got {eps}")
-    return math.log(n) ** (2.0 - 1.0 / model.rho - eps)
+    return math.log(n) ** (2.0 - 1.0 / model.rho - 0.1)

@@ -88,6 +88,13 @@ def sf(model, y):
     return _cdf_sf(model, y)[1]
 
 
+def normal_hazard(y):
+    """Hazard rate phi(y) / Phi(-y) of the standard normal, as the density
+    over the survival function."""
+    y = np.asarray(y, dtype=float)
+    return np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi) / sp.ndtr(-y)
+
+
 def complex_fft_embedding(amp, seed):
     """Circulant-embedding Gaussian series by its definition: the real part
     of the full-length complex FFT of amp (u + i v), u and v the first and

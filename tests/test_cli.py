@@ -183,7 +183,7 @@ def test_theory_q_grid_requires_single_n():
 
 def test_theory_warns_when_q_exceeds_validity_ceiling():
     n = math.exp(4.0)
-    ceiling = th.q_validity_ceiling(tm.log_weibull(2.0), n, 0.1)
+    ceiling = th.q_validity_ceiling(tm.log_weibull(2.0), n)
     code, out, err = run_cli("theory", "--model", "logweibull:rho=2",
                              "--n", f"{n:.17g}", "--q-grid", "1,50")
     assert code == 0
@@ -240,13 +240,44 @@ def test_theory_rejects_sample_size_below_two():
 @pytest.mark.parametrize("argv", [
     ("theory", "--model", "logweibull:rho=inf", "--n", "100"),
     ("sample", "--model", "logweibull:rho=inf", "--n", "10"),
-    ("theory", "--model", "lognormal", "--n", "1000", "--q-grid", "1,50",
-     "--eps", "nan"),
-], ids=["theory-rho-inf", "sample-rho-inf", "theory-eps-nan"])
+    ("theory", "--model", "lognormal", "--n", ""),
+    ("theory", "--model", "lognormal", "--n", ","),
+    ("theory", "--model", "lognormal", "--n", "1000", "--q-grid", ","),
+], ids=["theory-rho-inf", "sample-rho-inf", "theory-n-empty", "theory-n-comma",
+        "theory-q-grid-comma"])
 def test_nonfinite_model_or_theory_argument_is_usage_error(argv):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_theory_takes_no_eps_flag():
+    # the validity ceiling's exponent slack is the constant 0.1
+    code, out, err = run_cli("theory", "--model", "lognormal", "--n", "1000",
+                             "--eps", "0.1")
+    assert code == 2 and out == ""
+    assert "--eps" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--model", "lognormal", "--n", "200000"),
+    ("theory", "--model", "lognormal", "--n", ",".join(["1000"] * 10000)),
+], ids=["sample", "theory"])
+def test_closed_output_pipe_ends_the_command_quietly(argv):
+    # a reader that stops early, as `| head -1` does
+    src = str(Path(momentgate.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from momentgate import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # ------------------------------------------------------------ sample / synth

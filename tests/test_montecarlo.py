@@ -457,6 +457,32 @@ def test_config_errors_name_their_cause(call, message):
         call()
 
 
+@pytest.mark.parametrize("grids, cc, message", [
+    (dict(n_grid=(400, 50), k_rho_grid=(100,)), None,
+     r"k must be in \[1, n\]=50, got 100"),
+    ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
+                             s_values=(1.0, -1.0)), "s must be >= 0"),
+    ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
+                             assumed_taus=(10.0, math.nan)),
+     "tau and kappa must be >= 0"),
+    ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
+                             beta=math.inf), "beta must be finite"),
+], ids=["iid-window", "corr-radius", "corr-assumed-tau", "corr-beta"])
+def test_study_checks_every_cell_before_the_first_draw(monkeypatch, grids, cc,
+                                                       message):
+    draws = []
+    iid_rows, synth = tm._iid_rows, dep.synth_series
+    monkeypatch.setattr(tm, "_iid_rows",
+                        lambda *a, **kw: draws.append(a) or iid_rows(*a, **kw))
+    monkeypatch.setattr(dep, "synth_series",
+                        lambda *a, **kw: draws.append(a) or synth(*a, **kw))
+    cfg = mc.ExperimentConfig(**{"models": (LN,), "n_grid": (512,), "reps": 4,
+                                 **grids}, correlated=cc)
+    with pytest.raises(ArgumentError, match=message):
+        (mc.run_iid if cc is None else mc.run_corr)(cfg)
+    assert draws == []
+
+
 def test_config_validation():
     with pytest.raises(ArgumentError):
         mc.ExperimentConfig(models=(LW2,), n_grid=(100,), reps=1)

@@ -197,6 +197,13 @@ def test_log_pdf_float_outside_log_weibull_support_rejected():
             tm.log_pdf(LW2, y)
 
 
+def test_log_normal_hazard_below_the_mode_is_density_over_survival():
+    # one form, sqrt(2/pi) / erfcx(y/sqrt(2)), serves both sides of 0
+    y = np.linspace(-37.0, 0.0, 3701)
+    np.testing.assert_allclose(tm.h_prime(LN, y), oracles.normal_hazard(y),
+                               rtol=1e-12, atol=0.0)
+
+
 def test_log_normal_far_tail_derivative_scaling():
     # h'(y)/y -> 1 in the far tail (Mills ratio limit)
     y = np.array([50.0, 200.0, 1000.0])

@@ -495,14 +495,11 @@ def test_validity_ceiling_formula():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: th.q_validity_ceiling(LW2, 1e3, eps=math.nan), ArgumentError),
-    (lambda: th.q_validity_ceiling(LW2, 1e3, eps=math.inf), ArgumentError),
     (lambda: th.q_validity_ceiling(LW2, math.inf), ArgumentError),
     (lambda: th.q_validity_ceiling(LW2, math.nan), ArgumentError),
     (lambda: th.predicted_lnS(LW2, 1e3, math.inf), DomainError),
     (lambda: th.predicted_lnS(LW2, 1e3, math.nan), DomainError),
-], ids=["ceiling-eps-nan", "ceiling-eps-inf", "ceiling-n-inf", "ceiling-n-nan",
-        "lnS-q-inf", "lnS-q-nan"])
+], ids=["ceiling-n-inf", "ceiling-n-nan", "lnS-q-inf", "lnS-q-nan"])
 def test_nonfinite_theory_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
