@@ -445,6 +445,14 @@ def sieve(series, s: float, beta: float = _BETA,
 # corrected estimators
 # ---------------------------------------------------------------------------
 
+def _sieved_top(y, s: float, beta: float, k: int) -> tuple[np.ndarray, list]:
+    """(rows, k) block of the first k of k + 1 sieve picks of each series row
+    of y, NaN where the sieve keeps k or fewer points; and each row's count."""
+    picks = [sieve(row, s, beta, max_points=k + 1).selected_values for row in y]
+    top = [p[:k] if len(p) > k else np.full(k, math.nan) for p in picks]
+    return np.reshape(top, (len(y), k)), [len(p) for p in picks]
+
+
 def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
                 k_rho: int | None = None, *, tau: float, kappa: float = _KAPPA,
                 s: float | None = None, alpha: float = _ALPHA,
@@ -453,12 +461,10 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     default windows at round(n*) and sieve radius alpha * tau (_correction)."""
     ns, kt, kr, radius = _correction(series.n, tau, kappa, k_theta, k_rho, s, alpha)
     k_need = max(kt, kr)
-    picks = sieve(series, radius, beta, max_points=k_need + 1).selected_values
-    if len(picks) < k_need + 1:
-        raise InsufficientSievedPoints(
-            f"sieve kept {len(picks)} points, need {k_need + 1}"
-        )
-    ordered = OrderedSample(top=picks[:k_need], n=ns)
+    [top], [kept] = _sieved_top([series.values], radius, beta, k_need)
+    if np.isnan(top[0]):
+        raise InsufficientSievedPoints(f"sieve kept {kept} points, need {k_need + 1}")
+    ordered = OrderedSample(top=top, n=ns)
     th = theta_hat(ordered, kt)
     rh = rho_hat(ordered, kr)
     return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,

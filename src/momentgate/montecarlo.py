@@ -76,6 +76,9 @@ class CorrelatedConfig:
     def __post_init__(self) -> None:
         if len(self.covs) == 0:
             raise ArgumentError("correlated config needs at least one covariance")
+        for grid in (self.assumed_taus, self.s_values):
+            if grid is not None and len(grid) == 0:
+                raise ArgumentError("assumed tau and s grids must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -318,6 +321,8 @@ def run_iid(config: ExperimentConfig) -> McReport:
     """Bias/variance/MSE of theta_hat, rho_hat, qc_hat on i.i.d. samples.
 
     Targets per cell: theta(n), rho_l(y_dagger(n)), qc_approx(n)."""
+    if config.correlated is not None:
+        raise ArgumentError("run_iid takes no correlated config block")
     report = McReport(columns=_COLUMNS,
                       meta={"kind": "iid", "seed": config.seed,
                             "reps": config.reps})
@@ -349,8 +354,8 @@ def run_corr(config: ExperimentConfig) -> McReport:
     Targets come from the true correlation length: q_c at n* = n/(1+kappa tau),
     theta(n*) and rho_l at the n* frontier.  An ``assumed_taus`` grid feeds the
     corrected estimator a misspecified tau while targets stay at the truth.
-    The corrected windows and radius are the cell's, from the assumed tau
-    (dependence._correction decides them for the report and every series).
+    The corrected windows and radius are the cell's (dependence._correction),
+    from the assumed tau; the sieve's picks are estimated at size n*.
     """
     if config.correlated is None:
         raise ArgumentError("run_corr requires the correlated config block")
@@ -383,17 +388,9 @@ def run_corr(config: ExperimentConfig) -> McReport:
                              for s in seeds])
 
         def measure(y):
-            out = np.full((len(y), 6), math.nan)
-            out[:, :3] = est._qc_rows(y, n, kt_u, kr_u)
-            for row, values in zip(out, y):
-                try:
-                    e = dep.qc_hat_corr(
-                        tm.Sample(values, n, seed=0), kt_c, kr_c, tau=tau_used,
-                        kappa=cc.kappa, s=radius, beta=cc.beta)
-                except NumericalError:
-                    continue
-                row[3:] = e.theta_hat, e.rho_hat, e.qc_hat
-            return out
+            top, _ = dep._sieved_top(y, radius, cc.beta, max(kt_c, kr_c))
+            return np.hstack((est._qc_rows(y, n, kt_u, kr_u),
+                              est._qc_rows(top, ns, kt_c, kr_c)))
 
         base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
                 "tau": tau_true, "tau_assumed": tau_used, "s": radius,

@@ -307,7 +307,10 @@ class _LogWeibull:
 
 
 class _Slep:
-    # F(y >= 0) = 1 - Q(1/rho, y^rho)/2 ; F(y < 0) = Q(1/rho, |y|^rho)/2
+    # F(y >= 0) = 1 - Q(1/rho, y^rho)/2 ; F(y < 0) = Q(1/rho, |y|^rho)/2.
+    # Where x = |y|^rho is below the normal doubles (|y| < 0.49 at rho = 1e3),
+    # P(1/rho, x) = |y| / Gamma(1 + 1/rho) to double precision, so
+    # h = ln 2 - log1p(-y / Gamma(1 + 1/rho)) on both sides of 0
 
     @staticmethod
     def h(m, y):
@@ -320,6 +323,9 @@ class _Slep:
             out[pos] = math.log(2.0) - _ln_q(a, x[pos])
         if (~pos).any():
             out[~pos] = -np.log1p(-0.5 * sp.gammaincc(a, x[~pos]))
+        tiny = x < _TINY
+        if tiny.any():
+            out[tiny] = math.log(2.0) - np.log1p(-y[tiny] / math.gamma(1.0 + a))
         return out
 
     @staticmethod
@@ -357,7 +363,12 @@ class _Slep:
         a = 1.0 / m.rho
         upper = h >= math.log(2.0)
         q = np.where(upper, 2.0 * np.exp(-h), -2.0 * np.expm1(-h))
-        mag = np.power(sp.gammainccinv(a, q), a)
+        x = sp.gammainccinv(a, q)
+        mag = np.power(x, a)
+        tiny = x < _TINY  # |y| = Gamma(1 + a) |expm1(ln 2 - h)|, as in h
+        if tiny.any():
+            mag = np.where(tiny, math.gamma(1.0 + a)
+                           * np.abs(np.expm1(math.log(2.0) - h)), mag)
         return np.where(upper, mag, -mag)
 
     @staticmethod

@@ -216,13 +216,13 @@ def _rays(model: tm.TailModel, q: np.ndarray, peak: np.ndarray,
     far = np.where(rising, left, right)[idx, piece]
     length = far - near
     inf = np.isinf(length)
-    scale = 1.0 / np.sqrt(tm.score_prime(model, np.maximum(peak, 1.0)))
-    rays = [(idx[inf], near[inf], np.copysign(scale[idx[inf]], length[inf])),
-            (idx[~inf], near[~inf], length[~inf]),
-            (idx[~inf], far[~inf], -length[~inf])]
-    order, base, step = (np.concatenate(col) for col in zip(*rays))
-    half_line = np.repeat([True, False, False], [len(r[0]) for r in rays])
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # s' overflows to inf at a far peak
+        scale = 1.0 / np.sqrt(tm.score_prime(model, np.maximum(peak, 1.0)))
+        rays = [(idx[inf], near[inf], np.copysign(scale[idx[inf]], length[inf])),
+                (idx[~inf], near[~inf], length[~inf]),
+                (idx[~inf], far[~inf], -length[~inf])]
+        order, base, step = (np.concatenate(col) for col in zip(*rays))
+        half_line = np.repeat([True, False, False], [len(r[0]) for r in rays])
         step[half_line] *= _e_fold(model, q[order[half_line]],
                                    k_shift[order[half_line]],
                                    base[half_line], step[half_line])

@@ -231,6 +231,16 @@ def test_theory_tiny_order_is_finite():
     assert out.splitlines()[-1] == "9.9999999999999998e-201,0,0"
 
 
+def test_theory_far_logweibull_peak_is_quiet():
+    # at q = 1e300 (rho = 1e10) s' overflows at the peak: the half-line's
+    # step is 0 there, and the order is answered with no RuntimeWarning
+    code, out, err = run_cli("theory", "--model", "logweibull:rho=1e10",
+                             "--n", "3", "--q-grid", "1e300")
+    assert code == 0
+    assert err == "warning: q=1e+300 exceeds validity ceiling 1.19565\n"
+    assert out.splitlines()[-1].split(",")[2] == "1.0000000666749699e+300"
+
+
 def test_theory_rejects_sample_size_below_two():
     code, _, err = run_cli("theory", "--model", "lognormal", "--n", "1.5")
     assert code == 2
@@ -324,6 +334,16 @@ def test_synth_header_reads_back_a_tabulated_cov():
     _, meta = tm.read_sample(io.StringIO(out))
     assert dep.parse_cov(meta["cov"]) == dep.TabulatedCov((1.0, 0.5, 0.25))
     assert meta["match"] == "gaussian" and meta["seed"] == "1"
+
+
+def test_synth_hermite_matches_a_slep_whose_power_underflows():
+    # slep rho = 1e300 is uniform on (-1, 1) and |y|^rho underflows at every
+    # value; the marginal keeps its spread, so Hermite matching has a variance
+    code, out, err = run_cli("synth", "--model", "slep:rho=1e300", "--cov",
+                             "tab:1", "--n", "64", "--match", "hermite")
+    assert code == 0 and err == ""
+    y = np.array(data_lines(out), dtype=float)
+    assert len(y) == 64 and np.all(np.abs(y) < 1.0) and np.all(y != 0.0)
 
 
 # ------------------------------------------------------------ estimate
@@ -1050,6 +1070,19 @@ def test_mc_config_non_integral_grid_is_usage_error(tmp_path, line, value):
     code, out, err = run_cli("mc", "--config", write_ini(tmp_path, text))
     assert code == 2 and out == ""
     assert err.startswith("error: expected comma-separated") and value in err
+
+
+@pytest.mark.parametrize("line", ["assumed_tau = ,", "s = ,"],
+                         ids=["assumed_tau", "s"])
+def test_mc_config_empty_sweep_is_usage_error(tmp_path, line):
+    # an empty sweep would run no cell and leave the rest of the section
+    # (here an infinite tau and a NaN alpha) unchecked
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 512\n"
+                              "reps = 2\n[correlated]\ncov = exp:tau=inf\n"
+                              "alpha = nan\n" + line + "\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert (code, out, err) == (
+        2, "", "error: assumed tau and s grids must be nonempty\n")
 
 
 def test_mc_config_integral_float_grid_reads_as_int():

@@ -519,6 +519,16 @@ def test_corrected_estimators_need_enough_sieved_points():
     series = tm.Sample(values=np.arange(200.0, 0.0, -1.0), n=200, seed=0)
     with pytest.raises(InsufficientSievedPoints):
         dep.qc_hat_corr(series, 10, 10, tau=100.0, s=50.0, beta=0.0)
+    # the sieve keeps indices 0, 51, 102 and 153: 4 picks serve windows of
+    # at most 3, the first k of k + 1
+    e = dep.qc_hat_corr(series, 3, 3, tau=100.0, s=50.0, beta=0.0)
+    ordered = est.OrderedSample(top=np.array([200.0, 149.0, 98.0]),
+                                n=200 / 9.0)
+    assert e.theta_hat == est.theta_hat(ordered, 3)
+    assert e.rho_hat == est.rho_hat(ordered, 3)
+    with pytest.raises(InsufficientSievedPoints,
+                       match="^sieve kept 4 points, need 5$"):
+        dep.qc_hat_corr(series, 4, 3, tau=100.0, s=50.0, beta=0.0)
 
 
 @pytest.mark.parametrize("windows, message", [

@@ -2,6 +2,7 @@
 runner's failure contract, aggregate identities, the sample-log-moment
 curves, and report serialization."""
 
+import dataclasses
 import io
 import math
 
@@ -449,9 +450,20 @@ def test_run_iid_takes_numpy_integer_windows():
                                  k_theta_grid=()), "k grids must be nonempty"),
     (lambda: mc.ExperimentConfig(models=(LW2,), n_grid=(100,),
                                  k_rho_grid=()), "k grids must be nonempty"),
+    (lambda: mc.CorrelatedConfig(covs=(dep.ExponentialCov(4.0),),
+                                 assumed_taus=()),
+     "assumed tau and s grids must be nonempty"),
+    (lambda: mc.CorrelatedConfig(covs=(dep.ExponentialCov(4.0),),
+                                 s_values=()),
+     "assumed tau and s grids must be nonempty"),
     (lambda: mc.run_corr(small_iid_config()),
      "run_corr requires the correlated config block"),
-], ids=["no-covs", "no-k_theta", "no-k_rho", "run_corr-without-block"])
+    (lambda: mc.run_iid(dataclasses.replace(
+        small_iid_config(),
+        correlated=mc.CorrelatedConfig(covs=(dep.ExponentialCov(4.0),)))),
+     "run_iid takes no correlated config block"),
+], ids=["no-covs", "no-k_theta", "no-k_rho", "no-assumed-taus", "no-s-values",
+        "run_corr-without-block", "run_iid-with-block"])
 def test_config_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{message}$"):
         call()
@@ -593,19 +605,21 @@ def test_failed_block_gives_nan_rows(monkeypatch):
 
 def test_failed_corrected_estimate_fails_only_its_corrected_columns(
         monkeypatch):
-    # in run_corr, replication 1's corrected estimate raises, so only its
-    # corrected columns fail; replications 0 and 2 succeed in both
+    # in run_corr, the sieve keeps too few points of replication 1's series,
+    # so in the one block of 3 series only its corrected columns fail
     cc = mc.CorrelatedConfig(covs=(dep.ExponentialCov(tau=5.0),))
     bad = dep.synth_series(LN, cc.covs[0], 512, mc.rep_seed(1, 0, 1),
                            cc.match_mode).values
-    corr = dep.qc_hat_corr
+    sieve = dep.sieve
 
-    def fake_corr(sample, *args, **kwargs):
-        if np.array_equal(sample.values, bad):
-            raise ConvergenceError("measure")
-        return corr(sample, *args, **kwargs)
+    def short_sieve(series, s, beta, max_points=None):
+        got = sieve(series, s, beta, max_points)
+        if np.array_equal(series, bad):  # one pick short of max_points
+            return dep.SievedSample(got.selected_indices[:max_points - 1],
+                                    got.selected_values[:max_points - 1])
+        return got
 
-    monkeypatch.setattr(dep, "qc_hat_corr", fake_corr)
+    monkeypatch.setattr(dep, "sieve", short_sieve)
     cfg = mc.ExperimentConfig(models=(LN,), n_grid=(512,), reps=3, seed=1,
                               correlated=cc)
     rows = mc.run_corr(cfg).rows

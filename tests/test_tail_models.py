@@ -107,6 +107,32 @@ def test_symmetric_family_reflection():
         assert tm.h(model, 0.0) == pytest.approx(math.log(2.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("rho", [200.0, 1e3, 1e4])
+def test_slep_exponent_where_the_power_underflows(rho):
+    # below |y| = t, |y|^rho is below the normal doubles and P(1/rho, |y|^rho)
+    # = |y| / Gamma(1 + 1/rho): h = ln 2 - log1p(-y / Gamma(1 + 1/rho)); just
+    # above t the incomplete-gamma route gives the same to rounding
+    model = tm.strict_log_exp_power(rho)
+    t = sys.float_info.min ** (1.0 / rho)
+    g = math.gamma(1.0 + 1.0 / rho)
+    for y in (-0.999 * t, -0.5 * t, -1e-3 * t, 1e-3 * t, 0.5 * t, 0.999 * t,
+              1.001 * t, -1.001 * t):
+        want = math.log(2.0) - math.log1p(-y / g)
+        assert tm.h(model, y) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert tm.h_inv(model, tm.h(model, y)) == pytest.approx(y, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [200.0, 1e3, 1e4, 1e300])
+def test_slep_sample_mean_abs_at_large_rho(rho):
+    # E|Y| = Gamma(2/rho) / Gamma(1/rho) = Gamma(1 + 2/rho) / (2 Gamma(1 + 1/rho)),
+    # about 1/2; no draw collapses to the value at y = 0
+    y = np.abs(tm.sample_iid(tm.strict_log_exp_power(rho), 100_000,
+                             seed=0).values)
+    want = math.gamma(1.0 + 2.0 / rho) / (2.0 * math.gamma(1.0 + 1.0 / rho))
+    assert abs(y.mean() - want) < 5.0 * y.std() / math.sqrt(len(y))
+    assert np.count_nonzero(y == 0.0) == 0
+
+
 # ------------------------------------------------------------- derivatives
 
 

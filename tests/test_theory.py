@@ -47,6 +47,13 @@ def test_y_dagger_power_law_closed_form():
             assert th.y_dagger(model, n) == pytest.approx(expected, rel=1e-10)
 
 
+def test_y_dagger_slep_where_the_power_underflows():
+    # h(y) = ln 2 - log1p(-y / Gamma(1.001)) = ln 3 at y = Gamma(1.001) / 3,
+    # where y^1000 is far below the normal doubles
+    got = th.critical_curve(tm.strict_log_exp_power(1e3), 3).y_dagger
+    assert got == pytest.approx(math.gamma(1.001) / 3.0, rel=1e-12)
+
+
 def test_y_dagger_normal_exponent_frozen():
     for n, ref in oracles.STD_NORMAL_Y_DAGGER.items():
         assert th.y_dagger(LN, n) == pytest.approx(ref, rel=1e-12)
