@@ -37,7 +37,8 @@ from .errors import (
     EmbeddingError,
     InsufficientSievedPoints,
 )
-from .estimators import OrderedSample, QcEstimate, _windows, rho_hat, theta_hat
+from .estimators import (OrderedSample, QcEstimate, _estimate, _windows,
+                         rho_hat, theta_hat)
 from .theory import critical_curve
 
 __all__ = [
@@ -467,5 +468,4 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     ordered = OrderedSample(top=top, n=ns)
     th = theta_hat(ordered, kt)
     rh = rho_hat(ordered, kr)
-    return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,
-                      k_theta=kt, k_rho=kr)
+    return _estimate(ordered, th, rh, kt, kr)

@@ -17,7 +17,6 @@ __all__ = [
     "DataFormatError",
     "NumericalError",
     "ConvergenceError",
-    "DegenerateSaddleError",
     "NonPositiveOmegaError",
     "DegenerateRegressionError",
     "InsufficientPositiveValues",
@@ -55,12 +54,10 @@ class ConvergenceError(NumericalError):
     """An iterative procedure (root find, quadrature) failed to converge."""
 
 
-class DegenerateSaddleError(NumericalError):
-    """Second derivative at the saddle point is not positive."""
-
-
 class NonPositiveOmegaError(NumericalError):
-    """The order-statistic combination is <= 0, so ln n / omega is undefined."""
+    """theta_hat = ln n / Omega_k is not a finite positive double (Omega_k
+    <= 0, or it or the quotient overflows), or qc_hat = theta_hat * rho_hat
+    is not finite."""
 
 
 class DegenerateRegressionError(NumericalError):

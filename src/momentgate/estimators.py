@@ -75,8 +75,11 @@ def _omega_rows(top: np.ndarray, k: int) -> np.ndarray:
 
     The product is stacked as one (1, k) @ (k,) per row, which numpy runs as
     a dot product, so a row's Omega does not depend on the rows beside it
-    (a (rows, k) matrix-vector product rounds differently)."""
-    return (top[:, None, :k] @ omega_weights(k))[:, 0]
+    (a (rows, k) matrix-vector product rounds differently).  Near the ends
+    of the doubles Omega_k overflows to +-inf or NaN, which _theta_qc reads
+    as undefined."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (top[:, None, :k] @ omega_weights(k))[:, 0]
 
 
 def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.ndarray]:
@@ -162,14 +165,34 @@ def omega(ordered: OrderedSample, k: int) -> float:
     return float(_omega_rows(ordered.top[None, :], k)[0])
 
 
-def theta_hat(ordered: OrderedSample, k_theta: int) -> float:
-    """ln n / Omega_k."""
+def _theta_qc(log_n: float, om, rho):
+    """(theta_hat, qc_hat) from ln n, Omega_k and rho_hat, elementwise:
+    theta_hat = ln n / Omega_k where that is a finite positive double and
+    qc_hat = theta_hat * rho_hat where that is finite; NaN elsewhere."""
+    with np.errstate(all="ignore"):
+        theta = np.divide(log_n, om)
+        theta = np.where((theta > 0.0) & (theta < math.inf), theta, math.nan)
+        qc = theta * rho
+    return theta, np.where(np.isfinite(qc), qc, math.nan)
+
+
+def _checked_theta_qc(ordered: OrderedSample, k_theta: int,
+                      rho: float) -> tuple[float, float]:
+    """_theta_qc on one sample; NonPositiveOmegaError, naming Omega_k, where
+    either estimate is undefined (at rho = 1, only where theta_hat is)."""
     om = omega(ordered, k_theta)
-    if om <= 0.0:
+    theta, qc = _theta_qc(math.log(ordered.n), om, rho)
+    if math.isnan(qc):
+        what = (f"ln n / Omega_{k_theta} is not a finite positive number"
+                if math.isnan(theta) else "theta_hat * rho_hat is not finite")
         raise NonPositiveOmegaError(
-            f"Omega_{k_theta} = {om:.6g} <= 0; estimator undefined"
-        )
-    return math.log(ordered.n) / om
+            f"Omega_{k_theta} = {om:.6g}: {what}; estimator undefined")
+    return float(theta), float(qc)
+
+
+def theta_hat(ordered: OrderedSample, k_theta: int) -> float:
+    """ln n / Omega_k, where that is a finite positive double."""
+    return _checked_theta_qc(ordered, k_theta, 1.0)[0]
 
 
 def rho_hat(ordered: OrderedSample, k_rho: int) -> float:
@@ -227,7 +250,15 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
     ordered = order_stats(sample, max(kt, kr))
     th = theta_hat(ordered, kt)
     rh = rho_hat(ordered, kr)
-    return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=th * rh,
+    return _estimate(ordered, th, rh, kt, kr)
+
+
+def _estimate(ordered: OrderedSample, th: float, rh: float, kt: int,
+              kr: int) -> QcEstimate:
+    """The QcEstimate of theta_hat th and rho_hat rh on ordered; qc_hat is
+    their product, where that is finite (_theta_qc)."""
+    _, qc = _checked_theta_qc(ordered, kt, rh)
+    return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=qc,
                       k_theta=kt, k_rho=kr)
 
 
@@ -242,7 +273,7 @@ def _qc_rows(values: np.ndarray, n: int, k_theta: int,
     top = _top_rows(values, k)
     om = _omega_rows(top, k_theta)
     rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n))
-    theta = math.log(n) / np.where(om > 0.0, om, math.nan)
-    out = np.column_stack((theta, rho, theta * rho))
-    out[np.isnan(out[:, 2])] = math.nan
+    theta, qc = _theta_qc(math.log(n), om, rho)
+    out = np.column_stack((theta, rho, qc))
+    out[np.isnan(qc)] = math.nan
     return out

@@ -336,7 +336,8 @@ class _Slep:
         # rounding that the log-space subtraction leaves behind
         ln_norm = math.log(2.0) + math.lgamma(1.0 + 1.0 / m.rho)
         x = np.power(np.abs(y), m.rho)
-        out = np.exp(_Slep.h(m, y) - x - ln_norm)
+        with np.errstate(invalid="ignore"):  # inf - inf where x overflows, far
+            out = np.exp(_Slep.h(m, y) - x - ln_norm)
         far = (y > 0.0) & (x >= _LNQ_SWITCH)
         if np.any(far):
             u = _tail_series_frac(1.0 / m.rho, np.maximum(x, _LNQ_SWITCH))
@@ -430,42 +431,50 @@ _IMPLS = {
 # public tail functionals
 # ---------------------------------------------------------------------------
 
+def _kernel(model: TailModel, name: str, yv: np.ndarray) -> np.ndarray:
+    """The family's kernel ``name`` on the float array yv.  Near the ends of
+    the doubles its powers overflow to the right +-inf or 0 (h and h' at
+    slep rho = 1e3, |y| = 8), and s' has a pole at slep's y = 0 for rho < 2;
+    those warnings stay here."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return getattr(_dispatch(model), name)(model, yv)
+
+
 def h(model: TailModel, y):
     """Cumulative hazard -ln(1 - F_Y(y)); strictly increasing on the support."""
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).h(model, yv))
+    return _wrap(y, _kernel(model, "h", np.asarray(y, dtype=float)))
 
 
 def h_prime(model: TailModel, y):
     """Hazard rate h'(y) > 0."""
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).h_prime(model, yv))
+    return _wrap(y, _kernel(model, "h_prime", np.asarray(y, dtype=float)))
 
 
 def score(model: TailModel, y):
     """Score s(y) = -(d/dy) ln p_Y(y), increasing; score_inv inverts it."""
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).score(model, yv))
+    return _wrap(y, _kernel(model, "score", np.asarray(y, dtype=float)))
 
 
 def score_prime(model: TailModel, y):
     """Curvature s'(y) = -(d/dy)^2 ln p_Y(y) > 0 (inf at slep's y = 0 when
     rho < 2)."""
-    yv = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
-        return _wrap(y, _dispatch(model).score_prime(model, yv))
+    return _wrap(y, _kernel(model, "score_prime", np.asarray(y, dtype=float)))
 
 
 def rho_local(model: TailModel, y):
-    """Local power exponent y h'(y) / h(y); constant == rho for logweibull."""
+    """Local power exponent y h'(y) / h(y); constant == rho for logweibull.
+    Where y > 0 and the quotient is not finite (h or y h' overflows, so
+    h >> 1 and the quotient is rho to far within an ulp), it is rho."""
     yv = np.asarray(y, dtype=float)
-    hv = _dispatch(model).h(model, yv)
+    hv = _kernel(model, "h", yv)
     if np.any(hv <= 0.0):
         raise DomainError("rho_local requires h(y) > 0")
     if model.family is Family.LOG_WEIBULL:
         out = np.full_like(yv, model.rho)  # y h'/h == rho identically
     else:
-        out = yv * _dispatch(model).h_prime(model, yv) / hv
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = yv * _kernel(model, "h_prime", yv) / hv
+        out = np.where((yv > 0.0) & ~np.isfinite(out), model.rho, out)
     return _wrap(y, out)
 
 
@@ -504,8 +513,7 @@ def quantile(model: TailModel, p):
 
 def log_pdf(model: TailModel, y):
     """ln p_Y(y); p_Y = h' e^{-h}."""
-    yv = np.asarray(y, dtype=float)
-    return _wrap(y, _dispatch(model).log_pdf(model, yv))
+    return _wrap(y, _kernel(model, "log_pdf", np.asarray(y, dtype=float)))
 
 
 def sample_iid(model: TailModel, n: int, seed: int) -> Sample:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tail_models as tm
-from .errors import ArgumentError, ConvergenceError, DegenerateSaddleError, DomainError
+from .errors import ArgumentError, ConvergenceError, DomainError
 
 __all__ = [
     "CriticalCurve",
@@ -29,7 +29,6 @@ __all__ = [
     "y_star",
     "critical_curve",
     "moment_quadrature",
-    "moment_saddlepoint",
     "predicted_lnS",
     "q_validity_ceiling",
 ]
@@ -263,27 +262,6 @@ def moment_quadrature(model: tm.TailModel, q):
     q is a float or an array of orders (an array in, an array out)."""
     qv = np.asarray(q, dtype=float)
     return tm._wrap(q, _log_integral(model, qv.ravel()).reshape(qv.shape))
-
-
-def moment_saddlepoint(model: tm.TailModel, q: float) -> float:
-    """Laplace approximation q y* + ln p(y*) + (1/2) ln(2 pi / s'(y*)) of
-    ln E X^q, with s' the score's slope; exact for Gaussian Y."""
-    ys = y_star(model, q)
-    curv = tm.score_prime(model, ys)
-    if not curv > 0.0:
-        raise DegenerateSaddleError(f"s'(y*) = {curv:.3e} <= 0 at q={q}")
-    if model.family is tm.Family.STRICT_LOG_EXP_POWER:
-        # rho y*^(rho-1) = q turns q y* - y*^rho into (1 - 1/rho) q y*, which
-        # stays finite wherever y* does
-        out = (1.0 - 1.0 / model.rho) * q * ys + tm.log_pdf(model, 0.0)
-    else:
-        out = q * ys
-        if math.isfinite(out):  # else |ln p(y*)| is past the doubles as well
-            out = out + tm.log_pdf(model, ys)
-    out += 0.5 * (math.log(2.0 * math.pi) - math.log(curv))
-    if not math.isfinite(out):
-        raise DomainError(f"saddle approximation overflows at q={q}")
-    return out
 
 
 def predicted_lnS(model: tm.TailModel, n: float, q: float) -> float:

@@ -1,10 +1,12 @@
 """API-surface guard: every name exported through ``__all__`` resolves, so
-does every name the benchmark's tracer patches, and the README's library
-and ``theory`` examples print what the README shows."""
+does every name the benchmark's tracer patches, every error class has a
+raiser, and the README's library, ``theory`` and ``estimate`` examples
+print what the README shows."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -39,7 +41,7 @@ def test_perfbench_traced_names_resolve():
     assert names and missing == []
 
 
-NUMERICAL = ("ConvergenceError", "DegenerateSaddleError",
+NUMERICAL = ("ConvergenceError",
              "NonPositiveOmegaError", "DegenerateRegressionError",
              "InsufficientPositiveValues", "InsufficientSievedPoints",
              "EmbeddingError", "DivergentError")
@@ -53,6 +55,18 @@ def test_numerical_errors_share_one_base():
     assert sorted(runtime) == sorted(("NumericalError",) + NUMERICAL)
     for name in NUMERICAL:
         assert issubclass(getattr(errors, name), errors.NumericalError)
+
+
+def test_every_error_class_is_raised():
+    # a class whose last raiser is deleted goes with it; the two bases are
+    # only caught
+    errors = importlib.import_module("momentgate.errors")
+    src = pathlib.Path(errors.__file__).parent
+    code = "\n".join(path.read_text() for path in sorted(src.glob("*.py")))
+    unraised = [name for name in errors.__all__
+                if name not in ("MomentgateError", "NumericalError")
+                and not re.search(rf"\braise {name}\b", code)]
+    assert unraised == []
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -85,3 +99,24 @@ def test_readme_theory_example_prints_what_it_shows(capsys):
     shown = _readme_block(command)
     assert cli.main(command.split()[2:]) == 0
     assert capsys.readouterr().out.splitlines() == shown
+
+
+@pytest.mark.parametrize("first", [
+    "$ momentgate sample --model logweibull:rho=2 --n 10000 --seed 1 "
+    "--out s.txt\n",
+    "$ momentgate synth --model lognormal --cov exp:tau=50 --n 65536 "
+    "--seed 2 --out series.txt\n"], ids=["iid", "corr"])
+def test_readme_estimate_examples_print_what_they_show(first, capsys,
+                                                       tmp_path, monkeypatch):
+    # the README's commands, run in tmp_path; where it elides keys with
+    # " ...", the lines it does show are printed, in its order
+    monkeypatch.chdir(tmp_path)
+    block = [first.rstrip("\n"), *_readme_block(first)]
+    commands = [line for line in block if line.startswith("$ ")]
+    for command in commands:
+        assert cli.main(command.split()[2:]) == 0
+    shown = [line for line in block[len(commands):] if line != " ..."]
+    printed = capsys.readouterr().out.splitlines()
+    if len(shown) < len(block) - len(commands):
+        printed = [line for line in printed if line in shown]
+    assert printed == shown

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -640,6 +641,28 @@ def test_estimate_all_negative_sample_is_numerical_failure(tmp_path):
     code, _, err = run_cli("estimate", "--input", str(path))
     assert code == 3
     assert err.startswith("error:")
+
+
+_NO_THETA = "ln n / Omega_2\\d is not a finite positive number"
+
+
+@pytest.mark.parametrize("corr", [(), ("--corr", "--tau", "3")],
+                         ids=["plain", "corr"])
+@pytest.mark.parametrize("lo, hi, undefined", [
+    (1e307, 9e307, _NO_THETA), (1e-310, 9e-310, _NO_THETA),
+    (1e-308, 9e-308, "theta_hat \\* rho_hat is not finite")],
+    ids=["1e307", "1e-310", "1e-308"])
+def test_estimate_at_the_ends_of_the_doubles_is_numerical_failure(
+        tmp_path, corr, lo, hi, undefined):
+    # Omega_k overflows (1e307), ln n / Omega_k overflows (1e-310), or
+    # theta_hat is finite and theta_hat * rho_hat overflows (1e-308): no
+    # qc_hat of 0 or Infinity, and no NumPy warning
+    path = tmp_path / "edge.txt"
+    path.write_text("".join("%.17g\n" % v for v in np.linspace(lo, hi, 400)))
+    code, out, err = run_cli("estimate", "--input", str(path), *corr)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"error: Omega_2\d = \S+: {undefined}; "
+                        "estimator undefined\n", err), err
 
 
 def test_estimate_missing_file_is_io_error(tmp_path):

@@ -215,6 +215,27 @@ def test_qc_hat_is_product_of_parts():
     assert (e.k_theta, e.k_rho) == (10, 40)
 
 
+def test_block_estimates_match_qc_hat_at_the_ends_of_the_doubles():
+    # rows where Omega_k overflows, ln n / Omega_k overflows, theta_hat *
+    # rho_hat overflows, or Omega_k <= 0, between ordinary samples: each row
+    # is qc_hat's values, and NaN where qc_hat raises, with no NumPy warning
+    n = 400
+    grid = [np.linspace(lo, hi, n) for lo, hi in
+            ((1e307, 9e307), (1e-310, 9e-310), (1e-308, 9e-308))]
+    ordinary = [tm.sample_iid(LW2, n, seed=s).values for s in (1, 2)]
+    block = np.array([ordinary[0], *grid, -grid[0], ordinary[1]])
+    kt, kr = est.default_k_theta(n), est.default_k_rho(n)
+    rows = est._qc_rows(block, n, kt, kr)
+    for values, row in zip(block, rows):
+        try:
+            e = est.qc_hat(make_sample(values), kt, kr)
+        except NonPositiveOmegaError:
+            assert np.isnan(row).all(), row
+        else:
+            assert row.tolist() == [e.theta_hat, e.rho_hat, e.qc_hat]
+    assert np.isnan(rows[1:5]).all() and not np.isnan(rows[[0, 5]]).any()
+
+
 def test_qc_hat_defaults_follow_window_rules():
     s = make_sample(tm.sample_iid(LW2, 1000, seed=10).values)
     e = est.qc_hat(s)

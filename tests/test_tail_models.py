@@ -21,7 +21,8 @@ from scipy.special import ndtr
 
 import oracles
 import momentgate.tail_models as tm
-from momentgate.errors import ArgumentError, DataFormatError, DomainError
+from momentgate.errors import (ArgumentError, DataFormatError, DomainError,
+                               MomentgateError)
 
 LW2 = tm.log_weibull(2.0)
 LW15 = tm.log_weibull(1.5)
@@ -258,6 +259,28 @@ def test_local_tail_index_approaches_shape():
         assert np.all(np.diff(vals) > 0)
         assert vals[-1] == pytest.approx(rho, rel=2e-2)
         assert np.all(vals < rho + 1e-9)
+
+
+@pytest.mark.parametrize("model", [
+    *(tm.parse_model(f"{family}:rho={rho}")
+      for family in ("logweibull", "slep") for rho in (1.5, 3.0, 1e3)), LN],
+    ids=tm.format_model)
+def test_tail_functions_at_the_ends_of_the_doubles(model):
+    # where the powers overflow the values are their limits (+-inf, 0) and
+    # rho_local is rho wherever h is inf; no NaN, and no NumPy warning (an
+    # error in this suite)
+    names = ("h", "h_prime", "score", "score_prime", "log_pdf", "rho_local")
+    for y in (8.0, 1e100, 1e200, 1.7e308, -8.0, -1e100, -1e200, -1.7e308):
+        if y < 0.0 and model.family is tm.Family.LOG_WEIBULL:
+            continue
+        for name in names:
+            try:
+                val = getattr(tm, name)(model, y)
+            except MomentgateError:
+                continue
+            assert not math.isnan(val), (name, y)
+        if tm.h(model, y) == math.inf:
+            assert tm.rho_local(model, y) == model.rho, y
 
 
 # ------------------------------------------------------ h_inv/quantile/cdf

@@ -20,7 +20,6 @@ import momentgate.theory as th
 from momentgate.errors import (
     ArgumentError,
     ConvergenceError,
-    DegenerateSaddleError,
     DomainError,
     MomentgateError,
 )
@@ -253,10 +252,11 @@ def test_local_tail_index_at_frontier_increases():
 
 
 def test_moment_quadrature_power_law_closed_form():
-    for q in (1.0, 3.0):
+    for q in (1.0, 3.0, 10.0, 40.0, 80.0):
         got = th.moment_quadrature(LW2, q)
-        assert got == pytest.approx(oracles.LW2_LOG_MOMENT[q], rel=1e-10)
         assert got == pytest.approx(oracles.lw2_log_moment(q), rel=1e-10)
+        if q in oracles.LW2_LOG_MOMENT:
+            assert got == pytest.approx(oracles.LW2_LOG_MOMENT[q], rel=1e-10)
 
 
 def test_moment_quadrature_normal_exponent_exact():
@@ -371,78 +371,6 @@ def test_moment_integrals_finite_or_typed_error(family, rho, log10_q):
         return
     assert log10_q <= 4.0, (model, q, val)
     assert type(val) is float and math.isfinite(val), (model, q, val)
-
-
-@pytest.mark.parametrize("q", [0.5, 2.0, 10.0, 80.0])
-def test_saddlepoint_exact_for_gaussian_log(q):
-    # Y Gaussian: the Laplace form is exact (lognormal q^2/2, slep rho = 2
-    # is N(0, 1/2), q^2/4)
-    assert th.moment_saddlepoint(LN, q) == pytest.approx(q * q / 2.0,
-                                                         rel=1e-12)
-    assert th.moment_saddlepoint(SLEP2, q) == pytest.approx(q * q / 4.0,
-                                                            rel=1e-12)
-
-
-def test_saddlepoint_tracks_quadrature():
-    for model in (LW2, LN):
-        gaps = []
-        for q in (10.0, 40.0, 80.0):
-            exact = th.moment_quadrature(model, q)
-            sp = th.moment_saddlepoint(model, q)
-            gaps.append(abs(sp - exact) / abs(exact))
-        assert gaps[1] < 0.02
-        if model is LN:  # exact, see test_saddlepoint_exact_for_gaussian_log
-            assert max(gaps) <= 1e-12, gaps
-        else:
-            assert gaps[0] > gaps[1] > gaps[2], gaps
-            assert gaps[0] <= 1e-4 and gaps[2] <= 1e-9, gaps
-
-
-@given(st.sampled_from(["logweibull", "slep", "lognormal"]),
-       st.floats(min_value=1.0, max_value=8.0, exclude_min=True),
-       st.floats(min_value=-6.0, max_value=4.0))
-def test_saddlepoint_finite_or_typed_error(family, rho, log10_q):
-    model = tm.parse_model(family if family == "lognormal"
-                           else f"{family}:rho={rho!r}")
-    q = 10.0 ** log10_q
-    try:
-        val = th.moment_saddlepoint(model, q)
-    except MomentgateError as exc:
-        assert f"q={q!r}" in str(exc) or f"q={q:.17g}" in str(exc), exc
-        return
-    assert type(val) is float and math.isfinite(val), (family, rho, q, val)
-
-
-def test_saddlepoint_overflow_is_typed_error():
-    # y* ~ 1e308 is a double, but q y* and ln p(y*) are not: no silent NaN
-    with pytest.raises(DomainError, match="overflows at q=1200.0"):
-        th.moment_saddlepoint(tm.strict_log_exp_power(1.01), 1200.0)
-
-
-def test_slep_saddle_finite_where_q_y_star_overflows():
-    # y* = 1.37e308 at q = 2.035 for rho = 1.001: q y* overflows, while
-    # q y* + ln p(y*) = (1 - 1/rho) q y* - ln(2 Gamma(1 + 1/rho)) does not
-    val = th.moment_saddlepoint(tm.strict_log_exp_power(1.001), 2.035)
-    assert math.isfinite(val) and val == pytest.approx(2.7445e305, rel=1e-4)
-
-
-@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
-@pytest.mark.parametrize("q", [0.5, 2.0, 10.0])
-def test_slep_saddle_equals_laplace_form(rho, q):
-    model = tm.strict_log_exp_power(rho)
-    ys = th.y_star(model, q)
-    laplace = (q * ys + tm.log_pdf(model, ys)
-               + 0.5 * math.log(2.0 * math.pi / tm.score_prime(model, ys)))
-    assert th.moment_saddlepoint(model, q) == pytest.approx(laplace, rel=1e-12)
-
-
-def test_degenerate_saddle_is_reported(monkeypatch):
-    # a log-density that is flat or convex at y* makes q y + ln p(y) stationary
-    # there without a maximum, so the Gaussian correction is undefined
-    for curv in (-0.5, 0.0, math.nan):
-        monkeypatch.setattr(tm, "score_prime", lambda m, y, c=curv: c)
-        with pytest.raises(DegenerateSaddleError, match="at q=2.0"):
-            th.moment_saddlepoint(LW2, 2.0)
 
 
 # ------------------------------------------------------ sample-sum profile
