@@ -37,8 +37,8 @@ from .errors import (
     EmbeddingError,
     InsufficientSievedPoints,
 )
-from .estimators import (OrderedSample, QcEstimate, _estimate, _windows,
-                         rho_hat, theta_hat)
+from .estimators import (OrderedSample, QcEstimate, _check_k, _estimate,
+                         _windows, rho_hat, theta_hat)
 from .theory import critical_curve
 
 __all__ = [
@@ -143,7 +143,9 @@ def cov_at_lags(cov: CovarianceSpec, lags: np.ndarray) -> np.ndarray:
     if isinstance(cov, ExponentialCov):
         if cov.tau == 0.0:
             return (lags == 0).astype(float)
-        return np.exp(-np.abs(lags) / cov.tau)
+        # below tau ~ 1e-305, -|t| / tau overflows to -inf: C(t >= 1) = 0
+        with np.errstate(over="ignore"):
+            return np.exp(-np.abs(lags) / cov.tau)
     table = np.asarray(cov.values, dtype=float)
     out = np.zeros(lags.shape, dtype=float)
     inside = lags < table.size
@@ -321,9 +323,7 @@ def synth_series(model: tm.TailModel, cov: CovarianceSpec, n: int, seed: int,
     Hermite pre-distorts the Gaussian covariance so the transformed series
     matches it instead.  Deterministic given seed.
     """
-    n = tm._as_int(n, "series length")
-    if n < 2:
-        raise ArgumentError(f"series length must be >= 2, got {n}")
+    n = tm._check_size(n, "series length", 2)
     seed = tm._check_seed(seed)
     try:
         match_mode = MatchMode(match_mode)
@@ -449,6 +449,7 @@ def sieve(series, s: float, beta: float = _BETA,
 def _sieved_top(y, s: float, beta: float, k: int) -> tuple[np.ndarray, list]:
     """(rows, k) block of the first k of k + 1 sieve picks of each series row
     of y, NaN where the sieve keeps k or fewer points; and each row's count."""
+    _check_sieve(s, beta)  # also on a block of no rows
     picks = [sieve(row, s, beta, max_points=k + 1).selected_values for row in y]
     top = [p[:k] if len(p) > k else np.full(k, math.nan) for p in picks]
     return np.reshape(top, (len(y), k)), [len(p) for p in picks]
@@ -461,7 +462,7 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     """Sieve-corrected critical-order estimate for a correlated series; by
     default windows at round(n*) and sieve radius alpha * tau (_correction)."""
     ns, kt, kr, radius = _correction(series.n, tau, kappa, k_theta, k_rho, s, alpha)
-    k_need = max(kt, kr)
+    k_need = _check_k(max(kt, kr), ns)  # as qc_hat's order_stats, before the sieve
     [top], [kept] = _sieved_top([series.values], radius, beta, k_need)
     if np.isnan(top[0]):
         raise InsufficientSievedPoints(f"sieve kept {kept} points, need {k_need + 1}")

@@ -92,14 +92,13 @@ class ExperimentConfig:
     correlated: CorrelatedConfig | None = None
 
     def __post_init__(self) -> None:
-        if tm._as_int(self.reps, "reps") < 2:
-            raise ArgumentError("reps must be >= 2")
+        tm._check_size(self.reps, "reps", 2)
         if not self.models or not self.n_grid:
             raise ArgumentError("model and n grids must be nonempty")
         if not self.k_theta_grid or not self.k_rho_grid:
             raise ArgumentError("k grids must be nonempty")
         for n in self.n_grid:
-            tm._as_int(n, "n")
+            tm._check_size(n, "n", 2)
         for name in ("k_theta", "k_rho"):
             for k in getattr(self, name + "_grid"):
                 if k is not None:
@@ -235,9 +234,7 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     reads), and measure(samples) their (rows, width) results.
     Failures are handled here alone: a sample row that is not finite is
     zeroed before measure and NaN after it; a draw or measure raising
-    NumericalError leaves its block NaN; other errors propagate.  draw and
-    measure are called before this returns, so they may close over a
-    caller's loop variables.
+    NumericalError leaves its block NaN; other errors propagate.
     """
     if reps > 2 ** 32:
         raise ArgumentError(f"reps must be at most 2^32, got {reps}")
@@ -317,35 +314,75 @@ def _emit_cell(report: McReport, cell: dict, block: np.ndarray,
         report.rows.append(row)
 
 
+def _run_study(config, meta: dict, cells, gil_bound: bool = False) -> McReport:
+    """The report of a study's cells (n, draw, measure, curve, groups).  As a
+    cell is taken, its measure runs on a (0, n) block: the first bad cell
+    fails its own checks before the next is decided and before any draw.  Each
+    group, a row dict, gets the _emit_cell rows of its three columns."""
+    checked = []
+    for n, draw, measure, curve, groups in cells:
+        measure(np.empty((0, n)))  # its own checks, on no data
+        checked.append((n, draw, measure, curve, groups))
+    report = McReport(columns=_COLUMNS,
+                      meta=dict(meta, seed=config.seed, reps=config.reps))
+    for cell_id, (n, draw, measure, curve, groups) in enumerate(checked):
+        vals = _replicate(config.reps, config.seed, cell_id, n, 3 * len(groups),
+                          draw, measure, gil_bound=gil_bound)
+        for i, group in enumerate(groups):
+            row = {"cell_id": cell_id, "n": n, "reps": config.reps, **group}
+            _emit_cell(report, row, vals[:, 3 * i:], curve)
+    return report
+
+
+def _iid_cell(model: tm.TailModel, n: int, k_t, k_r) -> tuple:
+    kt, kr = est._windows(n, k_t, k_r)
+    group = {"model": tm.format_model(model), "k_theta": kt, "k_rho": kr,
+             "corrected": False}
+    # the estimators read only each sample's max(kt, kr) largest values
+    return (n, partial(tm._iid_rows, model, n, top=max(kt, kr)),
+            partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr),
+            theory.critical_curve(model, n), [group])
+
+
 def run_iid(config: ExperimentConfig) -> McReport:
     """Bias/variance/MSE of theta_hat, rho_hat, qc_hat on i.i.d. samples.
 
     Targets per cell: theta(n), rho_l(y_dagger(n)), qc_approx(n)."""
     if config.correlated is not None:
         raise ArgumentError("run_iid takes no correlated config block")
-    report = McReport(columns=_COLUMNS,
-                      meta={"kind": "iid", "seed": config.seed,
-                            "reps": config.reps})
     grid = itertools.product(config.models, config.n_grid,
                              config.k_theta_grid, config.k_rho_grid)
-    cells = []
-    for cell_id, (model, n, k_t, k_r) in enumerate(grid):
-        kt, kr = est._windows(n, k_t, k_r)
-        curve = theory.critical_curve(model, n)
-        est._qc_rows(np.empty((0, n)), n, kt, kr)  # its checks, on no data
-        # the estimators read only each sample's max(kt, kr) largest values
-        replicate = partial(_replicate, config.reps, config.seed, cell_id, n, 3,
-                            partial(tm._iid_rows, model, n, top=max(kt, kr)),
-                            partial(est._qc_rows, n=n, k_theta=kt, k_rho=kr),
-                            gil_bound=True)
-        cell = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
-                "k_theta": kt, "k_rho": kr, "reps": config.reps,
-                "corrected": False}
-        cells.append((cell, curve, replicate))
-    # every cell is decided, and so checked, before the first draw
-    for cell, curve, replicate in cells:
-        _emit_cell(report, cell, replicate(), curve)
-    return report
+    return _run_study(config, {"kind": "iid"},
+                      itertools.starmap(_iid_cell, grid), gil_bound=True)
+
+
+def _series_rows(model: tm.TailModel, cov, n: int, match_mode, seeds):
+    return np.stack([dep.synth_series(model, cov, n, s, match_mode).values
+                     for s in seeds])
+
+
+def _corr_rows(n, k, ns, k_c, radius, beta, y) -> np.ndarray:
+    """_qc_rows of a block y of series, then of their sieve picks at size ns."""
+    plain = est._qc_rows(y, n, *k)
+    top, _ = dep._sieved_top(y, radius, beta, max(k_c))
+    return np.hstack((plain, est._qc_rows(top, ns, *k_c)))
+
+
+def _corr_cell(cc: CorrelatedConfig, model: tm.TailModel, n: int, cov,
+               tau_assumed, s_val, k_t, k_r) -> tuple:
+    tau_true = dep.correlation_length(cov)
+    tau_used = tau_true if tau_assumed is None else float(tau_assumed)
+    curve = theory.critical_curve(model, dep._sizes(n, tau_true, cc.kappa)[1])
+    kt, kr = est._windows(n, k_t, k_r)
+    ns, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t, k_r,
+                                             s_val, cc.alpha)
+    base = {"model": tm.format_model(model), "tau": tau_true,
+            "tau_assumed": tau_used, "s": radius, "beta": cc.beta,
+            "match": cc.match_mode.value}
+    return (n, partial(_series_rows, model, cov, n, cc.match_mode),
+            partial(_corr_rows, n, (kt, kr), ns, (kt_c, kr_c), radius, cc.beta),
+            curve, [dict(base, corrected=False, k_theta=kt, k_rho=kr),
+                    dict(base, corrected=True, k_theta=kt_c, k_rho=kr_c)])
 
 
 def run_corr(config: ExperimentConfig) -> McReport:
@@ -360,55 +397,15 @@ def run_corr(config: ExperimentConfig) -> McReport:
     if config.correlated is None:
         raise ArgumentError("run_corr requires the correlated config block")
     cc = config.correlated
-    report = McReport(columns=_COLUMNS,
-                      meta={"kind": "corr", "seed": config.seed,
-                            "reps": config.reps, "kappa": cc.kappa,
-                            "alpha": cc.alpha, "beta": cc.beta,
-                            "match": cc.match_mode.value})
     assumed_grid = cc.assumed_taus if cc.assumed_taus is not None else (None,)
     s_grid = cc.s_values if cc.s_values is not None else (None,)
     grid = itertools.product(config.models, config.n_grid, cc.covs,
                              assumed_grid, s_grid,
                              config.k_theta_grid, config.k_rho_grid)
-
-    def cell(cell_id, model, n, cov, tau_assumed, s_val, k_t, k_r):
-        tau_true = dep.correlation_length(cov)
-        tau_used = tau_true if tau_assumed is None else float(tau_assumed)
-        curve = theory.critical_curve(model, dep._sizes(n, tau_true, cc.kappa)[1])
-        kt_u, kr_u = est._windows(n, k_t, k_r)
-        ns, kt_c, kr_c, radius = dep._correction(n, tau_used, cc.kappa, k_t,
-                                                 k_r, s_val, cc.alpha)
-        # the estimators' own checks, on no data
-        est._qc_rows(np.empty((0, n)), n, kt_u, kr_u)
-        dep._check_sieve(radius, cc.beta)
-        est._qc_rows(np.empty((0, n)), ns, kt_c, kr_c)
-
-        def draw(seeds):
-            return np.stack([dep.synth_series(model, cov, n, s, cc.match_mode).values
-                             for s in seeds])
-
-        def measure(y):
-            top, _ = dep._sieved_top(y, radius, cc.beta, max(kt_c, kr_c))
-            return np.hstack((est._qc_rows(y, n, kt_u, kr_u),
-                              est._qc_rows(top, ns, kt_c, kr_c)))
-
-        base = {"cell_id": cell_id, "model": tm.format_model(model), "n": n,
-                "tau": tau_true, "tau_assumed": tau_used, "s": radius,
-                "beta": cc.beta, "match": cc.match_mode.value,
-                "reps": config.reps}
-        cell_u = dict(base, corrected=False, k_theta=kt_u, k_rho=kr_u)
-        cell_c = dict(base, corrected=True, k_theta=kt_c, k_rho=kr_c)
-
-        def run():
-            vals = _replicate(config.reps, config.seed, cell_id, n, 6, draw, measure)
-            _emit_cell(report, cell_u, vals[:, :3], curve)
-            _emit_cell(report, cell_c, vals[:, 3:], curve)
-        return run
-
-    # every cell is decided, and so checked, before the first draw
-    for run in [cell(i, *key) for i, key in enumerate(grid)]:
-        run()
-    return report
+    meta = {"kind": "corr", "kappa": cc.kappa, "alpha": cc.alpha,
+            "beta": cc.beta, "match": cc.match_mode.value}
+    return _run_study(config, meta,
+                      itertools.starmap(partial(_corr_cell, cc), grid))
 
 
 def _lnS_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -452,16 +449,13 @@ def _lnS_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int):
     """The one n of n_list, once it, q_grid and reps are checked."""
-    if tm._as_int(reps, "reps") < 1:
-        raise ArgumentError(f"reps must be >= 1, got {reps}")
+    tm._check_size(reps, "reps", 1)
     if not np.all(np.isfinite(q_grid) & (q_grid > 0.0)):
         raise ArgumentError("q grid must be finite and positive")
     if len(n_list) != 1:
         raise ArgumentError(f"lnS_curve takes one n per call, got {len(n_list)}")
     [n] = n_list
-    if tm._as_int(n, "n") < 2:
-        raise ArgumentError(f"n must be an integer >= 2, got {n!r}")
-    return n
+    return tm._check_size(n, "n", 2)
 
 
 def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
@@ -485,7 +479,11 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
                       partial(tm._iid_rows, model, n),
                       partial(_lnS_rows, q=q_grid))
     mean = vals.sum(axis=0) / reps
-    var = (vals * vals).sum(axis=0) / reps - mean ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = (vals * vals).sum(axis=0) / reps - mean ** 2
+        # centred where ln S is so large that its squares overflow
+        far = np.isfinite(mean) & ~np.isfinite(var)
+        var[far] = ((vals[:, far] - mean[far]) ** 2).sum(axis=0) / reps
     se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
     for q, m, e, p, log_moment in zip(q_grid.tolist(), mean.tolist(),
                                       se.tolist(), predicted.tolist(),

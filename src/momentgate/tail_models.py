@@ -523,9 +523,7 @@ def sample_iid(model: TailModel, n: int, seed: int) -> Sample:
     uniform of the stream, so runs are reproducible across platforms and
     independent streams can be keyed per replication.
     """
-    n = _as_int(n, "n")
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
+    n = _check_size(n, "n", 1)
     seed = _check_seed(seed)
     return Sample(values=_iid_rows(model, n, (seed,))[0], n=n, seed=seed)
 
@@ -537,6 +535,18 @@ def _as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_size(value, name: str, low: int) -> int:
+    """value as an int in [low, 2^57], else an ArgumentError naming it.  No
+    array holds more: synth_series embeds n values in m < 4n points, and its
+    (2, m) block of doubles reaches numpy's 2^63-byte limit just past 2^57."""
+    value = _as_int(value, name)
+    if value < low:
+        raise ArgumentError(f"{name} must be >= {low}")
+    if value > 2 ** 57:
+        raise ArgumentError(f"{name} must be at most 2^57, got {value}")
+    return value
 
 
 def _check_seed(seed) -> int:

@@ -15,10 +15,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import momentgate
 from momentgate import cli
@@ -1179,3 +1181,211 @@ def test_ini_negative_seed_is_usage_error(tmp_path):
     code, out, err = run_cli("mc", "--config", ini)
     assert code == 2 and out == ""
     assert "seed -1" in err
+
+
+# ------------------------------------------- sizes and covariances at the ends
+
+
+_HUGE_N_INI = "[experiment]\nmodels = lognormal\nn = 1e300\nreps = 2\n"
+
+
+@pytest.mark.parametrize("argv, ini, name, size", [
+    (("mc",), _HUGE_N_INI, "n", str(int(1e300))),
+    (("mc",), _HUGE_N_INI + "kind = lnS\nq = 1\n", "n", str(int(1e300))),
+    (("sample", "--model", "lognormal", "--n", str(10 ** 22)), None, "n",
+     str(10 ** 22)),
+    (("synth", "--model", "lognormal", "--cov", "exp:tau=3",
+      "--n", str(10 ** 22)), None, "series length", str(10 ** 22)),
+    (("synth", "--model", "lognormal", "--cov", "exp:tau=3",
+      "--n", str(2 ** 62)), None, "series length", str(2 ** 62)),
+], ids=["mc-iid", "mc-lnS", "sample", "synth", "synth-2^62"])
+def test_size_no_array_holds_is_usage_error(tmp_path, argv, ini, name, size):
+    # numpy refuses each of these sizes before it allocates anything
+    if ini is not None:
+        argv += ("--config", write_ini(tmp_path, ini))
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be at most 2^57, got {size}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", ["5e-324", "1e-310"])
+def test_vanishing_tau_runs_quietly(tmp_path, tau):
+    code, out, err = run_cli("synth", "--model", "lognormal",
+                             "--cov", f"exp:tau={tau}", "--n", "64")
+    assert code == 0 and err == ""
+    _, iid_out, _ = run_cli("synth", "--model", "lognormal",
+                            "--cov", "exp:tau=0", "--n", "64")
+    assert data_lines(out) == data_lines(iid_out)
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 512\n"
+                              f"reps = 2\n[correlated]\ncov = exp:tau={tau}\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert code == 0 and err == "" and len(data_lines(out)) == 7
+
+
+# ------------------------------------------------- fuzz of the CLI and INI
+#
+# argv and INI documents from a grammar of odd tokens, run in process: every
+# run must exit 0, 2, 3 or 4 with no other exception and no warning, and a
+# successful table command must print at least one data row.  Sizes are at
+# most 4096 (or at least 2^62, which no array holds) and reps at most 3.
+
+_ODD = ("", ",", "nan", "inf", "0", "-1", "1e-300", "1e300", "5e-324")
+
+
+# the share of odd tokens, in tenths, drawn once per case: none, few or many
+_ODD_SHARE = st.shared(st.sampled_from([0, 1, 4]), key="odd share")
+
+
+def _tokens(*valid):
+    """One of the valid tokens, or an odd token at the case's odd share."""
+    return st.tuples(_ODD_SHARE, st.integers(0, 9)).flatmap(
+        lambda si: st.sampled_from(_ODD if si[1] < si[0] else valid))
+
+
+def _joined(tokens, max_size=2):
+    return st.lists(tokens, min_size=1, max_size=max_size).map(",".join)
+
+
+_SIZES = _tokens("2", "8", "64", "512", "4096", str(2 ** 62), str(10 ** 22))
+_REALS = _tokens("0.5", "1", "3", "10", "100")
+_WINDOWS = _tokens("1", "2", "10", "100", "default")
+_FORMATS = st.sampled_from(["csv", "json"])
+_MODELS = st.one_of(
+    st.just("lognormal"),
+    st.builds("{}:rho={}".format, st.sampled_from(["logweibull", "slep"]),
+              _tokens("1.0001", "1.5", "2", "10", "1e10", "1e300")))
+_COVS = st.one_of(
+    st.builds("exp:tau={}".format, _tokens("3", "10", "1e-310")),
+    _joined(_tokens("1", "0.5", "-0.5", "0.9", "2"), 3).map("tab:{}".format))
+
+
+def _options(**options):
+    """argv pieces: each --option with a value drawn from its strategy (a flag
+    where the strategy is None), or left out."""
+    pieces = [st.one_of(st.just([]),
+                        st.just([flag]) if values is None
+                        else values.map(lambda v, f=flag: [f, v]))
+              for flag, values in (("--" + name.replace("_", "-"), values)
+                                   for name, values in options.items())]
+    return st.tuples(*pieces).map(lambda ps: [t for p in ps for t in p])
+
+
+def _keys(**keys):
+    """INI lines of the keys drawn, each present or not."""
+    lines = st.tuples(*(st.one_of(st.just(""), values.map(
+        lambda v, k=key: f"{k} = {v}\n")) for key, values in keys.items()))
+    return lines.map("".join)
+
+
+@st.composite
+def _mc_case(draw):
+    kind = draw(_tokens("iid", "corr", "lnS", None))
+    document = "[experiment]\n" + ("" if kind is None else f"kind = {kind}\n")
+    document += f"models = {draw(_joined(_MODELS))}\n"
+    if kind == "lnS":
+        document += draw(st.builds("{} = {}\n".format,
+                                   st.sampled_from(["q", "q_over_qc"]),
+                                   _joined(_REALS)))
+    else:
+        document += draw(_keys(k_theta=_joined(_WINDOWS),
+                               k_rho=_joined(_WINDOWS)))
+    document += draw(_keys(n=_joined(_SIZES), seed=_tokens("3")))
+    # reps at most 3, from --reps or else from the document: an odd token
+    # above 3 is not an integer
+    reps = draw(st.one_of(st.none(), _tokens("2", "3")))
+    if reps is None:
+        document += f"reps = {draw(_tokens('2', '3'))}\n"
+    if kind == "corr" or kind is None and draw(st.booleans()):
+        document += f"[correlated]\ncov = {draw(_joined(_COVS))}\n" + draw(_keys(
+            match=st.sampled_from(["gaussian", "hermite", "bogus"]),
+            assumed_tau=_joined(_REALS), s=_joined(_REALS), kappa=_REALS,
+            alpha=_REALS, beta=_REALS))
+    argv = ["mc", "--config", "{ini}"] + ([] if reps is None else ["--reps", reps])
+    return argv + draw(_options(seed=_tokens("3"), format=_FORMATS)), document
+
+
+def _argv(*parts):
+    """Cases of one command: argv pieces, each a token or a strategy of one
+    token or of a list of them; and no INI document."""
+    def flat(drawn):
+        return [t for p in drawn for t in ([p] if isinstance(p, str) else p)]
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p
+                       for p in parts)).map(lambda d: (flat(d), None))
+
+
+_CASES = st.one_of(
+    _argv("theory", "--model", _MODELS, "--n", _joined(_SIZES | _REALS),
+          _options(q_grid=_joined(_REALS), format=_FORMATS)),
+    _argv("sample", "--model", _MODELS, "--n", _SIZES, _options(seed=_tokens("5"))),
+    _argv("synth", "--model", _MODELS, "--cov", _COVS, "--n", _SIZES,
+          _options(match=st.sampled_from(["gaussian", "hermite"]))),
+    _argv("estimate", "--input", st.sampled_from(["{iid}", "{series}"]),
+          _options(k_theta=_WINDOWS, k_rho=_WINDOWS, format=_FORMATS),
+          st.one_of(st.just([]), _REALS.map(lambda t: ["--corr", "--tau", t]),
+                    _options(corr=None, tau=_REALS)),
+          _options(s=_REALS, kappa=_REALS, alpha=_REALS, beta=_REALS)),
+    _mc_case(),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The INI path the fuzz writes, and an i.i.d. sample and a correlated
+    series for estimate to read."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(root / name) for name in ("ini", "iid", "series")}
+    run_cli("sample", "--model", "lognormal", "--n", "2048", "--out", files["iid"])
+    run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=10",
+            "--n", "4096", "--out", files["series"])
+    return files
+
+
+def _table_rows(out, fmt):
+    """The data rows a table command printed: the CSV lines after the header,
+    or the JSON document's rows."""
+    body = strip_comment_lines(out)
+    if fmt == "csv":
+        return data_lines(body)[1:]
+    doc = json.loads(body)
+    return doc.get("rows", doc.get("curves"))
+
+
+@settings(max_examples=150)
+@given(case=_CASES)
+@example(case=(["synth", "--model", "lognormal", "--cov", "exp:tau=5e-324",
+                "--n", "64"], None))
+@example(case=(["mc", "--config", "{ini}"], "[experiment]\nmodels = lognormal\n"
+               "n = 512\nreps = 2\n[correlated]\ncov = exp:tau=5e-324\n"))
+@example(case=(["mc", "--config", "{ini}"], _HUGE_N_INI))
+@example(case=(["mc", "--config", "{ini}"], _HUGE_N_INI + "kind = lnS\nq = 1\n"))
+@example(case=(["sample", "--model", "lognormal", "--n", str(10 ** 22)], None))
+@example(case=(["synth", "--model", "lognormal", "--cov", "exp:tau=3",
+                "--n", str(10 ** 22)], None))
+@example(case=(["synth", "--model", "lognormal", "--cov", "exp:tau=3",
+                "--n", str(2 ** 62)], None))
+@example(case=(["synth", "--model", "slep:rho=1e300", "--cov", "tab:1",
+                "--n", "64", "--match", "hermite"], None))
+@example(case=(["theory", "--model", "logweibull:rho=1e10", "--n", "3",
+                "--q-grid", "1e300"], None))
+@example(case=(["mc", "--config", "{ini}", "--reps", "2"],
+               "[experiment]\nmodels = lognormal\nn = 512\n[correlated]\n"
+               "cov = exp:tau=inf\nalpha = nan\nassumed_tau = ,\n"))
+@example(case=(["estimate", "--input", "{series}", "--k-theta", "0",
+                "--k-rho", "-1", "--corr", "--tau", "3"], None))
+@example(case=(["mc", "--config", "{ini}", "--reps", "2"],
+               "[experiment]\nkind = lnS\nmodels = logweibull:rho=1e300\n"
+               "q_over_qc = 3\n"))
+def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
+    argv, document = case
+    if document is not None:
+        Path(fuzz_files["ini"]).write_text(document)
+    argv = [a.format(**fuzz_files) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv)
+    assert code in (0, 2, 3, 4), (argv, document, err)
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+    if code == 0 and (argv[0] in ("theory", "mc")
+                      or argv[0] == "estimate" and fmt == "csv"):
+        assert _table_rows(out, fmt or "csv"), (argv, document, out)

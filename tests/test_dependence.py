@@ -68,8 +68,17 @@ def test_parse_cov_rejects_bad_specs():
     (lambda: dep.n_star(1000, 10.0, math.nan), "tau and kappa must be >= 0"),
     (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=4.0), 16, 0, "bogus"),
      "unknown match mode 'bogus' (expected gaussian or hermite)"),
+    (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=3.0), 1, 0),
+     "series length must be >= 2"),
+    # sizes numpy refuses before it allocates: beyond its index, or an
+    # embedding of about 2n points past its byte limit
+    (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=3.0), 10 ** 22, 0),
+     "series length must be at most 2^57, got 10000000000000000000000"),
+    (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=3.0), 2 ** 62, 0),
+     "series length must be at most 2^57, got 4611686018427387904"),
 ], ids=["exp-without-tau", "exp-bare-value", "tab-non-numeric",
-        "negative-tau", "nan-kappa", "unknown-match-mode"])
+        "negative-tau", "nan-kappa", "unknown-match-mode", "series-of-one",
+        "series-beyond-index", "series-beyond-bytes"])
 def test_cov_and_size_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call()
@@ -86,6 +95,19 @@ def test_cov_at_lags():
     # zero correlation length = uncorrelated: a delta at lag 0
     np.testing.assert_allclose(
         dep.cov_at_lags(dep.ExponentialCov(tau=0.0), lags), [1, 0, 0, 0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [5e-324, 1e-310])
+def test_vanishing_tau_is_the_iid_case_without_a_warning(tau):
+    # 1/tau overflows to inf: C(t) = exp(-inf) = 0 for every lag t >= 1
+    lags = np.arange(70)
+    np.testing.assert_array_equal(
+        dep.cov_at_lags(dep.ExponentialCov(tau), lags),
+        dep.cov_at_lags(dep.ExponentialCov(0.0), lags))
+    np.testing.assert_array_equal(
+        dep.synth_series(LN, dep.ExponentialCov(tau), 64, seed=3).values,
+        dep.synth_series(LN, dep.ExponentialCov(0.0), 64, seed=3).values)
 
 
 def test_correlation_length():
@@ -478,6 +500,14 @@ def test_sieve_rejects_bad_arguments():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ArgumentError):
                 dep.sieve([1.0, bad, 2.0, 0.5, 3.0], s)
+
+
+@pytest.mark.parametrize("s, beta, message", [
+    (-1.0, 1.0, "s must be >= 0"), (1.0, math.inf, "beta must be finite")])
+def test_sieved_top_checks_its_settings_on_no_rows(s, beta, message):
+    # a study checks each cell's sieve on a block of no series
+    with pytest.raises(ArgumentError, match=message):
+        dep._sieved_top(np.empty((0, 512)), s, beta, 10)
 
 
 # ----------------------------------------------------- corrected estimators

@@ -479,7 +479,12 @@ def test_config_errors_name_their_cause(call, message):
      "tau and kappa must be >= 0"),
     ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
                              beta=math.inf), "beta must be finite"),
-], ids=["iid-window", "corr-radius", "corr-assumed-tau", "corr-beta"])
+    # the first cell fails its probe before the second (n* < 2) is decided
+    ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),
+                                   dep.ExponentialCov(1e6)), s_values=(-1.0,)),
+     "s must be >= 0"),
+], ids=["iid-window", "corr-radius", "corr-assumed-tau", "corr-beta",
+        "corr-probe-before-next-cell"])
 def test_study_checks_every_cell_before_the_first_draw(monkeypatch, grids, cc,
                                                        message):
     draws = []
@@ -672,6 +677,15 @@ def test_lnS_se_is_standard_error_of_replications():
         assert row["se_lnS"] == pytest.approx(se, rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_lnS_se_where_the_squares_overflow():
+    # at rho = 1e300 every logweibull value rounds to 1, so ln S(n, q) = q
+    # exactly, and its square overflows; the spread is 0, not NaN
+    [row] = mc.lnS_curve(tm.log_weibull(1e300), [1000], [2e301], reps=3,
+                         seed=0).rows
+    assert (row["mean_lnS"], row["se_lnS"]) == (2e301, 0.0)
+
+
 def test_lnS_slope_saturates_at_sample_maximum():
     y = tm.sample_iid(LW2, 200, seed=31).values
     n = y.size
@@ -715,6 +729,16 @@ def test_lnS_rejects_more_than_one_n():
 def test_lnS_rejects_n_below_two():
     with pytest.raises(ArgumentError, match=">= 2"):
         mc.lnS_curve(LN, [1], [1.0], reps=2, seed=0)
+
+
+# 1e300 as an INI grid reads it; numpy refuses it before it allocates
+@pytest.mark.parametrize("call", [
+    lambda n: mc.lnS_curve(LN, [n], [1.0], reps=2, seed=0),
+    lambda n: mc.ExperimentConfig(models=(LN,), n_grid=(100, n), reps=2),
+], ids=["lnS", "config"])
+def test_study_rejects_a_size_no_array_holds(call):
+    with pytest.raises(ArgumentError, match=r"^n must be at most 2\^57, got 1\d{300}$"):
+        call(int(1e300))
 
 
 # per-replication ln S: the block kernel against scipy, exactly

@@ -515,8 +515,11 @@ def test_model_requires_finite_rho_above_one(spec):
     (lambda: tm.rho_local(LW2, 0.0), DomainError,
      r"rho_local requires h\(y\) > 0"),
     (lambda: tm.sample_iid(LW2, 0, 0), ArgumentError, "n must be >= 1"),
+    # beyond numpy's largest dimension: refused before anything is allocated
+    (lambda: tm.sample_iid(LW2, 10 ** 22, 0), ArgumentError,
+     r"n must be at most 2\^57, got 10{22}"),
 ], ids=["lognormal-rho", "sample-length", "model-parameter", "h-below-support",
-        "rho_local-at-zero-h", "sample_iid-empty"])
+        "rho_local-at-zero-h", "sample_iid-empty", "sample_iid-beyond-index"])
 def test_model_and_sample_errors_name_their_cause(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call()
