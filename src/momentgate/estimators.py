@@ -88,7 +88,8 @@ def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.nda
 
     The positives of a descending row are a prefix, so rows are fitted in
     groups of equal count on that prefix with its original ranks.  The slope
-    is NaN where fewer than 2 values are positive or cxx is at its floor.
+    is NaN where fewer than 2 values are positive, where the first and last
+    logs are equal, or where cxx is at its floor.
     """
     y = top[:, :k]
     positives = (y > 0.0).sum(axis=-1)
@@ -103,9 +104,9 @@ def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.nda
         # which array ** 2 computes, rounds differently in ~0.1% of cases
         cxx = mean_xx - np.array([math.pow(v, 2.0) for v in mean_x.tolist()])
         cxt = (x * t[:m]).mean(axis=-1) - mean_x * t[:m].mean()
-        # exact ties leave only rounding residue in cxx; a relative floor keeps
-        # the slope from being formed out of that noise
-        ok = cxx > 1e-15 * np.maximum(1.0, mean_xx)
+        # ties leave only rounding residue in cxx; the floor is relative, as
+        # the spread of ln Y shrinks like 1/rho
+        ok = (cxx > 1e-15 * mean_xx) & (x[:, 0] > x[:, -1])
         slope[rows[ok]] = cxt[ok] / cxx[ok]
     return slope, positives
 

@@ -479,12 +479,10 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
                       partial(tm._iid_rows, model, n),
                       partial(_lnS_rows, q=q_grid))
     mean = vals.sum(axis=0) / reps
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = (vals * vals).sum(axis=0) / reps - mean ** 2
-        # centred where ln S is so large that its squares overflow
-        far = np.isfinite(mean) & ~np.isfinite(var)
-        var[far] = ((vals[:, far] - mean[far]) ** 2).sum(axis=0) / reps
-    se = np.sqrt(np.maximum(var, 0.0) / (reps - 1)) if reps > 1 else np.full_like(mean, math.nan)
+    # the ddof=1 spread over sqrt(reps), centred; hypot squares no deviation,
+    # so it is finite wherever the mean is
+    se = (np.hypot.reduce(vals - mean, axis=0) / math.sqrt(reps * (reps - 1))
+          if reps > 1 else np.full_like(mean, math.nan))
     for q, m, e, p, log_moment in zip(q_grid.tolist(), mean.tolist(),
                                       se.tolist(), predicted.tolist(),
                                       log_moments.tolist()):

@@ -645,6 +645,21 @@ def test_estimate_all_negative_sample_is_numerical_failure(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("count, corr", [
+    (1000, ()), (1000, ("--corr", "--tau", "3", "--k-theta", "10")), (30, ())],
+    ids=["1000-plain", "1000-corr", "30-plain"])
+def test_estimate_constant_sample_is_numerical_failure(tmp_path, count, corr):
+    # every used order statistic is equal: no slope, whichever way the
+    # rounding residue of the tied logs' moments falls (it gave rho_hat
+    # 0.1667 on 1000 copies and -0.0417 on 30)
+    path = tmp_path / "constant.txt"
+    path.write_text("19.4460711989558\n" * count)
+    code, out, err = run_cli("estimate", "--input", str(path), "--k-rho", "28",
+                             *corr)
+    assert (code, out) == (3, "")
+    assert err == "error: all used order statistics are equal\n"
+
+
 _NO_THETA = "ln n / Omega_2\\d is not a finite positive number"
 
 
@@ -1227,8 +1242,10 @@ def test_vanishing_tau_runs_quietly(tmp_path, tau):
 #
 # argv and INI documents from a grammar of odd tokens, run in process: every
 # run must exit 0, 2, 3 or 4 with no other exception and no warning, and a
-# successful table command must print at least one data row.  Sizes are at
-# most 4096 (or at least 2^62, which no array holds) and reps at most 3.
+# successful table command must print at least one data row, and an lnS
+# table a finite se_lnS wherever its mean_lnS is finite.  Sizes are at most
+# 4096 (or at least 2^62, which no array holds) and reps at most 3, but for
+# the examples.
 
 _ODD = ("", ",", "nan", "inf", "0", "-1", "1e-300", "1e300", "5e-324")
 
@@ -1342,13 +1359,23 @@ def fuzz_files(tmp_path_factory):
 
 
 def _table_rows(out, fmt):
-    """The data rows a table command printed: the CSV lines after the header,
-    or the JSON document's rows."""
+    """The data rows a table command printed: the CSV lines after the header
+    as dicts, or the JSON document's rows."""
     body = strip_comment_lines(out)
     if fmt == "csv":
-        return data_lines(body)[1:]
+        return parse_table(data_lines(body))
     doc = json.loads(body)
     return doc.get("rows", doc.get("curves"))
+
+
+def _spread_is_finite(out, rows):
+    """Whether an lnS table of at least 2 reps gives se_lnS finite wherever
+    mean_lnS is (true of every other table)."""
+    reps = re.search(r'^\s*(?:# reps=|"reps": )(\d+)', out, re.M)
+    if "se_lnS" not in rows[0] or int(reps[1]) < 2:
+        return True
+    return all(math.isfinite(float(r["se_lnS"])) for r in rows
+               if math.isfinite(float(r["mean_lnS"])))
 
 
 @settings(max_examples=150)
@@ -1376,6 +1403,9 @@ def _table_rows(out, fmt):
 @example(case=(["mc", "--config", "{ini}", "--reps", "2"],
                "[experiment]\nkind = lnS\nmodels = logweibull:rho=1e300\n"
                "q_over_qc = 3\n"))
+@example(case=(["mc", "--config", "{ini}", "--reps", "50"],
+               "[experiment]\nkind = lnS\nmodels = logweibull:rho=1e300\n"
+               "q_over_qc = 3\n"))
 def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
     argv, document = case
     if document is not None:
@@ -1388,4 +1418,104 @@ def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
     if code == 0 and (argv[0] in ("theory", "mc")
                       or argv[0] == "estimate" and fmt == "csv"):
-        assert _table_rows(out, fmt or "csv"), (argv, document, out)
+        rows = _table_rows(out, fmt or "csv")
+        assert rows, (argv, document, out)
+        assert _spread_is_finite(out, rows), (argv, document, out)
+
+
+# ------------------------------------------------- fuzz of estimate's input
+#
+# Sample files of ties, a few distinct values, values an ulp apart or an
+# i.i.d. sample, scaled to the ends of the doubles and partly zeroed or
+# negated, with n from 1 to 1000; every window flag, --log-input and the
+# --corr settings.  Every run must exit 0, 2, 3 or 4 with no other exception
+# and no warning, and a successful one prints only finite numbers and fitted
+# rho_hat on a window whose values are not all equal.
+
+_FILE_VALUES = (19.4460711989558, 1.0, 0.5, 3.0, 50.0, 1e300, 1e-300, 1e-310,
+                5e-324, 0.0, -2.0)
+_FILE_MODELS = (tm.log_normal(), tm.log_weibull(2.0), tm.log_weibull(1e10),
+                tm.strict_log_exp_power(3.0))
+
+
+@st.composite
+def _sample_text(draw):
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 29, 30, 1000]),
+                       st.integers(1, 1000), st.integers(100, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["tied", "few", "ulp"] + ["sample"] * 3))
+    if kind == "sample":
+        values = tm.sample_iid(draw(st.sampled_from(_FILE_MODELS)), n,
+                               draw(st.integers(0, 9))).values
+        with np.errstate(over="ignore", under="ignore"):
+            values = values * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    else:
+        pool = draw(st.lists(st.sampled_from(_FILE_VALUES), min_size=1,
+                             max_size=1 if kind == "tied" else 3))
+        if kind == "ulp":
+            for _ in range(3):
+                pool.append(float(np.nextafter(pool[-1], math.inf)))
+        values = rng.choice(pool, n)
+    share = draw(st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.5]))
+    hit = rng.random(n) < share
+    values[hit] = draw(st.sampled_from([0.0, -1.0])) * values[hit]
+    return "".join(f"{v!r}\n" for v in values.tolist()), n
+
+
+@st.composite
+def _estimate_case(draw):
+    text, n = draw(_sample_text())
+    argv = ["estimate", "--input", "-"]
+    for flag in ("--k-theta", "--k-rho"):
+        k = draw(st.sampled_from([None, None, None, -1, 0, 1, 2, 3, 28, 80,
+                                  n, n + 1]))
+        argv += [] if k is None else [flag, str(k)]
+    argv += draw(st.sampled_from([[], [], ["--log-input"]]))
+    if draw(st.booleans()):
+        argv += ["--corr", "--tau", draw(st.sampled_from(["0", "1e-300", "3",
+                                                          "1e300"]))]
+        argv += draw(st.sampled_from([[], ["--s", "0"], ["--s", "3"]]))
+    return argv + ["--format", draw(st.sampled_from(["csv", "json"]))], text
+
+
+def _used_window(argv, text, payload):
+    """The positive values rho_hat fitted: the top k_rho of the sample, or of
+    the sieve's picks with --corr."""
+    values = np.array([float(v) for v in text.split()])
+    if "--log-input" in argv:
+        values = np.log(values)
+    if "--corr" in argv:
+        k = max(payload["k_theta"], payload["k_rho"])
+        top = dep.sieve(values, payload["s"], payload["beta"],
+                        max_points=k + 1).selected_values
+    else:
+        top = np.sort(values)[::-1]
+    window = top[:payload["k_rho"]]
+    return window[window > 0.0]
+
+
+@settings(max_examples=200)
+@given(case=_estimate_case())
+@example(case=(["estimate", "--input", "-", "--k-rho", "28", "--format", "csv"],
+               "19.4460711989558\n" * 1000))
+@example(case=(["estimate", "--input", "-", "--k-theta", "10", "--k-rho", "28",
+                "--corr", "--tau", "3", "--format", "json"],
+               "19.4460711989558\n" * 1000))
+@example(case=(["estimate", "--input", "-", "--k-rho", "28", "--format", "csv"],
+               "19.4460711989558\n" * 30))
+def test_estimate_fuzz_exits_typed_and_quietly(case):
+    argv, text = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv, stdin_text=text)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 0:
+        fmt = argv[argv.index("--format") + 1]
+        [payload] = (_table_rows(out, fmt) if fmt == "csv"
+                     else [json.loads(out)])
+        payload = {key: float(v) for key, v in payload.items()}
+        for key in ("k_theta", "k_rho"):
+            payload[key] = int(payload[key])
+        assert all(map(math.isfinite, payload.values())), (argv, out)
+        window = _used_window(argv, text, payload)
+        assert window[0] > window[-1], (argv, window)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats as sps
 from scipy.linalg import null_space
 
@@ -172,6 +172,30 @@ def test_rho_hat_error_conditions():
     flat = est.OrderedSample(top=np.array([2.0, 2.0, 2.0]), n=100)
     with pytest.raises(DegenerateRegressionError):
         est.rho_hat(flat, 3)
+
+
+# a tied window leaves only rounding residue in cxx, from which a slope of
+# either sign can be formed: 19.4460711989558 at k = 28 gave 0.1667
+@given(value=st.floats(0.0, 50.0, exclude_min=True),
+       k=st.sampled_from([3, 28, 80, 323]))
+@example(value=19.4460711989558, k=28)
+@example(value=19.4460711989558, k=3)
+def test_rho_hat_tied_window_is_degenerate(value, k):
+    ordered = est.OrderedSample(top=np.full(k, value), n=1000)
+    with pytest.raises(DegenerateRegressionError):
+        est.rho_hat(ordered, k)
+
+
+@pytest.mark.parametrize("n", [1000, 100_000])
+@pytest.mark.parametrize("rho", [1e7, 1e8, 1e10, 1e12])
+def test_qc_hat_at_large_rho(rho, n):
+    # the spread of ln Y shrinks like 1/rho, so the top values are distinct
+    # but their logs' variance falls far below 1: rho_hat / rho reads as it
+    # does at rho = 1e6
+    e = est.qc_hat(tm.sample_iid(tm.log_weibull(rho), n, 3))
+    ref = est.qc_hat(tm.sample_iid(tm.log_weibull(1e6), n, 3))
+    assert math.isfinite(e.qc_hat)
+    assert e.rho_hat / rho == pytest.approx(ref.rho_hat / 1e6, rel=1e-4)
 
 
 def test_rho_hat_ladder_needs_room():

@@ -663,18 +663,24 @@ def test_lnS_matches_direct_logsumexp():
 
 
 def test_lnS_se_is_standard_error_of_replications():
-    # se_lnS = ddof=1 std of the per-replication ln S over sqrt(reps)
-    n, reps, seed = 60, 25, 11
-    q_grid = [0.5, 2.0, 6.0]
-    report = mc.lnS_curve(LN, [n], q_grid, reps=reps, seed=seed)
-    ys = [tm.sample_iid(LN, n, mc.rep_seed(seed, 0, r)).values
-          for r in range(reps)]
-    lnS = np.array([[logsumexp(q * y) - math.log(n) for q in q_grid]
-                    for y in ys])
-    want = lnS.std(axis=0, ddof=1) / math.sqrt(reps)
-    for row, mean, se in zip(report.rows, lnS.mean(axis=0), want):
-        assert row["mean_lnS"] == pytest.approx(mean, rel=1e-12)
-        assert row["se_lnS"] == pytest.approx(se, rel=1e-9)
+    # se_lnS = ddof=1 std of the per-replication ln S over sqrt(reps); at
+    # large rho ln S is large and narrow, where a one-pass E[x^2] - mean^2
+    # keeps none of the spread's digits
+    cases = [(LN, 60, 25, 11, [0.5, 2.0, 6.0])]
+    for rho in (1e6, 1e8, 1e10):
+        model = tm.log_weibull(rho)
+        qc = th.critical_curve(model, 1000).qc_approx
+        cases.append((model, 1000, 50, 1, [0.5 * qc, 3.0 * qc]))
+    for model, n, reps, seed, q_grid in cases:
+        report = mc.lnS_curve(model, [n], q_grid, reps=reps, seed=seed)
+        ys = [tm.sample_iid(model, n, mc.rep_seed(seed, 0, r)).values
+              for r in range(reps)]
+        lnS = np.array([[logsumexp(q * y) - math.log(n) for q in q_grid]
+                        for y in ys])
+        want = lnS.std(axis=0, ddof=1) / math.sqrt(reps)
+        for row, mean, se in zip(report.rows, lnS.mean(axis=0), want):
+            assert row["mean_lnS"] == pytest.approx(mean, rel=1e-12)
+            assert row["se_lnS"] == pytest.approx(se, rel=1e-9), (model, row)
 
 
 @pytest.mark.filterwarnings("error")
@@ -684,6 +690,17 @@ def test_lnS_se_where_the_squares_overflow():
     [row] = mc.lnS_curve(tm.log_weibull(1e300), [1000], [2e301], reps=3,
                          seed=0).rows
     assert (row["mean_lnS"], row["se_lnS"]) == (2e301, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lnS_se_is_finite_where_the_deviations_are_huge():
+    # at rho = 1e300 and 3 q_c, ln S ~ 2e301 and replications differ by an
+    # ulp or so: squaring those deviations overflows, their hypot does not
+    model = tm.log_weibull(1e300)
+    q = 3.0 * th.critical_curve(model, 1000).qc_approx
+    [row] = mc.lnS_curve(model, [1000], [q], reps=50, seed=0).rows
+    assert math.isfinite(row["mean_lnS"]) and math.isfinite(row["se_lnS"])
+    assert 0.0 <= row["se_lnS"] <= 1e-15 * abs(row["mean_lnS"])
 
 
 def test_lnS_slope_saturates_at_sample_maximum():
