@@ -53,9 +53,8 @@ _LNS_COLUMNS = (
     "log_moment",
 )
 
-# most values held at once: by the runner's blocks of replications, and by
-# _lnS_rows's chunks of terms q*y over (row, order) pairs; one row of either
-# once n >= 2^16
+# most values held at once: by the runner's blocks of replications and by
+# _lnS_rows's rectangles of terms q*y; one row of either once n >= 2^16
 _LSE_BLOCK = 2 ** 16
 # fewest values a block is cut down to so that another worker can take it
 _SPLIT_MIN = 2 ** 14
@@ -412,39 +411,36 @@ def _lnS_rows(y: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(rows, len(q)) array of ln((1/n) sum_i exp(q_j y_i)) for every row y
     of a (rows, n) block and every order q_j.
 
-    The (row, order) pairs run in chunks of at most _LSE_BLOCK terms q_j*y_i.
-    Each pair repeats scipy.special.logsumexp's arithmetic, which separates
-    the maximal terms from the sum (Blanchard, Higham & Higham 2021), so
-    wherever q*y is finite the result equals ``logsumexp(q_j * y) - ln n``
+    Rectangles of at most _LSE_BLOCK terms q_j*y_i cover the block: whole
+    rows by every order if a row's orders fit, else one row by as many
+    orders as fit.  Each pair repeats scipy's logsumexp, which separates the
+    maximal terms from the sum (Blanchard, Higham & Higham 2021), so
+    wherever q*y is finite the result is ``logsumexp(q_j * y) - ln n``
     exactly.  The maximum is q_j*max(y) with no pass over the terms: q_j > 0
     and rounding is monotone, so fl(q_j y_i) is non-decreasing in y_i.
     """
-    rows, n = y.shape
-    width = len(q)
-    pairs = rows * width
-    maxima = np.multiply.outer(y.max(axis=1), q).ravel()
-    size = max(1, _LSE_BLOCK // n)
-    buf = np.empty((min(size, pairs), n))
-    out = np.empty(pairs)
-    for start in range(0, pairs, size):
-        stop = min(start + size, pairs)
-        a = buf[:stop - start]
-        for r in range(start // width, (stop - 1) // width + 1):
-            # the orders of row r that fall in this chunk
-            lo, hi = max(start - r * width, 0), min(stop - r * width, width)
-            at = r * width + lo - start
-            np.multiply(q[lo:hi, None], y[r], out=a[at:at + hi - lo])
-        a_max = maxima[start:stop]
-        np.subtract(a, a_max[:, None], out=a)
-        # the maximal terms: a zero difference, or NaN where a_max is inf
-        top = np.flatnonzero(~(a < 0.0))
-        m = np.bincount(top // n, minlength=stop - start).astype(float)
-        np.exp(a, out=a)
-        a.ravel()[top] = 0.0
-        s = a.sum(axis=1)
-        s /= m
-        out[start:stop] = np.log1p(s) + np.log(m) + a_max
-    return out.reshape(rows, width) - math.log(n)
+    (rows, n), width = y.shape, len(q)
+    orders = min(width, max(1, _LSE_BLOCK // n))
+    step = max(1, _LSE_BLOCK // (n * orders))
+    maxima = np.multiply.outer(y.max(axis=1), q)
+    buf = np.empty(min(step, rows) * orders * n)
+    out = np.empty((rows, width))
+    for r in range(0, rows, step):
+        for j in range(0, width, orders):
+            a_max = maxima[r:r + step, j:j + orders]
+            # a leading slice of buf, so that a.ravel() below is a view
+            a = buf[:a_max.size * n].reshape(*a_max.shape, n)
+            np.multiply(q[j:j + orders, None], y[r:r + step, None], out=a)
+            np.subtract(a, a_max[..., None], out=a)
+            # the maximal terms: a zero difference, or NaN where a_max is inf
+            top = np.flatnonzero(~(a < 0.0))
+            np.exp(a, out=a)
+            a.ravel()[top] = 0.0
+            s = a.sum(axis=-1)
+            m = np.bincount(top // n, minlength=s.size).reshape(s.shape)
+            s /= m
+            out[r:r + step, j:j + orders] = np.log1p(s) + np.log(m) + a_max
+    return out - math.log(n)
 
 
 def _check_lnS_args(n_list, q_grid: np.ndarray, reps: int):
@@ -478,7 +474,11 @@ def lnS_curve(model: tm.TailModel, n_list, q_grid, reps: int,
     vals = _replicate(reps, seed, 0, n, len(q_grid),
                       partial(tm._iid_rows, model, n),
                       partial(_lnS_rows, q=q_grid))
-    mean = vals.sum(axis=0) / reps
+    with np.errstate(over="ignore"):
+        mean = vals.sum(axis=0) / reps
+        # a sum of finite replications can overflow where their mean does not
+        big = ~np.isfinite(mean) & np.isfinite(vals).all(axis=0)
+        mean[big] = (vals[:, big] / reps).sum(axis=0)
     # the ddof=1 spread over sqrt(reps), centred; hypot squares no deviation,
     # so it is finite wherever the mean is
     se = (np.hypot.reduce(vals - mean, axis=0) / math.sqrt(reps * (reps - 1))

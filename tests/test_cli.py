@@ -1266,6 +1266,9 @@ def _joined(tokens, max_size=2):
 
 _SIZES = _tokens("2", "8", "64", "512", "4096", str(2 ** 62), str(10 ** 22))
 _REALS = _tokens("0.5", "1", "3", "10", "100")
+# orders for lnS: at 1e308 each replication's ln S can be finite and their
+# sum not (logweibull at rho = 1e300, where ln S = q)
+_LNS_ORDERS = _tokens("0.5", "1", "3", "10", "100", "1e308")
 _WINDOWS = _tokens("1", "2", "10", "100", "default")
 _FORMATS = st.sampled_from(["csv", "json"])
 _MODELS = st.one_of(
@@ -1303,7 +1306,7 @@ def _mc_case(draw):
     if kind == "lnS":
         document += draw(st.builds("{} = {}\n".format,
                                    st.sampled_from(["q", "q_over_qc"]),
-                                   _joined(_REALS)))
+                                   _joined(_LNS_ORDERS)))
     else:
         document += draw(_keys(k_theta=_joined(_WINDOWS),
                                k_rho=_joined(_WINDOWS)))
@@ -1406,6 +1409,9 @@ def _spread_is_finite(out, rows):
 @example(case=(["mc", "--config", "{ini}", "--reps", "50"],
                "[experiment]\nkind = lnS\nmodels = logweibull:rho=1e300\n"
                "q_over_qc = 3\n"))
+@example(case=(["mc", "--config", "{ini}"],
+               "[experiment]\nkind = lnS\nmodels = logweibull:rho=1e300\n"
+               "q = 1e308\nn = 1000\nreps = 3\n"))
 def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
     argv, document = case
     if document is not None:
@@ -1427,15 +1433,18 @@ def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
 #
 # Sample files of ties, a few distinct values, values an ulp apart or an
 # i.i.d. sample, scaled to the ends of the doubles and partly zeroed or
-# negated, with n from 1 to 1000; every window flag, --log-input and the
-# --corr settings.  Every run must exit 0, 2, 3 or 4 with no other exception
-# and no warning, and a successful one prints only finite numbers and fitted
-# rho_hat on a window whose values are not all equal.
+# negated, with n from 1 to 1000, under an optional '# seed=..., model=...'
+# header, with '#' and blank lines anywhere, CRLF or tab-ended lines and an
+# optional UTF-8 BOM; every window flag, --log-input and the --corr settings.
+# Every run must exit 0, 2, 3 or 4 with no other exception and no warning, and
+# a successful one prints only finite numbers and fitted rho_hat on a window
+# whose values are not all equal.
 
 _FILE_VALUES = (19.4460711989558, 1.0, 0.5, 3.0, 50.0, 1e300, 1e-300, 1e-310,
                 5e-324, 0.0, -2.0)
 _FILE_MODELS = (tm.log_normal(), tm.log_weibull(2.0), tm.log_weibull(1e10),
                 tm.strict_log_exp_power(3.0))
+_FILE_SEEDS = ("0", "-1", "1000", "1.0", str(2 ** 64), "7" * 400, "x")
 
 
 @st.composite
@@ -1459,7 +1468,17 @@ def _sample_text(draw):
     share = draw(st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.5]))
     hit = rng.random(n) < share
     values[hit] = draw(st.sampled_from([0.0, -1.0])) * values[hit]
-    return "".join(f"{v!r}\n" for v in values.tolist()), n
+    lines = [repr(v) for v in values.tolist()]
+    if draw(st.booleans()):
+        model = draw(st.sampled_from(_FILE_MODELS))
+        lines.insert(0, f"# seed={draw(st.sampled_from(_FILE_SEEDS))}, "
+                        f"model={tm.format_model(model)}")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "#", "# a note", " \t"])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\t\n"]))
+    bom = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return bom + "".join(line + end for line in lines), n
 
 
 @st.composite
@@ -1481,7 +1500,8 @@ def _estimate_case(draw):
 def _used_window(argv, text, payload):
     """The positive values rho_hat fitted: the top k_rho of the sample, or of
     the sieve's picks with --corr."""
-    values = np.array([float(v) for v in text.split()])
+    values = np.array([float(line) for line in map(str.strip, text.split("\n"))
+                       if line and line[0] != "#"])
     if "--log-input" in argv:
         values = np.log(values)
     if "--corr" in argv:
@@ -1503,6 +1523,10 @@ def _used_window(argv, text, payload):
                "19.4460711989558\n" * 1000))
 @example(case=(["estimate", "--input", "-", "--k-rho", "28", "--format", "csv"],
                "19.4460711989558\n" * 30))
+@example(case=(["estimate", "--input", "-", "--format", "csv"],
+               f"# seed={'7' * 400}, model=lognormal\r\n\r\n#\r\n" + "".join(
+                   f"{v!r}\r\n"
+                   for v in tm.sample_iid(_FILE_MODELS[0], 100, 3).values.tolist())))
 def test_estimate_fuzz_exits_typed_and_quietly(case):
     argv, text = case
     with warnings.catch_warnings():

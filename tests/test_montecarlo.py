@@ -693,6 +693,15 @@ def test_lnS_se_where_the_squares_overflow():
 
 
 @pytest.mark.filterwarnings("error")
+def test_lnS_mean_where_the_sum_overflows():
+    # every replication's ln S is q = 1e308, but three of them sum past the
+    # largest double; the mean is q, and the spread 0
+    [row] = mc.lnS_curve(tm.log_weibull(1e300), [1000], [1e308], reps=3,
+                         seed=0).rows
+    assert (row["mean_lnS"], row["se_lnS"]) == (1e308, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
 def test_lnS_se_is_finite_where_the_deviations_are_huge():
     # at rho = 1e300 and 3 q_c, ln S ~ 2e301 and replications differ by an
     # ulp or so: squaring those deviations overflows, their hypot does not
@@ -772,12 +781,23 @@ def _assert_lnS_equals_logsumexp(q_grid, ys):
 
 
 def test_lnS_kernel_partial_last_block():
-    # 21 (row, order) pairs a chunk: chunks straddle rows
+    # blocks of one row by 21, 21 and 17 orders
     n = 3000
     q_grid = np.arange(0.1, 3.01, 0.05) * th.critical_curve(LN, n).qc_exact
     assert len(q_grid) == 59 and len(q_grid) % (mc._LSE_BLOCK // n) != 0
     _assert_lnS_equals_logsumexp(
         q_grid, [tm.sample_iid(LN, n, s).values for s in (21, 24, 25)])
+
+
+@pytest.mark.parametrize("n, width, rows", [
+    (100, 59, 25),   # blocks of 11, 11 and 3 whole rows by every order
+    (1120, 59, 2),   # blocks of one row by 58 orders and by 1
+    (1024, 64, 2),   # one row's orders fill a block exactly
+], ids=["whole-rows", "one-order-left", "row-fills-block"])
+def test_lnS_kernel_block_shapes(n, width, rows):
+    q_grid = np.linspace(0.1, 3.0, width) * th.critical_curve(LN, n).qc_exact
+    _assert_lnS_equals_logsumexp(
+        q_grid, [tm.sample_iid(LN, n, s).values for s in range(40, 40 + rows)])
 
 
 def test_lnS_kernel_one_order_per_block_past_block_size():
