@@ -10,9 +10,9 @@ and a sieve over local extremes, and benchmarks everything with a
 reproducible Monte-Carlo harness.
 """
 
-__version__ = "0.1.0"
+import importlib
 
-from . import dependence, errors, estimators, montecarlo, tail_models, theory
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -23,3 +23,11 @@ __all__ = [
     "tail_models",
     "theory",
 ]
+
+
+def __getattr__(name):
+    # a submodule is imported on first use, so that a caller pays only for
+    # the modules it reaches (PEP 562)
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

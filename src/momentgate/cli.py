@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from . import dependence as dep
 from . import estimators as est
-from . import montecarlo as mc
 from . import tail_models as tm
 from . import theory
 from .errors import ArgumentError, DataFormatError, MomentgateError
@@ -74,6 +73,7 @@ def _header(stream, seed, config_items) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_theory(args) -> int:
+    from . import montecarlo as mc
     model = tm.parse_model(args.model)
     ns = _floats(args.n)
     q_grid = None if args.q_grid is None else _floats(args.q_grid)
@@ -154,14 +154,15 @@ def _cmd_estimate(args) -> int:
         raise ArgumentError(
             "--tau, --s, --kappa, --alpha and --beta apply only with --corr")
     if args.input == "-":
-        # strict UTF-8, as a file is read; detached so that stdin stays open
-        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        # strict UTF-8 after an optional BOM, as a file is read; detached so
+        # that stdin stays open
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
         try:
             values, meta = tm.read_sample(stream)
         finally:
             stream.detach()
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             values, meta = tm.read_sample(fh)
     if args.log_input:
         if np.any(values <= 0.0):
@@ -194,6 +195,7 @@ def _cmd_estimate(args) -> int:
                "n": n, **extra}
     with _output(args.out) as stream:
         if args.format == "csv":
+            from . import montecarlo as mc
             cfg = [("command", "estimate"), ("input", args.input)]
             _header(stream, 0, cfg)
             mc._write_rows(stream, tuple(payload), [payload])
@@ -247,6 +249,7 @@ def _config_experiment(parser: configparser.ConfigParser, reps: int | None,
     """(kind, seed, calls) of the experiment an INI document describes:
     calls are the zero-argument study calls whose reports, joined in order,
     make its output.  reps and seed, when not None, override the document's."""
+    from . import montecarlo as mc
     if "experiment" not in parser:
         raise DataFormatError("config needs an [experiment] section")
     exp = parser["experiment"]

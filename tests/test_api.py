@@ -5,8 +5,11 @@ print what the README shows."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,30 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_loads_submodules_on_first_use():
+    # in a fresh interpreter, since this one has imported every submodule
+    code = """import sys, momentgate
+assert not [m for m in sys.modules if m.startswith("momentgate.")]
+assert momentgate.theory.critical_curve
+assert "momentgate.montecarlo" not in sys.modules
+assert all(hasattr(momentgate, name) for name in momentgate.__all__)
+assert "momentgate.montecarlo" in sys.modules
+try:
+    momentgate.nosuch
+except AttributeError as exc:
+    assert str(exc) == "module 'momentgate' has no attribute 'nosuch'"
+else:
+    raise AssertionError
+"""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _perfbench_tracer():

@@ -52,14 +52,15 @@ def run_cli(*argv, stdin_text=None):
     return code, out.getvalue(), err.getvalue()
 
 
-# run in a fresh interpreter, then report the scipy modules it loaded as the
-# last line of stderr
+# run in a fresh interpreter, then report the heavy modules it loaded (scipy's,
+# the Monte-Carlo harness and its thread pool) as the last line of stderr
 _FRESH_CLI = """import json, sys
 from momentgate import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write(json.dumps(sorted(m for m in sys.modules
-                                   if m.partition(".")[0] == "scipy")) + "\\n")
+sys.stderr.write(json.dumps(sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy"
+    or m in ("momentgate.montecarlo", "concurrent.futures"))) + "\\n")
 sys.exit(code)
 """
 
@@ -67,7 +68,7 @@ sys.exit(code)
 def run_fresh_cli(*argv, stdin_text=None, env=None):
     """Invoke the CLI in a new interpreter, with the variables in env added
     to its environment and stdin_text (str or bytes) on a real pipe;
-    returns (exit_code, stdout, stderr, the scipy modules loaded)."""
+    returns (exit_code, stdout, stderr, the heavy modules loaded)."""
     src = str(Path(momentgate.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, **(env or {}),
@@ -76,9 +77,9 @@ def run_fresh_cli(*argv, stdin_text=None, env=None):
         [sys.executable, "-c", _FRESH_CLI, *argv], capture_output=True,
         input=stdin_text.encode() if isinstance(stdin_text, str) else stdin_text,
         env=env, timeout=120)
-    *err, scipy_modules = proc.stderr.decode().splitlines(True)
+    *err, modules = proc.stderr.decode().splitlines(True)
     return (proc.returncode, proc.stdout.decode(), "".join(err),
-            json.loads(scipy_modules))
+            json.loads(modules))
 
 
 def data_lines(text):
@@ -435,32 +436,35 @@ def test_estimate_piped_stdin_matches_file(tmp_path):
 
 
 def test_estimate_loads_scipy_only_on_demand(tmp_path):
+    # nor the Monte-Carlo harness and its thread pool, which theory loads
     path = tmp_path / "sample.txt"
     with open(path, "w") as fh:
         tm.write_sample(fh, tm.sample_iid(tm.log_weibull(2.0), 3000, 8))
-    code, out, _, scipy_modules = run_fresh_cli("estimate", "--input", str(path))
-    assert code == 0 and scipy_modules == []
+    code, out, _, loaded = run_fresh_cli("estimate", "--input", str(path))
+    assert code == 0 and loaded == []
     assert out == run_cli("estimate", "--input", str(path))[1]
     # a real pipe on stdin reads like the file
-    code, out_stdin, _, scipy_modules = run_fresh_cli(
+    code, out_stdin, _, loaded = run_fresh_cli(
         "estimate", "--input", "-", stdin_text=path.read_text())
-    assert code == 0 and scipy_modules == [] and out_stdin == out
-    code, out_corr, _, _ = run_fresh_cli("estimate", "--input", str(path),
-                                         "--corr", "--tau", "10")
+    assert code == 0 and loaded == [] and out_stdin == out
+    code, out_corr, _, loaded = run_fresh_cli("estimate", "--input", str(path),
+                                              "--corr", "--tau", "10")
     assert code == 0 and json.loads(out_corr)["tau"] == 10.0
+    assert "momentgate.montecarlo" not in loaded
     # commands whose kernels call scipy import it when they reach them
-    code, _, _, scipy_modules = run_fresh_cli(
+    code, _, _, loaded = run_fresh_cli(
         "theory", "--model", "slep:rho=1.5", "--n", "1000")
-    assert code == 0 and "scipy.special" in scipy_modules
+    assert code == 0 and "scipy.special" in loaded
+    assert "momentgate.montecarlo" in loaded
 
 
 def test_moment_grids_load_no_scipy_integrate(tmp_path):
     # theory --q-grid and an lnS study (lnS_curve) integrate ln E X^q in
     # numpy alone
-    code, out, _, scipy_modules = run_fresh_cli(
+    code, out, _, loaded = run_fresh_cli(
         "theory", "--model", "lognormal", "--n", "1000", "--q-grid", "0.5,1,2")
     assert code == 0 and "q_table" in out
-    assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
     ini = write_ini(tmp_path, """\
 [experiment]
 kind = lnS
@@ -469,9 +473,9 @@ n = 100
 q = 0.5,1,2
 reps = 3
 """)
-    code, out, _, scipy_modules = run_fresh_cli("mc", "--config", ini)
+    code, out, _, loaded = run_fresh_cli("mc", "--config", ini)
     assert code == 0 and "log_moment" in out
-    assert not [m for m in scipy_modules if m.startswith("scipy.integrate")]
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
 
 
 def test_estimate_csv_format(tmp_path):
@@ -721,6 +725,22 @@ def test_estimate_reads_utf8_whatever_the_locale(tmp_path):
         code, out, err, _ = run_fresh_cli("estimate", "--input", argv,
                                           stdin_text=stdin, env=c_locale)
         assert (code, out, err) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("header", ["# seed=3, model=lognormal\n", ""],
+                         ids=["header", "headerless"])
+def test_estimate_skips_a_utf8_bom(tmp_path, header):
+    # the BOM that some editors write ahead of UTF-8 text, on a file and on
+    # stdin
+    text = header + "".join(f"{1 + v / 7}\n" for v in range(200))
+    path = tmp_path / "plain.txt"
+    path.write_text(text)
+    code, expected, _ = run_cli("estimate", "--input", str(path))
+    assert code == 0
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run_cli("estimate", "--input", str(path)) == (0, expected, "")
+    assert run_cli("estimate", "--input", "-",
+                   stdin_text="\ufeff" + text) == (0, expected, "")
 
 
 def test_estimate_non_integer_header_seed_is_data_error(tmp_path):
@@ -1500,7 +1520,8 @@ def _estimate_case(draw):
 def _used_window(argv, text, payload):
     """The positive values rho_hat fitted: the top k_rho of the sample, or of
     the sieve's picks with --corr."""
-    values = np.array([float(line) for line in map(str.strip, text.split("\n"))
+    lines = text.removeprefix("\ufeff").split("\n")
+    values = np.array([float(line) for line in map(str.strip, lines)
                        if line and line[0] != "#"])
     if "--log-input" in argv:
         values = np.log(values)

@@ -681,6 +681,46 @@ def test_read_sample_is_float_bit_for_bit(x87, data):
     np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
+def _neighbours(x, steps):
+    """The doubles from ``steps`` ulps below x to ``steps`` above."""
+    xs = [x]
+    for _ in range(steps):
+        xs = [float(np.nextafter(xs[0], -math.inf)), *xs,
+              float(np.nextafter(xs[-1], math.inf))]
+    return xs
+
+
+def _midpoints(x, steps):
+    """Exact decimal texts of the midpoints between _neighbours(x, steps),
+    each with its neighbours 1e-30 away relatively, which a read in more
+    precision than a double's rounds onto the midpoint."""
+    xs = _neighbours(x, steps)
+    with decimal.localcontext(prec=2000):
+        return [str((decimal.Decimal(a) + decimal.Decimal(b)) / 2 * (1 + e))
+                for a, b in zip(xs, xs[1:])
+                for e in (0, decimal.Decimal("1e-30"), decimal.Decimal("-1e-30"))]
+
+
+@pytest.mark.parametrize("x87", [tm._X87, False], ids=["native", "double"])
+def test_read_sample_is_float_bit_for_bit_at_the_smallest_normal(x87):
+    # the x87 read rounds twice below 2^-1022 and is repaired there; one chunk
+    # of values on both sides of that edge, down to the subnormals and zero
+    tiny = 2.0 ** -1022
+    subnormal = [k * 5e-324 for k in (1, 2, 3, 4, 5, 2 ** 51 - 1, 2 ** 51,
+                                      2 ** 52 - 1)]
+    subnormal += [2.0 ** e for e in range(-1073, -1022)]
+    xs = [*_neighbours(tiny, 8), *subnormal, 0.0]
+    xs += [-x for x in xs]
+    lines = [t for x in xs for t in ("%.17g" % x, repr(x), "%.24e" % x)]
+    lines += _midpoints(1.0, 3) + _midpoints(tiny, 3) + _midpoints(5e-324, 1)
+    text = "\n".join(lines) + "\n"
+    assert len(text) < tm._CHUNK
+    with mock.patch.object(tm, "_X87", x87):
+        values, _ = tm.read_sample(io.StringIO(text))
+    expected = np.array([float(t) for t in lines])
+    np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("text, read", [
     ("1\n0x10\n", "line 2: not a number: '0x10'"),
     ("1\nnan(1)\n", "line 2: not a number: 'nan(1)'"),
