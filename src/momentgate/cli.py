@@ -158,23 +158,18 @@ def _cmd_estimate(args) -> int:
         # that stdin stays open
         stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
         try:
-            values, meta = tm.read_sample(stream)
+            values, _ = tm.read_sample(stream)
         finally:
             stream.detach()
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
-            values, meta = tm.read_sample(fh)
+            values, _ = tm.read_sample(fh)
     if args.log_input:
         if np.any(values <= 0.0):
             raise DataFormatError("--log-input requires strictly positive values")
         values = np.log(values)
     n = len(values)
-    try:
-        seed = int(meta.get("seed", 0))
-    except ValueError:
-        raise DataFormatError(
-            f"header seed {meta['seed']!r} is not an integer") from None
-    sample = tm.Sample(values=values, n=n, seed=seed)
+    sample = tm.Sample(values=values, n=n, seed=0)  # no estimator reads a seed
     if args.corr:
         if args.tau is None:
             raise ArgumentError("--corr requires --tau")

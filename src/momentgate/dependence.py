@@ -37,8 +37,8 @@ from .errors import (
     EmbeddingError,
     InsufficientSievedPoints,
 )
-from .estimators import (OrderedSample, QcEstimate, _check_k, _estimate,
-                         _windows, rho_hat, theta_hat)
+from .estimators import (OrderedSample, QcEstimate, _check_windows,
+                         _estimate, _windows, rho_hat, theta_hat)
 from .theory import critical_curve
 
 __all__ = [
@@ -195,6 +195,8 @@ def _correction(n: float, tau: float, kappa: float, k_theta: int | None,
     for name, k in (("k_theta", kt), ("k_rho", kr)):
         if k > ns:
             raise ArgumentError(f"{name}={k} exceeds the effective size n* = {ns:.6g}")
+    if s == math.inf:  # the sieve would keep one point of any series
+        raise ArgumentError(f"the sieve radius s must be finite, got {s}")
     radius = alpha * tau if s is None else s
     if s is None and not 0.0 <= radius < math.inf:
         raise ArgumentError("the sieve radius alpha * tau must be finite and "
@@ -462,7 +464,8 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     """Sieve-corrected critical-order estimate for a correlated series; by
     default windows at round(n*) and sieve radius alpha * tau (_correction)."""
     ns, kt, kr, radius = _correction(series.n, tau, kappa, k_theta, k_rho, s, alpha)
-    k_need = _check_k(max(kt, kr), ns)  # as qc_hat's order_stats, before the sieve
+    _check_windows(ns, kt, kr)  # as qc_hat does, before the sieve reads a value
+    k_need = max(kt, kr)
     [top], [kept] = _sieved_top([series.values], radius, beta, k_need)
     if np.isnan(top[0]):
         raise InsufficientSievedPoints(f"sieve kept {kept} points, need {k_need + 1}")

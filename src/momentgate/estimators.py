@@ -28,7 +28,6 @@ __all__ = [
     "QcEstimate",
     "order_stats",
     "omega_weights",
-    "omega",
     "theta_hat",
     "rho_hat",
     "default_k_theta",
@@ -76,7 +75,7 @@ def _omega_rows(top: np.ndarray, k: int) -> np.ndarray:
     The product is stacked as one (1, k) @ (k,) per row, which numpy runs as
     a dot product, so a row's Omega does not depend on the rows beside it
     (a (rows, k) matrix-vector product rounds differently).  Near the ends
-    of the doubles Omega_k overflows to +-inf or NaN, which _theta_qc reads
+    of the doubles Omega_k overflows to +-inf or NaN, which _theta_rows reads
     as undefined."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (top[:, None, :k] @ omega_weights(k))[:, 0]
@@ -132,6 +131,12 @@ def _ladder_log_n(k_rho: int, available: int, n: float) -> float:
     return num
 
 
+def _check_windows(n: float, k_theta: int, k_rho: int) -> float:
+    """The checks of integer windows at size n, made before any value is
+    read: the larger window in [1, n], then rho_hat's.  Returns ln n."""
+    return _ladder_log_n(k_rho, _check_k(max(k_theta, k_rho), n), n)
+
+
 def order_stats(sample: Sample, k: int) -> OrderedSample:
     """Top-k values of the sample, descending; O(n + k log k) expected."""
     k = _check_k(k, sample.n)
@@ -158,42 +163,27 @@ def omega_weights(k: int) -> np.ndarray:
     return alpha
 
 
-def omega(ordered: OrderedSample, k: int) -> float:
-    """Omega_k = sum alpha_i Y_{i,n} over the k largest order statistics."""
-    k = _as_int(k, "k")
-    if k > len(ordered.top):
-        raise ArgumentError(f"k={k} exceeds available order stats {len(ordered.top)}")
-    return float(_omega_rows(ordered.top[None, :], k)[0])
-
-
-def _theta_qc(log_n: float, om, rho):
-    """(theta_hat, qc_hat) from ln n, Omega_k and rho_hat, elementwise:
-    theta_hat = ln n / Omega_k where that is a finite positive double and
-    qc_hat = theta_hat * rho_hat where that is finite; NaN elsewhere."""
+def _theta_rows(log_n: float, om):
+    """ln n / Omega_k elementwise, where that is a finite positive double;
+    NaN elsewhere."""
     with np.errstate(all="ignore"):
         theta = np.divide(log_n, om)
-        theta = np.where((theta > 0.0) & (theta < math.inf), theta, math.nan)
-        qc = theta * rho
-    return theta, np.where(np.isfinite(qc), qc, math.nan)
-
-
-def _checked_theta_qc(ordered: OrderedSample, k_theta: int,
-                      rho: float) -> tuple[float, float]:
-    """_theta_qc on one sample; NonPositiveOmegaError, naming Omega_k, where
-    either estimate is undefined (at rho = 1, only where theta_hat is)."""
-    om = omega(ordered, k_theta)
-    theta, qc = _theta_qc(math.log(ordered.n), om, rho)
-    if math.isnan(qc):
-        what = (f"ln n / Omega_{k_theta} is not a finite positive number"
-                if math.isnan(theta) else "theta_hat * rho_hat is not finite")
-        raise NonPositiveOmegaError(
-            f"Omega_{k_theta} = {om:.6g}: {what}; estimator undefined")
-    return float(theta), float(qc)
+    return np.where((theta > 0.0) & (theta < math.inf), theta, math.nan)
 
 
 def theta_hat(ordered: OrderedSample, k_theta: int) -> float:
-    """ln n / Omega_k, where that is a finite positive double."""
-    return _checked_theta_qc(ordered, k_theta, 1.0)[0]
+    """ln n / Omega_k, where that is a finite positive double; Omega_k =
+    sum alpha_i Y_{i,n} over the k largest order statistics."""
+    k = _as_int(k_theta, "k")
+    if k > len(ordered.top):
+        raise ArgumentError(f"k={k} exceeds available order stats {len(ordered.top)}")
+    om = _omega_rows(ordered.top[None, :], k)
+    theta = _theta_rows(math.log(ordered.n), om)[0]
+    if math.isnan(theta):
+        raise NonPositiveOmegaError(
+            f"Omega_{k} = {om[0]:.6g}: ln n / Omega_{k} is not a finite "
+            "positive number; estimator undefined")
+    return float(theta)
 
 
 def rho_hat(ordered: OrderedSample, k_rho: int) -> float:
@@ -248,6 +238,7 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
            k_rho: int | None = None) -> QcEstimate:
     """q_c estimate theta_hat * rho_hat on one shared order-statistics pass."""
     kt, kr = _windows(sample.n, k_theta, k_rho)
+    _check_windows(sample.n, kt, kr)
     ordered = order_stats(sample, max(kt, kr))
     th = theta_hat(ordered, kt)
     rh = rho_hat(ordered, kr)
@@ -257,8 +248,12 @@ def qc_hat(sample: Sample, k_theta: int | None = None,
 def _estimate(ordered: OrderedSample, th: float, rh: float, kt: int,
               kr: int) -> QcEstimate:
     """The QcEstimate of theta_hat th and rho_hat rh on ordered; qc_hat is
-    their product, where that is finite (_theta_qc)."""
-    _, qc = _checked_theta_qc(ordered, kt, rh)
+    their product, which must be finite."""
+    qc = th * rh
+    if not math.isfinite(qc):
+        om = _omega_rows(ordered.top[None, :], kt)[0]
+        raise NonPositiveOmegaError(f"Omega_{kt} = {om:.6g}: theta_hat * rho_hat "
+                                    "is not finite; estimator undefined")
     return QcEstimate(theta_hat=th, rho_hat=rh, qc_hat=qc,
                       k_theta=kt, k_rho=kr)
 
@@ -269,12 +264,12 @@ def _qc_rows(values: np.ndarray, n: int, k_theta: int,
     (theta_hat, rho_hat, qc_hat); NaN in the rows where qc_hat raises on the
     data.  A row holds its whole sample or, in any order, at least its
     max(k_theta, k_rho) largest values.  Argument errors raise as in qc_hat."""
-    k = max(k_theta, k_rho)
-    _check_k(k, n)
-    top = _top_rows(values, k)
-    om = _omega_rows(top, k_theta)
-    rho, _ = _slope_rows(top, k_rho, _ladder_log_n(k_rho, k, n))
-    theta, qc = _theta_qc(math.log(n), om, rho)
+    log_n = _check_windows(n, k_theta, k_rho)
+    top = _top_rows(values, max(k_theta, k_rho))
+    theta = _theta_rows(log_n, _omega_rows(top, k_theta))
+    rho, _ = _slope_rows(top, k_rho, log_n)
+    with np.errstate(all="ignore"):
+        qc = theta * rho
     out = np.column_stack((theta, rho, qc))
-    out[np.isnan(qc)] = math.nan
+    out[~np.isfinite(qc)] = math.nan
     return out

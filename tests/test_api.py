@@ -1,5 +1,6 @@
 """API-surface guard: every name exported through ``__all__`` resolves, so
-does every name the benchmark's tracer patches, every error class has a
+does every name the benchmark's tracer patches (and qc_hat_corr calls the
+two it nests under it), every error class has a
 raiser, and the README's library, ``theory`` and ``estimate`` examples
 print what the README shows."""
 
@@ -11,9 +12,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from momentgate import cli
+from momentgate import cli, dependence as dep, tail_models as tm
 
 MODULES = ["momentgate"] + [f"momentgate.{m}" for m in
                             ("dependence", "errors", "estimators",
@@ -67,6 +69,20 @@ def test_perfbench_traced_names_resolve():
                if not hasattr(importlib.import_module(f"momentgate.{mod}"), attr)]
     assert names and missing == []
 
+
+
+def test_qc_hat_corr_reaches_the_traced_estimators(monkeypatch):
+    # the benchmark's trace nests theta_hat and rho_hat spans under
+    # qc_hat_corr's through dependence's own imports of the two
+    calls = []
+    for name in ("theta_hat", "rho_hat"):
+        def spy(*args, _name=name, _f=getattr(dep, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(dep, name, spy)
+    values = np.arange(1.0, 201.0)
+    dep.qc_hat_corr(tm.Sample(values=values, n=200, seed=0), tau=1)
+    assert calls == ["theta_hat", "rho_hat"]
 
 NUMERICAL = ("ConvergenceError",
              "NonPositiveOmegaError", "DegenerateRegressionError",

@@ -641,6 +641,33 @@ def test_estimate_corr_takes_given_sieve_settings(tmp_path):
     assert code == 0 and json.loads(out)["s"] == 1.0
 
 
+@pytest.mark.parametrize("corr", [(), ("--corr", "--tau", "1")],
+                         ids=["plain", "corr"])
+@pytest.mark.parametrize("sign", [-1, 1], ids=["negative", "positive"])
+def test_estimate_bad_window_is_usage_error_whatever_the_values(corr, sign):
+    # on -1..-200 theta_hat is undefined, but the window is refused first
+    text = "".join(f"{sign * v}\n" for v in range(1, 201))
+    code, out, err = run_cli("estimate", "--input", "-", "--k-theta", "5",
+                             "--k-rho", "1", *corr, stdin_text=text)
+    assert (code, out, err) == (2, "", "error: k_rho must be >= 2, got 1\n")
+
+
+def test_infinite_sieve_radius_is_usage_error(tmp_path):
+    # a radius of inf keeps one sieve pick of any series
+    path = tmp_path / "sample.txt"
+    path.write_text("".join(f"{v}\n" for v in range(1, 201)))
+    code, out, err = run_cli("estimate", "--input", str(path), "--corr",
+                             "--tau", "3", "--s", "inf")
+    assert (code, out, err) == (
+        2, "", "error: the sieve radius s must be finite, got inf\n")
+    ini = write_ini(tmp_path, "[experiment]\nmodels = lognormal\nn = 512\n"
+                              "reps = 2\n[correlated]\ncov = exp:tau=5\n"
+                              "s = inf\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert (code, out, err) == (
+        2, "", "error: the sieve radius s must be finite, got inf\n")
+
+
 def test_estimate_all_negative_sample_is_numerical_failure(tmp_path):
     path = tmp_path / "neg.txt"
     path.write_text("".join(f"{-v}\n" for v in range(1, 101)))
@@ -743,14 +770,18 @@ def test_estimate_skips_a_utf8_bom(tmp_path, header):
                    stdin_text="\ufeff" + text) == (0, expected, "")
 
 
-def test_estimate_non_integer_header_seed_is_data_error(tmp_path):
-    for bad in ("abc", "1.5"):
+def test_estimate_ignores_the_header_seed(tmp_path):
+    # the seed only names a file's provenance; no estimate reads it
+    values = "".join(f"{v}\n" for v in range(1, 101))
+    path = tmp_path / "plain.txt"
+    path.write_text(values)
+    code, expected, _ = run_cli("estimate", "--input", str(path))
+    assert code == 0
+    for seed in ("abc", "1.5"):
         path = tmp_path / "seeded.txt"
-        path.write_text(f"# seed={bad}, model=unknown\n"
-                        + "".join(f"{v}\n" for v in range(1, 101)))
-        code, out, err = run_cli("estimate", "--input", str(path))
-        assert code == 4 and out == "", bad
-        assert err == f"error: header seed '{bad}' is not an integer\n"
+        path.write_text(f"# seed={seed}, model=unknown\n" + values)
+        result = run_cli("estimate", "--input", str(path))
+        assert result == (0, expected, ""), seed
 
 
 # ------------------------------------------------------------ mc command
@@ -1456,9 +1487,10 @@ def test_cli_fuzz_exits_typed_and_quietly(fuzz_files, case):
 # negated, with n from 1 to 1000, under an optional '# seed=..., model=...'
 # header, with '#' and blank lines anywhere, CRLF or tab-ended lines and an
 # optional UTF-8 BOM; every window flag, --log-input and the --corr settings.
-# Every run must exit 0, 2, 3 or 4 with no other exception and no warning, and
-# a successful one prints only finite numbers and fitted rho_hat on a window
-# whose values are not all equal.
+# Every run must exit 0, 2, 3 or 4 with no other exception and no warning; a
+# run without --corr whose windows are outside their domain exits 2 unless
+# its file is refused (4); and a successful one prints only finite numbers
+# and fitted rho_hat on a window whose values are not all equal.
 
 _FILE_VALUES = (19.4460711989558, 1.0, 0.5, 3.0, 50.0, 1e300, 1e-300, 1e-310,
                 5e-324, 0.0, -2.0)
@@ -1517,12 +1549,27 @@ def _estimate_case(draw):
     return argv + ["--format", draw(st.sampled_from(["csv", "json"]))], text
 
 
+def _file_values(text):
+    lines = text.removeprefix("\ufeff").split("\n")
+    return np.array([float(line) for line in map(str.strip, lines)
+                     if line and line[0] != "#"])
+
+
+def _bad_window(argv, n):
+    """Whether a run's windows are outside their domain at sample size n: a
+    given k_theta outside [1, n], a given k_rho outside [2, n), or a default
+    window at n < 8."""
+    k = {flag: int(argv[argv.index(flag) + 1]) if flag in argv else None
+         for flag in ("--k-theta", "--k-rho")}
+    return (None in k.values() and n < 8
+            or k["--k-theta"] is not None and not 1 <= k["--k-theta"] <= n
+            or k["--k-rho"] is not None and not 2 <= k["--k-rho"] < n)
+
+
 def _used_window(argv, text, payload):
     """The positive values rho_hat fitted: the top k_rho of the sample, or of
     the sieve's picks with --corr."""
-    lines = text.removeprefix("\ufeff").split("\n")
-    values = np.array([float(line) for line in map(str.strip, lines)
-                       if line and line[0] != "#"])
+    values = _file_values(text)
     if "--log-input" in argv:
         values = np.log(values)
     if "--corr" in argv:
@@ -1548,12 +1595,18 @@ def _used_window(argv, text, payload):
                f"# seed={'7' * 400}, model=lognormal\r\n\r\n#\r\n" + "".join(
                    f"{v!r}\r\n"
                    for v in tm.sample_iid(_FILE_MODELS[0], 100, 3).values.tolist())))
+@example(case=(["estimate", "--input", "-", "--k-theta", "1", "--k-rho", "1",
+                "--format", "json"], "".join(f"{-v}\n" for v in range(30))))
 def test_estimate_fuzz_exits_typed_and_quietly(case):
     argv, text = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(*argv, stdin_text=text)
     assert code in (0, 2, 3, 4), (argv, err)
+    n = len(_file_values(text))
+    if "--corr" not in argv and code != 4 and _bad_window(argv, n):
+        # a window outside its domain is a usage error whatever the values
+        assert code == 2, (argv, err)
     if code == 0:
         fmt = argv[argv.index("--format") + 1]
         [payload] = (_table_rows(out, fmt) if fmt == "csv"

@@ -7,6 +7,7 @@ top order statistics (oracles.gumbel_order_stats), for which the mean and
 second moment of the weighted combination have closed forms.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -84,9 +85,9 @@ def test_ordered_sample_validates_monotone():
      r"len\(top\) must be in \[1, n\]"),
     (lambda: est.OrderedSample(top=np.array([]), n=10),
      r"len\(top\) must be in \[1, n\]"),
-    (lambda: est.omega(est.OrderedSample(top=np.array([3.0, 2.0]), n=10), 3),
+    (lambda: est.theta_hat(est.OrderedSample(top=np.array([3.0, 2.0]), n=10), 3),
      "k=3 exceeds available order stats 2"),
-], ids=["more-than-n", "empty", "omega-beyond-top"])
+], ids=["more-than-n", "empty", "theta-hat-beyond-top"])
 def test_ordered_sample_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{message}$"):
         call()
@@ -112,11 +113,11 @@ def test_weights_reject_bad_k():
 
 
 def test_combination_of_constant_top_is_identity():
-    # unit weight sum means a flat tail maps to itself
+    # unit weight sum means a flat tail maps to itself: Omega_k = 2
     s = make_sample([2.0, 2.0, 2.0, 1.0])
     ordered = est.order_stats(s, 3)
-    assert est.omega(ordered, 3) == pytest.approx(2.0, rel=1e-15)
-    assert est.omega(ordered, 1) == 2.0
+    assert est.theta_hat(ordered, 3) == pytest.approx(math.log(4) / 2, rel=1e-15)
+    assert est.theta_hat(ordered, 1) == math.log(4) / 2
 
 
 # ---------------------------------------------------------- theta and rho
@@ -291,6 +292,23 @@ def test_qc_hat_takes_numpy_integer_windows():
     assert type(e.k_theta) is int and type(e.k_rho) is int
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["negative", "positive"])
+@pytest.mark.parametrize("estimate, k_rho, message", [
+    (est.qc_hat, 1, "k_rho must be >= 2, got 1"),
+    (est.qc_hat, 200, "k_rho=200 must be below n=200"),
+    (functools.partial(dep.qc_hat_corr, tau=1), 1, "k_rho must be >= 2, got 1"),
+], ids=["qc_hat-k_rho-1", "qc_hat-k_rho-n", "qc_hat_corr-k_rho-1"])
+def test_bad_window_is_an_argument_error_whatever_the_data(sign, estimate,
+                                                           k_rho, message):
+    # the windows are checked before any value is read, so values on which
+    # theta_hat is undefined do not turn a bad window into a data failure;
+    # the message is the one a study's check of the same windows gives
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        est._qc_rows(np.empty((0, 200)), 200, 5, k_rho)
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        estimate(make_sample(sign * np.arange(1.0, 201.0)), 5, k_rho)
+
+
 _TOP = est.OrderedSample(top=np.array([3.0, 2.0, 1.5, 1.0]), n=100)
 
 
@@ -298,13 +316,12 @@ _TOP = est.OrderedSample(top=np.array([3.0, 2.0, 1.5, 1.0]), n=100)
     lambda: est.order_stats(make_sample(np.arange(1.0, 11.0)), 2.5),
     lambda: est.order_stats(make_sample(np.arange(1.0, 11.0)), math.nan),
     lambda: est.omega_weights(2.5),
-    lambda: est.omega(_TOP, 2.5),
     lambda: est.theta_hat(_TOP, 2.5),
     lambda: est.rho_hat(_TOP, 2.5),
     lambda: dep.sieve([3.0, 1.0, 2.0, 5.0], 1.0, max_points=2.5),
     lambda: dep.sieve([3.0, 1.0, 2.0, 5.0], 1.0, max_points=math.nan),
-], ids=["order_stats", "order_stats-nan", "omega_weights", "omega",
-        "theta_hat", "rho_hat", "sieve", "sieve-nan"])
+], ids=["order_stats", "order_stats-nan", "omega_weights", "theta_hat",
+        "rho_hat", "sieve", "sieve-nan"])
 def test_windows_and_sizes_must_be_integers(call):
     with pytest.raises(ArgumentError, match="must be an integer"):
         call()
