@@ -158,12 +158,12 @@ def _cmd_estimate(args) -> int:
         # that stdin stays open
         stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
         try:
-            values, _ = tm.read_sample(stream)
+            values = tm.read_sample(stream)
         finally:
             stream.detach()
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
-            values, _ = tm.read_sample(fh)
+            values = tm.read_sample(fh)
     if args.log_input:
         if np.any(values <= 0.0):
             raise DataFormatError("--log-input requires strictly positive values")

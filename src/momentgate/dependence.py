@@ -44,7 +44,6 @@ from .theory import critical_curve
 __all__ = [
     "ExponentialCov",
     "TabulatedCov",
-    "SievedSample",
     "MatchMode",
     "parse_cov",
     "format_cov",
@@ -98,14 +97,6 @@ CovarianceSpec = ExponentialCov | TabulatedCov
 class MatchMode(str, Enum):
     GAUSSIAN_LEVEL = "gaussian"
     HERMITE = "hermite"
-
-
-@dataclass(frozen=True)
-class SievedSample:
-    """Sieve output: indices/values in selection (descending-value) order."""
-
-    selected_indices: np.ndarray
-    selected_values: np.ndarray
 
 
 def parse_cov(spec: str) -> CovarianceSpec:
@@ -169,12 +160,14 @@ def correlation_length(cov: CovarianceSpec) -> float:
 
 def n_star(n: float, tau: float, kappa: float) -> float:
     """Effective independent sample count n / (1 + kappa tau): finite and at
-    least 2."""
+    least 2.  Its refusals name the tau and kappa they got."""
+    got = f"tau = {tau:.6g}, kappa = {kappa:.6g}"
     if not tau >= 0.0 or not kappa >= 0.0:
-        raise ArgumentError("tau and kappa must be >= 0")
+        raise ArgumentError("the correlation length tau and kappa must be "
+                            f">= 0, got {got}")
     ns = n / (1.0 + kappa * tau)
     if not ns >= 2.0:
-        raise ArgumentError(f"effective size n* = {ns:.3g} < 2")
+        raise ArgumentError(f"effective size n* = {ns:.3g} < 2 at {got}")
     if ns == math.inf:
         raise ArgumentError(f"effective size n* must be finite, got n = {n}")
     return ns
@@ -369,15 +362,16 @@ def _check_sieve(s: float, beta: float) -> None:
 
 
 def sieve(series, s: float, beta: float = _BETA,
-          max_points: int | None = None) -> SievedSample:
-    """Extract effectively independent extremes by repeated max-selection.
+          max_points: int | None = None) -> np.ndarray:
+    """Indices of effectively independent extremes, in selection (descending
+    value) order, by repeated max-selection.
 
     Iteratively selects the largest remaining value, then removes every
     remaining point within d_beta-distance <= s of it, where d_beta(i, j) =
     max(|j - i|, beta * c_ij) and c_ij counts series values strictly between
-    y_i and y_j.  With s = 0 nothing is removed and the result is the whole
-    series in descending order.  ``max_points`` (>= 1) stops the scan early
-    once that many selections have been made (the selected prefix is
+    y_i and y_j.  With s = 0 nothing is removed and the result indexes the
+    whole series in descending order.  ``max_points`` (>= 1) stops the scan
+    early once that many selections have been made (the selected prefix is
     identical to the full run's).
 
     Every selection but the last removes at most 2 floor(s) points, so the
@@ -416,8 +410,7 @@ def sieve(series, s: float, beta: float = _BETA,
         order = np.argsort(-yc, kind="stable")  # ties keep index order
     if window == 0:
         # d_beta >= |j - i| >= 1 between distinct indices: nothing is removable
-        idx = cand[order[:limit]]
-        return SievedSample(selected_indices=idx, selected_values=y[idx])
+        return cand[order[:limit]]
 
     c = n if beta == 0.0 else int(min(s / beta, n))
     while c < n and beta * (c + 1) <= s:
@@ -440,8 +433,7 @@ def sieve(series, s: float, beta: float = _BETA,
             break
         a, b = lo[p], hi[p]
         taken[a:b] |= (n_lt[a:b] <= n_le[p] + c) & (n_le[a:b] >= n_lt[p] - c)
-    idx = cand[np.asarray(sel, dtype=np.intp)]
-    return SievedSample(selected_indices=idx, selected_values=y[idx])
+    return cand[np.asarray(sel, dtype=np.intp)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,7 @@ def _sieved_top(y, s: float, beta: float, k: int) -> tuple[np.ndarray, list]:
     """(rows, k) block of the first k of k + 1 sieve picks of each series row
     of y, NaN where the sieve keeps k or fewer points; and each row's count."""
     _check_sieve(s, beta)  # also on a block of no rows
-    picks = [sieve(row, s, beta, max_points=k + 1).selected_values for row in y]
+    picks = [row[sieve(row, s, beta, max_points=k + 1)] for row in y]
     top = [p[:k] if len(p) > k else np.full(k, math.nan) for p in picks]
     return np.reshape(top, (len(y), k)), [len(p) for p in picks]
 

@@ -46,6 +46,10 @@ class OrderedSample:
     n: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.n):
+            raise ArgumentError(f"n must be finite, got {self.n}")
+        if not np.all(np.isfinite(self.top)):
+            raise ArgumentError("top values must be finite")
         if not 1 <= len(self.top) <= self.n:
             raise ArgumentError("len(top) must be in [1, n]")
         if np.any(np.diff(self.top) > 0.0):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -93,7 +92,7 @@ _CHUNK = 2 ** 18
 _X87 = (np.finfo(np.longdouble).nmant == 63
         and np.dtype(np.longdouble).itemsize == 16)
 
-# characters after which a chunk is read line by line: '#' starts metadata,
+# characters after which a chunk is read line by line: '#' starts a comment,
 # strtold reads hex that float() refuses, and whitespace other than '\n'
 # can hide a blank line or a second number
 _SLOW_CHARS = "#xX \t\r\v\f"
@@ -614,20 +613,13 @@ def write_sample(stream, sample: Sample, model: TailModel | None = None,
         stream.write(("%.17g\n" * len(block)) % tuple(block))
 
 
-def _read_lines(lines: list, first: int, meta: dict) -> np.ndarray:
-    """Values read line by line from file line ``first``: blanks skipped,
-    '#' lines read into meta, a bad line a DataFormatError."""
+def _read_lines(lines: list, first: int) -> np.ndarray:
+    """Values read line by line from file line ``first``: blank and '#'
+    lines skipped, a bad line a DataFormatError."""
     values = []
     for lineno, line in enumerate(lines, start=first):
         text = line.strip()
-        if not text:
-            continue
-        if text[0] == "#":
-            # split only before a key=, so that cov=tab:1,0.5 keeps its comma
-            for item in re.split(r",(?=\s*[A-Za-z_]\w*\s*=)", text.lstrip("#")):
-                key, eq, val = item.partition("=")
-                if eq:
-                    meta[key.strip()] = val.strip()
+        if not text or text[0] == "#":
             continue
         try:
             value = float(text)
@@ -676,29 +668,25 @@ def _read_chunk(text: str, lines: int) -> np.ndarray | None:
     return values
 
 
-def read_sample(stream) -> tuple[np.ndarray, dict]:
-    """Parse a sample file from a text stream; returns (values, header
-    metadata).
+def read_sample(stream) -> np.ndarray:
+    """Parse a sample file from a text stream; returns its values.
 
-    Raw files without a header are accepted (empty metadata); '#' lines
-    anywhere are metadata.  The file is read in chunks of about 2^18
-    characters of whole lines, so memory stays bounded by the values
-    themselves.  Raises DataFormatError on text that does not decode and on
-    any non-numeric or non-finite data line, naming it.
+    Lines starting with '#', anywhere, are comments and are skipped, as
+    blank lines are.  The file is read in chunks of about 2^18 characters
+    of whole lines, so memory stays bounded by the values themselves.
+    Raises DataFormatError on text that does not decode and on any
+    non-numeric or non-finite data line, naming it.
     """
-    meta: dict[str, str] = {}
     # one buffer grown in place: per-chunk arrays joined at the end left
     # their freed space in the heap, several MB of peak RSS at 10^6 values
     values = np.empty(0)
     n = 0
     try:
-        # the '#' and blank lines that head the file, so that the first chunk
-        # starts at a number
-        header = []
+        # skip the '#' and blank lines that head the file, so that the first
+        # chunk starts at a number; first is the chunk's file line number
+        first = 1
         while (line := stream.readline()) and line.strip()[:1] in ("", "#"):
-            header.append(line)
-        _read_lines(header, 1, meta)
-        first = 1 + len(header)  # file line number of the chunk's first line
+            first += 1
         text = line + stream.read(_CHUNK)
         while text:
             if text[-1] != "\n":
@@ -709,7 +697,7 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
                 text.encode("utf-8", "surrogatepass"), np.uint8) == 10))
             chunk = _read_chunk(text, newlines + (text[-1] != "\n"))
             if chunk is None:
-                chunk = _read_lines(text.split("\n"), first, meta)
+                chunk = _read_lines(text.split("\n"), first)
             if n + len(chunk) > len(values):
                 values.resize(max(2 * len(values), n + len(chunk)), refcheck=False)
             values[n:n + len(chunk)] = chunk
@@ -723,4 +711,4 @@ def read_sample(stream) -> tuple[np.ndarray, dict]:
     if not n:
         raise DataFormatError("no data values in sample file")
     values.resize(n, refcheck=False)
-    return values, meta
+    return values

@@ -335,9 +335,9 @@ def test_synth_header_reads_back_a_tabulated_cov():
     code, out, _ = run_cli("synth", "--model", "lognormal", "--cov",
                            "tab:1,0.5,0.25", "--n", "16", "--seed", "1")
     assert code == 0
-    _, meta = tm.read_sample(io.StringIO(out))
-    assert dep.parse_cov(meta["cov"]) == dep.TabulatedCov((1.0, 0.5, 0.25))
-    assert meta["match"] == "gaussian" and meta["seed"] == "1"
+    assert out.splitlines()[0] == (
+        "# seed=1, model=lognormal, cov=tab:1,0.5,0.25, match=gaussian, "
+        f"version={momentgate.__version__}")
 
 
 def test_synth_hermite_matches_a_slep_whose_power_underflows():
@@ -362,8 +362,8 @@ def test_sample_then_estimate_matches_library(tmp_path):
     payload = json.loads(out)
 
     with open(path) as fh:
-        values, meta = tm.read_sample(fh)
-    sample = tm.Sample(values=values, n=len(values), seed=int(meta["seed"]))
+        values = tm.read_sample(fh)
+    sample = tm.Sample(values=values, n=len(values), seed=0)
     e = est.qc_hat(sample, None, None)
     assert payload["theta_hat"] == e.theta_hat
     assert payload["rho_hat"] == e.rho_hat
@@ -588,8 +588,8 @@ def test_estimate_corr_reports_correction_fields(tmp_path):
     assert payload["n_star"] == dep.n_star(4096, 5.0, 0.08)
 
     with open(path) as fh:
-        values, meta = tm.read_sample(fh)
-    sample = tm.Sample(values=values, n=len(values), seed=int(meta["seed"]))
+        values = tm.read_sample(fh)
+    sample = tm.Sample(values=values, n=len(values), seed=0)
     e = dep.qc_hat_corr(sample, None, None, tau=5.0)
     assert payload["qc_hat"] == e.qc_hat
     assert payload["k_theta"] == e.k_theta
@@ -605,8 +605,8 @@ def test_estimate_corr_takes_given_sieve_settings(tmp_path):
     run_cli("synth", "--model", "lognormal", "--cov", "exp:tau=5",
             "--n", str(n), "--seed", "2", "--out", str(path))
     with open(path) as fh:
-        values, meta = tm.read_sample(fh)
-    sample = tm.Sample(values=values, n=len(values), seed=int(meta["seed"]))
+        values = tm.read_sample(fh)
+    sample = tm.Sample(values=values, n=len(values), seed=0)
     for s in (None, 2.5):
         radius_flag = [] if s is None else ["--s", repr(s)]
         code, out, _ = run_cli("estimate", "--input", str(path), "--corr",
@@ -1147,6 +1147,17 @@ def test_mc_config_missing_entry_is_data_error(tmp_path, text, message):
     assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
+def test_mc_config_negative_correlation_length_is_named(tmp_path):
+    # the section sets no tau: n* reads the covariance's correlation length
+    ini = write_ini(tmp_path, "[experiment]\nkind = corr\nmodels = lognormal\n"
+                              "n = 512\nreps = 2\n[correlated]\n"
+                              "cov = tab:1,-0.4\n")
+    code, out, err = run_cli("mc", "--config", ini)
+    assert (code, out, err) == (
+        2, "", "error: the correlation length tau and kappa must be >= 0, "
+               "got tau = -0.666667, kappa = 0.08\n")
+
+
 @pytest.mark.parametrize("line, value", [
     ("n = abc", "'abc'"),
     ("n = 100.5", "'100.5'"),
@@ -1574,8 +1585,8 @@ def _used_window(argv, text, payload):
         values = np.log(values)
     if "--corr" in argv:
         k = max(payload["k_theta"], payload["k_rho"])
-        top = dep.sieve(values, payload["s"], payload["beta"],
-                        max_points=k + 1).selected_values
+        top = values[dep.sieve(values, payload["s"], payload["beta"],
+                               max_points=k + 1)]
     else:
         top = np.sort(values)[::-1]
     window = top[:payload["k_rho"]]

@@ -64,8 +64,19 @@ def test_parse_cov_rejects_bad_specs():
      "exponential covariance needs tau=..., got 'exp:3'"),
     (lambda: dep.parse_cov("tab:1,half"),
      "non-numeric tabulated covariance in 'tab:1,half'"),
-    (lambda: dep.n_star(1000, -1.0, 0.08), "tau and kappa must be >= 0"),
-    (lambda: dep.n_star(1000, 10.0, math.nan), "tau and kappa must be >= 0"),
+    (lambda: dep.n_star(1000, -1.0, 0.08),
+     "the correlation length tau and kappa must be >= 0, got tau = -1, "
+     "kappa = 0.08"),
+    (lambda: dep.n_star(1000, 10.0, math.nan),
+     "the correlation length tau and kappa must be >= 0, got tau = 10, "
+     "kappa = nan"),
+    # kappa * tau = 0 * inf is NaN
+    (lambda: dep.n_star(10, 0.0, math.inf),
+     "effective size n* = nan < 2 at tau = 0, kappa = inf"),
+    (lambda: dep.n_star(
+        1000, dep.correlation_length(dep.TabulatedCov((1.0, -0.4))), 0.08),
+     "the correlation length tau and kappa must be >= 0, got tau = -0.666667, "
+     "kappa = 0.08"),
     (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=4.0), 16, 0, "bogus"),
      "unknown match mode 'bogus' (expected gaussian or hermite)"),
     (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=3.0), 1, 0),
@@ -77,7 +88,8 @@ def test_parse_cov_rejects_bad_specs():
     (lambda: dep.synth_series(LN, dep.ExponentialCov(tau=3.0), 2 ** 62, 0),
      "series length must be at most 2^57, got 4611686018427387904"),
 ], ids=["exp-without-tau", "exp-bare-value", "tab-non-numeric",
-        "negative-tau", "nan-kappa", "unknown-match-mode", "series-of-one",
+        "negative-tau", "nan-kappa", "kappa-times-tau-nan",
+        "negative-correlation-length", "unknown-match-mode", "series-of-one",
         "series-beyond-index", "series-beyond-bytes"])
 def test_cov_and_size_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
@@ -334,33 +346,33 @@ def test_spectrum_amplitude_is_read_only():
 
 def test_sieve_hand_examples():
     y = [5.0, 4.0, 3.0, 2.0, 1.0]
-    np.testing.assert_array_equal(dep.sieve(y, 1.0, beta=0.0).selected_indices,
+    np.testing.assert_array_equal(dep.sieve(y, 1.0, beta=0.0),
                                   [0, 2, 4])
     # the inter-value count never fires on a monotone run of neighbours
-    np.testing.assert_array_equal(dep.sieve(y, 1.0, beta=10.0).selected_indices,
+    np.testing.assert_array_equal(dep.sieve(y, 1.0, beta=10.0),
                                   [0, 2, 4])
-    np.testing.assert_array_equal(dep.sieve(y, 2.0, beta=0.0).selected_indices,
+    np.testing.assert_array_equal(dep.sieve(y, 2.0, beta=0.0),
                                   [0, 3])
-    np.testing.assert_array_equal(dep.sieve(y, 0.0).selected_indices,
+    np.testing.assert_array_equal(dep.sieve(y, 0.0),
                                   [0, 1, 2, 3, 4])
 
 
 def test_sieve_infinite_radius_keeps_only_the_maximum():
     for beta in (0.0, 1.0):
         got = dep.sieve([1.0, 3.0, 2.0, 3.0], math.inf, beta)
-        np.testing.assert_array_equal(got.selected_indices, [1])
+        np.testing.assert_array_equal(got, [1])
 
 
 def test_sieve_tie_handling_is_stable():
     got = dep.sieve([3.0, 3.0, 3.0], 1.0, beta=0.0)
-    np.testing.assert_array_equal(got.selected_indices, [0, 2])
+    np.testing.assert_array_equal(got, [0, 2])
 
 
 def test_sieve_below_unit_radius_keeps_everything():
     rng = np.random.default_rng(2)
     y = rng.normal(size=40)
     got = dep.sieve(y, 0.99, beta=1.0)
-    np.testing.assert_array_equal(got.selected_indices,
+    np.testing.assert_array_equal(got,
                                   np.argsort(-y, kind="stable"))
 
 
@@ -381,13 +393,13 @@ def test_sieve_matches_brute_force_fuzz():
             y = np.round(y, 1)  # force ties
         s = float(rng.choice([0.0, 1.0, 2.5, 7.0]))
         beta = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
-        got = dep.sieve(y, s, beta).selected_indices
+        got = dep.sieve(y, s, beta)
         want = oracles.brute_sieve(y, s, beta)
         np.testing.assert_array_equal(got, want, err_msg=f"trial {trial}")
     for s, beta in _RADIUS_EDGES:
         for trial in range(4):
             y = rng.normal(size=150)
-            got = dep.sieve(y, s, beta).selected_indices
+            got = dep.sieve(y, s, beta)
             want = oracles.brute_sieve(y, s, beta)
             np.testing.assert_array_equal(
                 got, want, err_msg=f"s={s}, beta={beta}, trial {trial}")
@@ -401,7 +413,7 @@ def test_sieve_matches_brute_force_on_heavy_ties():
         y[zeros[::2]] = -0.0  # 0.0 == -0.0: one tie group
         for s in (1.0, 3.0, 30.0, 300.0):
             for beta in (0.5, 1.0, 3.0):
-                got = dep.sieve(y, s, beta).selected_indices
+                got = dep.sieve(y, s, beta)
                 want = oracles.brute_sieve(y, s, beta)
                 np.testing.assert_array_equal(
                     got, want, err_msg=f"n={n}, s={s}, beta={beta}")
@@ -412,7 +424,7 @@ def test_sieve_matches_searchsorted_counts_on_long_series():
                          seed=11).values
     finite_edges = tuple(e for e in _RADIUS_EDGES if e[0] < math.inf)
     for s, beta in ((1.0, 1.0), (30.0, 1.0), (300.0, 1.0)) + finite_edges:
-        got = dep.sieve(y, s, beta, max_points=300).selected_indices
+        got = dep.sieve(y, s, beta, max_points=300)
         want = oracles.searchsorted_sieve(y, s, beta, max_points=300)
         np.testing.assert_array_equal(got, want, err_msg=f"s={s}, beta={beta}")
 
@@ -439,7 +451,7 @@ def test_sieve_candidate_cut_matches_searchsorted_fuzz():
         # mostly short scans, where the cut leaves out most of the series
         top = n if trial % 4 == 3 else min(n, 60)
         max_points = int(rng.integers(1, top + 1))
-        got = dep.sieve(y, s, beta, max_points=max_points).selected_indices
+        got = dep.sieve(y, s, beta, max_points=max_points)
         want = oracles.searchsorted_sieve(y, s, beta, max_points=max_points)
         np.testing.assert_array_equal(
             got, want, err_msg=f"trial {trial}: n={n}, s={s}, beta={beta}, "
@@ -450,8 +462,8 @@ def test_sieve_prefix_property_of_early_stop():
     rng = np.random.default_rng(8)
     for _ in range(30):
         y = rng.normal(size=60)
-        full = dep.sieve(y, 3.0, 1.0).selected_indices
-        part = dep.sieve(y, 3.0, 1.0, max_points=5).selected_indices
+        full = dep.sieve(y, 3.0, 1.0)
+        part = dep.sieve(y, 3.0, 1.0, max_points=5)
         np.testing.assert_array_equal(part, full[:5])
 
 
@@ -459,7 +471,7 @@ def test_sieve_selected_pairs_exceed_radius():
     rng = np.random.default_rng(13)
     y = rng.normal(size=80)
     for s, beta in ((2.0, 1.0), (5.0, 0.5)):
-        idx = dep.sieve(y, s, beta).selected_indices
+        idx = dep.sieve(y, s, beta)
         d = oracles.brute_distance_matrix(y, beta)
         sub = d[np.ix_(idx, idx)]
         off = sub[~np.eye(len(idx), dtype=bool)]
@@ -469,11 +481,11 @@ def test_sieve_selected_pairs_exceed_radius():
 def test_sieve_count_monotone_in_radius_and_beta():
     rng = np.random.default_rng(21)
     y = rng.normal(size=100)
-    sizes_s = [len(dep.sieve(y, s, 1.0).selected_indices)
+    sizes_s = [len(dep.sieve(y, s, 1.0))
                for s in (0.0, 1.0, 2.0, 4.0, 8.0)]
     assert np.all(np.diff(sizes_s) <= 0)
     # larger beta inflates distances, so fewer removals
-    sizes_b = [len(dep.sieve(y, 4.0, b).selected_indices)
+    sizes_b = [len(dep.sieve(y, 4.0, b))
                for b in (0.0, 0.5, 1.0, 2.0)]
     assert np.all(np.diff(sizes_b) >= 0)
 
@@ -481,7 +493,7 @@ def test_sieve_count_monotone_in_radius_and_beta():
 def test_sieve_values_descend():
     rng = np.random.default_rng(34)
     y = rng.normal(size=50)
-    vals = dep.sieve(y, 2.0, 1.0).selected_values
+    vals = y[dep.sieve(y, 2.0, 1.0)]
     assert np.all(np.diff(vals) <= 0)
 
 
@@ -527,8 +539,8 @@ def test_corrected_theta_uses_effective_size_and_sieved_top():
     series = dep.synth_series(LW2, dep.ExponentialCov(tau=50.0), 4000, seed=44)
     tau, k = 50.0, 10
     got = dep.qc_hat_corr(series, k, 2, tau=tau, s=3.0).theta_hat
-    sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k],
+    picks = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
+    ordered = est.OrderedSample(top=series.values[picks[:k]],
                                 n=dep.n_star(series.n, tau, 0.08))
     want = est.theta_hat(ordered, k)
     assert got == want
@@ -538,8 +550,8 @@ def test_corrected_rho_uses_effective_size():
     series = dep.synth_series(LW2, dep.ExponentialCov(tau=50.0), 4000, seed=45)
     tau, k = 50.0, 12
     got = dep.qc_hat_corr(series, 1, k, tau=tau, s=3.0).rho_hat
-    sieved = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
-    ordered = est.OrderedSample(top=sieved.selected_values[:k],
+    picks = dep.sieve(series, 3.0, 1.0, max_points=k + 1)
+    ordered = est.OrderedSample(top=series.values[picks[:k]],
                                 n=dep.n_star(series.n, tau, 0.08))
     want = est.rho_hat(ordered, k)
     assert got == want

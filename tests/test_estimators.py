@@ -87,7 +87,17 @@ def test_ordered_sample_validates_monotone():
      r"len\(top\) must be in \[1, n\]"),
     (lambda: est.theta_hat(est.OrderedSample(top=np.array([3.0, 2.0]), n=10), 3),
      "k=3 exceeds available order stats 2"),
-], ids=["more-than-n", "empty", "theta-hat-beyond-top"])
+    # rho_hat and theta_hat read ln n, which a non-finite n makes inf or NaN
+    (lambda: est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=math.inf),
+     "n must be finite, got inf"),
+    (lambda: est.OrderedSample(top=np.array([3.0, 2.0, 1.0]), n=math.nan),
+     "n must be finite, got nan"),
+    (lambda: est.OrderedSample(top=np.array([math.nan, 2.0, 1.0]), n=10),
+     "top values must be finite"),
+    (lambda: est.OrderedSample(top=np.array([math.inf, 2.0, 1.0]), n=10),
+     "top values must be finite"),
+], ids=["more-than-n", "empty", "theta-hat-beyond-top", "infinite-n", "nan-n",
+        "nan-top", "infinite-top"])
 def test_ordered_sample_errors_name_their_cause(call, message):
     with pytest.raises(ArgumentError, match=f"^{message}$"):
         call()

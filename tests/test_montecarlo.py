@@ -415,6 +415,16 @@ def test_pool_size_follows_cpu_affinity(monkeypatch):
     assert mc._pool_size() == 1
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_size_without_cpu_affinity_counts_the_cpus(monkeypatch, cpus,
+                                                        workers):
+    # os.sched_getaffinity is absent where the platform has no CPU affinity;
+    # os.cpu_count() is None where the count is unknown
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    assert mc._pool_size() == workers
+
+
 # ------------------------------------------------------------ aggregates
 
 
@@ -476,7 +486,7 @@ def test_config_errors_name_their_cause(call, message):
                              s_values=(1.0, -1.0)), "s must be >= 0"),
     ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
                              assumed_taus=(10.0, math.nan)),
-     "tau and kappa must be >= 0"),
+     "tau and kappa must be >= 0, got tau = nan, kappa = 0.08"),
     ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
                              beta=math.inf), "beta must be finite"),
     # the first cell fails its probe before the second (n* < 2) is decided
@@ -620,8 +630,7 @@ def test_failed_corrected_estimate_fails_only_its_corrected_columns(
     def short_sieve(series, s, beta, max_points=None):
         got = sieve(series, s, beta, max_points)
         if np.array_equal(series, bad):  # one pick short of max_points
-            return dep.SievedSample(got.selected_indices[:max_points - 1],
-                                    got.selected_values[:max_points - 1])
+            return got[:max_points - 1]
         return got
 
     monkeypatch.setattr(dep, "sieve", short_sieve)

@@ -532,18 +532,15 @@ def test_sample_file_round_trip():
     sample = tm.sample_iid(LW2, 50, seed=11)
     buf = io.StringIO()
     tm.write_sample(buf, sample, LW2, extra_header={"note": "x"})
+    assert buf.getvalue().startswith("# seed=11, model=logweibull:rho=2, note=x\n")
     buf.seek(0)
-    values, meta = tm.read_sample(buf)
+    values = tm.read_sample(buf)
     np.testing.assert_array_equal(values, sample.values)  # 17 digits: exact
-    assert meta["seed"] == "11"
-    assert meta["model"] == "logweibull:rho=2"
-    assert meta["note"] == "x"
 
 
 def test_read_sample_accepts_headerless():
-    values, meta = tm.read_sample(io.StringIO("1.5\n2.5\n"))
+    values = tm.read_sample(io.StringIO("1.5\n2.5\n"))
     np.testing.assert_array_equal(values, [1.5, 2.5])
-    assert meta == {}
 
 
 def test_read_sample_reports_bad_line():
@@ -599,11 +596,10 @@ def test_read_sample_names_bad_line_past_first_block(bad, message):
         tm.read_sample(io.StringIO(_lines_past_one_block(bad + "1.0\n")))
 
 
-def test_read_sample_metadata_anywhere():
+def test_read_sample_comments_anywhere():
     text = _lines_past_one_block("   # note = late, seed=9\n2.5\n")
-    text = text.replace(_FILLER, "\t# mid=1\n", 1)
-    values, meta = tm.read_sample(io.StringIO(text))
-    assert meta == {"seed": "9", "mid": "1", "note": "late"}
+    text = text.replace(_FILLER, "\t# a note, not key=value\n", 1)
+    values = tm.read_sample(io.StringIO(text))
     assert len(values) == 70_000 and values[-1] == 2.5
     assert np.all(values[:-1] == 0.5)
 
@@ -616,7 +612,7 @@ def test_read_sample_line_split_at_chunk_seam():
     i = end // len(_FILLER)
     lines = _lines_past_one_block("").splitlines(True)
     lines[1 + i] = "1.23456789012345678\n"
-    values, _ = tm.read_sample(io.StringIO("".join(lines)))
+    values = tm.read_sample(io.StringIO("".join(lines)))
     assert len(values) == 70_000
     assert values[i] == 1.23456789012345678 and values[i + 1] == 0.5
     lines[1 + i] = "0.500000000000000?0\n"
@@ -627,10 +623,9 @@ def test_read_sample_line_split_at_chunk_seam():
 
 def test_read_sample_without_trailing_newline():
     text = _lines_past_one_block("2.5")
-    values, meta = tm.read_sample(io.StringIO(text))
-    assert meta == {"seed": "1"}
+    values = tm.read_sample(io.StringIO(text))
     assert len(values) == 70_001 and values[-1] == 2.5
-    values, _ = tm.read_sample(io.StringIO("1.5\n-2"))
+    values = tm.read_sample(io.StringIO("1.5\n-2"))
     np.testing.assert_array_equal(values, [1.5, -2.0])
 
 
@@ -676,7 +671,7 @@ def test_read_sample_is_float_bit_for_bit(x87, data):
     # line) ends before the text does, so the seam between chunks is crossed
     assume(0 < text.find("\n", len(lines[0]) + chunk) + 1 < len(text))
     with mock.patch.object(tm, "_X87", x87), mock.patch.object(tm, "_CHUNK", chunk):
-        values, _ = tm.read_sample(io.StringIO(text))
+        values = tm.read_sample(io.StringIO(text))
     expected = np.array([float(t) for t in lines])
     np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
 
@@ -716,7 +711,7 @@ def test_read_sample_is_float_bit_for_bit_at_the_smallest_normal(x87):
     text = "\n".join(lines) + "\n"
     assert len(text) < tm._CHUNK
     with mock.patch.object(tm, "_X87", x87):
-        values, _ = tm.read_sample(io.StringIO(text))
+        values = tm.read_sample(io.StringIO(text))
     expected = np.array([float(t) for t in lines])
     np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
 
@@ -746,7 +741,7 @@ def test_read_sample_keeps_float_semantics(text, read):
                     tm.read_sample(io.StringIO(text))
             else:
                 np.testing.assert_array_equal(
-                    tm.read_sample(io.StringIO(text))[0], read)
+                    tm.read_sample(io.StringIO(text)), read)
 
 
 def test_read_sample_skips_blank_line_starting_a_chunk():
@@ -754,9 +749,8 @@ def test_read_sample_skips_blank_line_starting_a_chunk():
     with mock.patch.object(tm, "_CHUNK", 4):
         for x87 in (tm._X87, False):
             with mock.patch.object(tm, "_X87", x87):
-                values, meta = tm.read_sample(io.StringIO("# a=1\n1.5\n2.5\n\n"))
+                values = tm.read_sample(io.StringIO("# a=1\n1.5\n2.5\n\n"))
                 np.testing.assert_array_equal(values, [1.5, 2.5])
-                assert meta == {"a": "1"}
 
 
 def test_read_sample_rejects_undecodable_bytes():
@@ -769,8 +763,7 @@ def test_read_sample_rejects_undecodable_bytes():
 
 def test_read_sample_crlf_blanks_and_whitespace():
     text = "# seed=4, model=lognormal\r\n\r\n 1.5\r\n\t-2.25 \r\n   \r\n3e-310\r\n\r\n"
-    values, meta = tm.read_sample(io.StringIO(text, newline=""))
+    values = tm.read_sample(io.StringIO(text, newline=""))
     np.testing.assert_array_equal(values, [1.5, -2.25, 3e-310])
-    assert meta == {"seed": "4", "model": "lognormal"}
     with pytest.raises(DataFormatError, match="line 4: not a number: '1.0 2.0'"):
         tm.read_sample(io.StringIO("1\r\n\r\n2\r\n1.0 2.0\r\n", newline=""))
