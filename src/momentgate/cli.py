@@ -153,6 +153,8 @@ def _cmd_estimate(args) -> int:
     if not args.corr and any(getattr(args, f) is not None for f in corr_flags):
         raise ArgumentError(
             "--tau, --s, --kappa, --alpha and --beta apply only with --corr")
+    if args.corr and args.tau is None:
+        raise ArgumentError("--corr requires --tau")
     if args.input == "-":
         # strict UTF-8 after an optional BOM, as a file is read; detached so
         # that stdin stays open
@@ -171,8 +173,6 @@ def _cmd_estimate(args) -> int:
     n = len(values)
     sample = tm.Sample(values=values, n=n, seed=0)  # no estimator reads a seed
     if args.corr:
-        if args.tau is None:
-            raise ArgumentError("--corr requires --tau")
         for name, value in _CORR_DEFAULTS.items():
             if getattr(args, name) is None:
                 setattr(args, name, value)

@@ -114,10 +114,10 @@ def _slope_rows(top: np.ndarray, k: int, num: float) -> tuple[np.ndarray, np.nda
     return slope, positives
 
 
-def _check_k(k: int, n: int) -> int:
-    k = _as_int(k, "k")
+def _check_k(k: int, n: int, name: str) -> int:
+    k = _as_int(k, name)
     if not 1 <= k <= n:
-        raise ArgumentError(f"k must be in [1, n]={n}, got {k}")
+        raise ArgumentError(f"{name} must be in [1, n]={n}, got {k}")
     return k
 
 
@@ -137,13 +137,14 @@ def _ladder_log_n(k_rho: int, available: int, n: float) -> float:
 
 def _check_windows(n: float, k_theta: int, k_rho: int) -> float:
     """The checks of integer windows at size n, made before any value is
-    read: the larger window in [1, n], then rho_hat's.  Returns ln n."""
-    return _ladder_log_n(k_rho, _check_k(max(k_theta, k_rho), n), n)
+    read: each window in [1, n], then rho_hat's.  Returns ln n."""
+    _check_k(k_theta, n, "k_theta")
+    return _ladder_log_n(k_rho, _check_k(k_rho, n, "k_rho"), n)
 
 
 def order_stats(sample: Sample, k: int) -> OrderedSample:
     """Top-k values of the sample, descending; O(n + k log k) expected."""
-    k = _check_k(k, sample.n)
+    k = _check_k(k, sample.n, "k")
     values = np.asarray(sample.values, dtype=float)
     return OrderedSample(top=_top_rows(values[None, :], k)[0], n=sample.n)
 

@@ -157,32 +157,25 @@ def log_normal() -> TailModel:
 
 
 def parse_model(spec: str) -> TailModel:
-    """Build a model from a spec string: ``logweibull:rho=2.0``, ``slep:rho=1.5``,
-    ``lognormal``."""
-    name, _, rest = spec.strip().partition(":")
+    """Build a model from a spec ``family[:rho=value]``; rho is 2 if not given."""
+    name, _, param = spec.strip().partition(":")
     name = name.strip().lower()
-    params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ArgumentError(f"malformed model parameter {item!r} in {spec!r}")
-            try:
-                params[key.strip()] = float(val)
-            except ValueError:
-                raise ArgumentError(f"non-numeric value in model spec {spec!r}") from None
-    unknown = set(params) - {"rho"}
-    if unknown:
-        raise ArgumentError(f"unknown model parameters {sorted(unknown)} in {spec!r}")
-    if name == "logweibull":
-        return log_weibull(params.get("rho", 2.0))
-    if name == "slep":
-        return strict_log_exp_power(params.get("rho", 2.0))
-    if name == "lognormal":
-        if "rho" in params and params["rho"] != 2.0:
-            raise ArgumentError("lognormal does not accept rho")
-        return log_normal()
-    raise ArgumentError(f"unknown model family {name!r}")
+    rho = 2.0
+    if param:
+        key, eq, val = param.partition("=")
+        if not eq:
+            raise ArgumentError(f"malformed model parameter {param!r} in {spec!r}")
+        if key.strip() != "rho":
+            raise ArgumentError(f"unknown model parameters {[key.strip()]} in {spec!r}")
+        try:
+            rho = float(val)  # a second parameter after a comma is not a number
+        except ValueError:
+            raise ArgumentError(f"non-numeric value in model spec {spec!r}") from None
+    try:
+        family = Family(name)
+    except ValueError:
+        raise ArgumentError(f"unknown model family {name!r}") from None
+    return TailModel(family, rho)
 
 
 def _spec_number(x: float) -> str:

@@ -217,6 +217,15 @@ def searchsorted_sieve(y, s, beta, max_points=None):
     return np.asarray(out, dtype=np.intp)
 
 
+def repeated_values(distinct, r):
+    """A series of m distinct i.i.d. values with each repeated r times in
+    place, n = m r.  Its sample moments are those of the m values exactly,
+    so the i.i.d. estimate on them is the answer a correction for
+    dependence should give.  Each block's first copy lies at least r from
+    every other block's, so a sieve of radius r - 1 picks each value once."""
+    return np.repeat(np.asarray(distinct, dtype=float), r)
+
+
 def r_squared(x, y):
     """Coefficient of determination of the least-squares line through (x, y)."""
     x = np.asarray(x, dtype=float)

@@ -499,6 +499,11 @@ def test_estimate_corr_requires_tau(tmp_path):
     code, _, err = run_cli("estimate", "--input", str(path), "--corr")
     assert code == 2
     assert "--tau" in err
+    # refused before the input is read: bad stdin is never parsed
+    code, _, err = run_cli("estimate", "--input", "-", "--corr",
+                           stdin_text="abc\n")
+    assert code == 2
+    assert "--tau" in err
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--s", "--kappa", "--alpha",

@@ -30,6 +30,7 @@ from momentgate.errors import (
 
 LW2 = tm.log_weibull(2.0)
 SLEP2 = tm.strict_log_exp_power(2.0)
+SLEP3 = tm.strict_log_exp_power(3.0)
 LN = tm.log_normal()
 
 
@@ -533,6 +534,27 @@ def test_corrected_estimators_reduce_to_iid_at_zero_tau():
     assert corr.rho_hat == plain.rho_hat
     assert corr.qc_hat == plain.qc_hat
     assert (corr.k_theta, corr.k_rho) == (plain.k_theta, plain.k_rho)
+
+
+# (m, r, windows, seed): default windows at m = 4096, r = 16; given windows
+# from the smallest to the defaults at m = 1000, r = 4
+_REPEATED = ([(4096, 16, (None, None), seed) for seed in range(12)]
+             + [(1000, 4, windows, 100 + seed)
+                for windows in ((1, 2), (10, 40), (28, 80))
+                for seed in range(5)])
+
+
+@pytest.mark.parametrize("model", [LN, LW2, SLEP3], ids=tm.format_model)
+@pytest.mark.parametrize("m, r, windows, seed", _REPEATED)
+def test_corrected_estimate_on_repeated_values_is_the_distinct_estimate(
+        model, m, r, windows, seed):
+    # a radius of r - 1 leaves the m distinct values; tau = r - 1 at
+    # kappa = 1 makes n* = n / r = m, so every window rule agrees too
+    distinct = tm.sample_iid(model, m, seed=seed)
+    y = oracles.repeated_values(distinct.values, r)
+    series = tm.Sample(values=y, n=y.size, seed=0)
+    assert (dep.qc_hat_corr(series, *windows, tau=r - 1, kappa=1.0, s=r - 1)
+            == est.qc_hat(distinct, *windows))
 
 
 def test_corrected_theta_uses_effective_size_and_sieved_top():

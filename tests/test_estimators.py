@@ -319,6 +319,24 @@ def test_bad_window_is_an_argument_error_whatever_the_data(sign, estimate,
         estimate(make_sample(sign * np.arange(1.0, 201.0)), 5, k_rho)
 
 
+def test_each_window_is_checked_by_name_before_a_value_is_read(monkeypatch):
+    s = make_sample(tm.sample_iid(LW2, 4096, seed=9).values)
+    with pytest.raises(ArgumentError,
+                       match=r"^k_theta must be in \[1, n\]=4096, got 5000$"):
+        est.qc_hat(s, 5000, 50)
+    with pytest.raises(ArgumentError,
+                       match=r"^k_theta must be in \[1, n\]=4096, got 0$"):
+        est.qc_hat(s, 0, 50)
+
+    def spy(*args, **kwargs):
+        raise AssertionError("the sieve read the series")
+
+    monkeypatch.setattr(dep, "sieve", spy)
+    with pytest.raises(ArgumentError,
+                       match=r"^k_theta must be in \[1, n\]=\S+, got 0$"):
+        dep.qc_hat_corr(s, 0, 50, tau=5.0)
+
+
 _TOP = est.OrderedSample(top=np.array([3.0, 2.0, 1.5, 1.0]), n=100)
 
 

@@ -481,7 +481,7 @@ def test_config_errors_name_their_cause(call, message):
 
 @pytest.mark.parametrize("grids, cc, message", [
     (dict(n_grid=(400, 50), k_rho_grid=(100,)), None,
-     r"k must be in \[1, n\]=50, got 100"),
+     r"k_rho must be in \[1, n\]=50, got 100"),
     ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
                              s_values=(1.0, -1.0)), "s must be >= 0"),
     ({}, mc.CorrelatedConfig(covs=(dep.ExponentialCov(10.0),),
@@ -548,7 +548,7 @@ def test_window_beyond_sample_fails_every_replication():
     # rather than report a cell of failures
     cfg = mc.ExperimentConfig(models=(LW2,), n_grid=(400,), k_theta_grid=(4,),
                               k_rho_grid=(500,), reps=6, seed=1)
-    with pytest.raises(ArgumentError, match="k must be in"):
+    with pytest.raises(ArgumentError, match="k_rho must be in"):
         mc.run_iid(cfg)
 
 

@@ -475,8 +475,10 @@ def test_parse_default_shape():
 
 
 def test_parse_rejects_bad_specs():
+    # a spec has one parameter: a repeated rho is refused, not read as the last
     for spec in ("bogus", "logweibull:rho=1", "logweibull:rho=0.5",
-                 "lognormal:rho=3", "slep:foo=1", "logweibull:rho=abc"):
+                 "lognormal:rho=3", "slep:foo=1", "logweibull:rho=abc",
+                 "logweibull:rho=2,rho=3"):
         with pytest.raises(ArgumentError):
             tm.parse_model(spec)
 
