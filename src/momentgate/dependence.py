@@ -37,8 +37,8 @@ from .errors import (
     EmbeddingError,
     InsufficientSievedPoints,
 )
-from .estimators import (OrderedSample, QcEstimate, _check_windows,
-                         _estimate, _windows, rho_hat, theta_hat)
+from .estimators import (OrderedSample, QcEstimate, _estimate, _ladder_log_n,
+                         _windows, rho_hat, theta_hat)
 from .theory import critical_curve
 
 __all__ = [
@@ -135,8 +135,10 @@ def cov_at_lags(cov: CovarianceSpec, lags: np.ndarray) -> np.ndarray:
         if cov.tau == 0.0:
             return (lags == 0).astype(float)
         # below tau ~ 1e-305, -|t| / tau overflows to -inf: C(t >= 1) = 0
+        c = np.abs(lags, dtype=float)
         with np.errstate(over="ignore"):
-            return np.exp(-np.abs(lags) / cov.tau)
+            c /= -cov.tau
+        return np.exp(c, out=c)
     table = np.asarray(cov.values, dtype=float)
     out = np.zeros(lags.shape, dtype=float)
     inside = lags < table.size
@@ -181,13 +183,18 @@ def _sizes(n: float, tau: float, kappa: float) -> tuple[float, int]:
 
 def _correction(n: float, tau: float, kappa: float, k_theta: int | None,
                 k_rho: int | None, s: float | None, alpha: float):
-    """(n*, k_theta, k_rho, radius) of the corrected estimate: windows of at
-    most n*, given or by the rules of thumb at round(n*); radius s or alpha tau."""
+    """(n*, k_theta, k_rho, radius) of the corrected estimate: windows in
+    [1, n*], given or by the rules of thumb at round(n*), and passing rho_hat's
+    checks at n*; radius s or alpha tau."""
     ns, size = _sizes(n, tau, kappa)
     kt, kr = _windows(size, k_theta, k_rho)
     for name, k in (("k_theta", kt), ("k_rho", kr)):
+        if k < 1:
+            raise ArgumentError(f"{name}={k} is below 1 at the effective size "
+                                f"n* = {ns:.6g}")
         if k > ns:
             raise ArgumentError(f"{name}={k} exceeds the effective size n* = {ns:.6g}")
+    _ladder_log_n(kr, kr, ns)  # rho_hat's own checks, at n*
     if s == math.inf:  # the sieve would keep one point of any series
         raise ArgumentError(f"the sieve radius s must be finite, got {s}")
     radius = alpha * tau if s is None else s
@@ -218,14 +225,19 @@ def _spectrum(model: tm.TailModel | None, cov: CovarianceSpec, m: int,
     share one FFT; the model is in the key only in Hermite mode, the one
     mode that reads it (pass None otherwise).  A failing key raises on
     every call: exceptions are not cached."""
-    dist = np.minimum(np.arange(m), m - np.arange(m))
-    c = cov_at_lags(cov, dist)
+    lags = np.arange(m)
+    # circular distance to lag 0: m - t past m / 2
+    np.subtract(m, lags[m // 2 + 1:], out=lags[m // 2 + 1:])
+    c = cov_at_lags(cov, lags)
+    del lags
     if match_mode is MatchMode.HERMITE:
         half = m // 2 + 1
         r_half = _hermite_gaussian_cov(model, c[:half])
         c = np.concatenate([r_half, r_half[1:-1][::-1]])
         c[0] = 1.0
+    c = c.astype(complex)  # fft's own cast, made here so the real c is freed
     lam = np.fft.fft(c).real
+    del c
     lam_max = float(lam.max())
     bad = lam < -1e-10 * max(lam_max, 1.0)
     clipped_mass = float(-lam[bad].sum())
@@ -235,7 +247,10 @@ def _spectrum(model: tm.TailModel | None, cov: CovarianceSpec, m: int,
             f"circulant embedding clipped {clipped_mass / total_mass:.2%} "
             "of spectral mass"
         )
-    amp = np.sqrt(np.maximum(lam, 0.0) / m)
+    amp = np.maximum(lam, 0.0)
+    del lam  # a view of the FFT's complex output, twice amp's size
+    amp /= m
+    np.sqrt(amp, out=amp)
     amp.flags.writeable = False
     return amp
 
@@ -253,13 +268,18 @@ def _embed_gaussian(amp: np.ndarray, seed: int) -> np.ndarray:
     m = amp.size
     k = m // 2
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    uv = rng.standard_normal((2, m))  # u then v: the stream of two m-draws
-    uv *= amp
-    au, av = uv
     h = np.empty(k + 1, dtype=complex)  # conj h_0 .. conj h_k
-    h[0] = au[0]
-    h.real[1:] = au[1:k + 1] + au[:k - 1:-1]  # au[:k-1:-1]: m-1 down to k
-    h.imag[1:] = av[:k - 1:-1] - av[1:k + 1]
+    # Re w = amp u, then Im w = amp v, in one buffer: two m-draws are the
+    # stream of one (2, m) draw
+    w = rng.standard_normal(m)
+    w *= amp
+    h[0] = w[0]
+    # w[:k-1:-1] runs from m-1 down to k
+    np.add(w[1:k + 1], w[:k - 1:-1], out=h.real[1:])
+    rng.standard_normal(out=w)
+    w *= amp
+    np.subtract(w[:k - 1:-1], w[1:k + 1], out=h.imag[1:])
+    del w
     h[1:] *= 0.5
     return np.fft.irfft(h, m, norm="forward")
 
@@ -325,11 +345,18 @@ def synth_series(model: tm.TailModel, cov: CovarianceSpec, n: int, seed: int,
     except ValueError:
         raise ArgumentError(f"unknown match mode {match_mode!r} "
                             "(expected gaussian or hermite)") from None
-    m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
-    key = model if match_mode is MatchMode.HERMITE else None
-    z = _embed_gaussian(_spectrum(key, cov, m, match_mode), seed)[:n]
+    z = _embed_gaussian(_series_spectrum(model, cov, n, match_mode), seed)[:n]
     y = _gauss_to_marginal(model, z)
     return tm.Sample(values=y, n=n, seed=seed)
+
+
+def _series_spectrum(model: tm.TailModel, cov: CovarianceSpec, n: int,
+                     match_mode: MatchMode) -> np.ndarray:
+    """The cached spectrum that synth_series reads for n values: embedding
+    length m, the least power of two >= max(2 (n - 1), 2)."""
+    m = 1 << max(1, (2 * (n - 1) - 1).bit_length())
+    key = model if match_mode is MatchMode.HERMITE else None
+    return _spectrum(key, cov, m, match_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +483,6 @@ def qc_hat_corr(series: tm.Sample, k_theta: int | None = None,
     """Sieve-corrected critical-order estimate for a correlated series; by
     default windows at round(n*) and sieve radius alpha * tau (_correction)."""
     ns, kt, kr, radius = _correction(series.n, tau, kappa, k_theta, k_rho, s, alpha)
-    _check_windows(ns, kt, kr)  # as qc_hat does, before the sieve reads a value
     k_need = max(kt, kr)
     [top], [kept] = _sieved_top([series.values], radius, beta, k_need)
     if np.isnan(top[0]):

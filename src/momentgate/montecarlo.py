@@ -230,7 +230,10 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     r) of consecutive uint32 ids r are computed up front in one pass, so
     reps above 2^32 is an ArgumentError.  draw(seeds) returns a block's
     samples, one row each (a row may hold only the values that measure
-    reads), and measure(samples) their (rows, width) results.
+    reads), and measure(samples) their (rows, width) results.  Before a
+    pool starts, a block of no rows runs on the calling thread, so that
+    what the draws of every block share (run_corr's spectrum) is built
+    there once, not by each worker that starts before it is cached.
     Failures are handled here alone: a sample row that is not finite is
     zeroed before measure and NaN after it; a draw or measure raising
     NumericalError leaves its block NaN; other errors propagate.
@@ -240,13 +243,12 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
     workers = _pool_size()
     size = max(1, min(_LSE_BLOCK // n,
                       max(-(-reps // workers), _SPLIT_MIN // n)))
-    count = -(-reps // size)
-    workers = 1 if gil_bound and n < _SPLIT_MIN else min(workers, count)
     all_seeds = _rep_seeds(seed, cell_id,
                            np.arange(reps, dtype=np.uint32)).tolist()
+    blocks = [all_seeds[i:i + size] for i in range(0, reps, size)]
+    workers = 1 if gil_bound and n < _SPLIT_MIN else min(workers, len(blocks))
 
-    def worker(b):
-        seeds = all_seeds[b * size:(b + 1) * size]
+    def worker(seeds):
         try:
             y = draw(seeds)
             ok = np.isfinite(y).all(axis=1)
@@ -257,11 +259,12 @@ def _replicate(reps: int, seed: int, cell_id: int, n: int, width: int,
         out[~ok] = math.nan
         return out
 
-    # results indexed by block, so the join order never depends on scheduling
+    # results in block order, so the join order never depends on scheduling
     if workers <= 1:
-        return np.concatenate([worker(b) for b in range(count)])
+        return np.concatenate([worker(seeds) for seeds in blocks])
+    worker([])  # what the workers' draws share, built once, before they start
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(worker, range(count))))
+        return np.concatenate(list(pool.map(worker, blocks)))
 
 
 def _aggregate(values: np.ndarray, target: float) -> dict:
@@ -356,6 +359,11 @@ def run_iid(config: ExperimentConfig) -> McReport:
 
 
 def _series_rows(model: tm.TailModel, cov, n: int, match_mode, seeds):
+    """(len(seeds), n) block of synth_series values; with no seeds, a block
+    of no rows that builds the series' spectrum."""
+    if not seeds:
+        dep._series_spectrum(model, cov, n, match_mode)
+        return np.empty((0, n))
     return np.stack([dep.synth_series(model, cov, n, s, match_mode).values
                      for s in seeds])
 

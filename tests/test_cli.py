@@ -525,14 +525,19 @@ def test_estimate_corr_rejects_infinite_beta(tmp_path):
     assert "beta must be finite" in err
 
 
-def test_estimate_corr_rejects_window_above_effective_size(tmp_path):
-    # n* = 1000 / (1 + 0.08 * 100) = 111.1 < k_theta
+@pytest.mark.parametrize("k_theta, message", [
+    ("150", "k_theta=150 exceeds the effective size n* = 111.111"),
+    ("0", "k_theta=0 is below 1 at the effective size n* = 111.111"),
+])
+def test_estimate_corr_rejects_window_outside_effective_size(tmp_path, k_theta,
+                                                             message):
+    # n* = 1000 / (1 + 0.08 * 100) = 111.1
     path = tmp_path / "sample.txt"
     run_cli("sample", "--model", "lognormal", "--n", "1000", "--out", str(path))
     code, out, err = run_cli("estimate", "--input", str(path), "--corr",
-                             "--tau", "100", "--k-theta", "150")
+                             "--tau", "100", "--k-theta", k_theta)
     assert code == 2 and out == ""
-    assert err == "error: k_theta=150 exceeds the effective size n* = 111.111\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ checked at the Gaussian layer (autocovariance) and at the marginal layer
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,33 @@ def test_spectrum_cache_keys_the_model_only_in_hermite_mode():
     assert dep._spectrum.cache_info().currsize == 1
 
 
+def _traced_doubles(call):
+    """Peak memory that call() allocates, in doubles, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cov", [dep.ExponentialCov(tau=10.0),
+                                 dep.TabulatedCov(values=(1.0, 0.5, 0.25))],
+                         ids=["exp", "tab"])
+def test_synthesis_holds_few_embedding_length_arrays(cov):
+    # the FFT's real input cast to complex and its complex output bound the
+    # spectrum; one buffer of normals, then h and the inverse FFT's output,
+    # bound a series, whose marginal map is the identity on lognormal
+    m, gauss = 1 << 16, dep.MatchMode.GAUSSIAN_LEVEL
+    assert _traced_doubles(
+        lambda: dep._spectrum.__wrapped__(None, cov, m, gauss)) <= 5.05 * m
+    amp = dep._spectrum(None, cov, m, gauss)
+    assert _traced_doubles(lambda: dep._embed_gaussian(amp, 3)) <= 2.05 * m
+    assert _traced_doubles(
+        lambda: dep.synth_series(LN, cov, m // 2 + 1, 3)) <= 2.05 * m
+
+
 def test_spectrum_amplitude_is_read_only():
     amp = dep._spectrum(None, dep.ExponentialCov(tau=5.0), 64,
                         dep.MatchMode.GAUSSIAN_LEVEL)
@@ -598,10 +626,12 @@ def test_corrected_estimators_need_enough_sieved_points():
 @pytest.mark.parametrize("windows, message", [
     ((150, None), "k_theta=150 exceeds the effective size n* = 111.111"),
     ((None, 112), "k_rho=112 exceeds the effective size n* = 111.111"),
+    ((0, None), "k_theta=0 is below 1 at the effective size n* = 111.111"),
+    ((None, 0), "k_rho=0 is below 1 at the effective size n* = 111.111"),
 ])
-def test_corrected_window_above_effective_size_is_rejected(windows, message):
-    # n* = 1000 / (1 + 0.08 * 100): a corrected window holds at most n*
-    # values, as an uncorrected one holds at most n
+def test_corrected_window_outside_effective_size_is_rejected(windows, message):
+    # n* = 1000 / (1 + 0.08 * 100): a corrected window holds at least one and
+    # at most n* values, as an uncorrected one holds at most n
     series = tm.sample_iid(LW2, 1000, seed=1)
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         dep.qc_hat_corr(series, *windows, tau=100.0)

@@ -332,8 +332,9 @@ def test_each_window_is_checked_by_name_before_a_value_is_read(monkeypatch):
         raise AssertionError("the sieve read the series")
 
     monkeypatch.setattr(dep, "sieve", spy)
-    with pytest.raises(ArgumentError,
-                       match=r"^k_theta must be in \[1, n\]=\S+, got 0$"):
+    # a corrected window is checked at n* = 4096 / (1 + 0.08 * 5), by name
+    with pytest.raises(ArgumentError, match=r"^k_theta=0 is below 1 at the "
+                                            r"effective size n\* = 2925\.71$"):
         dep.qc_hat_corr(s, 0, 50, tau=5.0)
 
 

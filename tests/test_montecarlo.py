@@ -398,7 +398,8 @@ def test_blocks_split_reps_over_workers(monkeypatch, workers, n, reps,
         sizes = []
 
         def draw(seeds):
-            sizes.append(len(seeds))
+            if seeds:  # not the block of no rows that precedes a pool
+                sizes.append(len(seeds))
             return np.zeros((len(seeds), 1))
 
         vals = mc._replicate(reps, 0, 0, n, 1, draw, lambda y: y.copy(),
@@ -983,6 +984,35 @@ def test_correlated_run_matches_frozen_values():
         np.testing.assert_allclose(
             [row["mean"], row["variance"], row["cov_theta_rho"]],
             [mean, var, cov], rtol=1e-9, err_msg=str(key))
+
+
+def _spectrum_builds(monkeypatch, cfg):
+    """The covariance of each spectrum run_corr(cfg) builds on two workers."""
+    monkeypatch.setattr(mc, "_pool_size", lambda: 2)
+    built = []
+    real = dep.cov_at_lags
+
+    def spy(cov, lags):
+        built.append(cov)
+        return real(cov, lags)
+
+    monkeypatch.setattr(dep, "cov_at_lags", spy)
+    dep._spectrum.cache_clear()
+    mc.run_corr(cfg)
+    return built
+
+
+# each cell builds its spectrum on the calling thread before its blocks
+# start: 2 series of 2^16 make two blocks, 10 series of 4096 two of 5
+@pytest.mark.parametrize("n, reps, taus", [
+    (2 ** 16, 2, (10.0, 100.0)),
+    (4096, 10, (1.0, 2.0, 5.0, 10.0, 20.0)),  # more keys than the cache holds
+])
+def test_each_spectrum_is_built_once(monkeypatch, n, reps, taus):
+    covs = tuple(map(dep.ExponentialCov, taus))
+    cfg = mc.ExperimentConfig(models=(LN,), n_grid=(n,), reps=reps, seed=4,
+                              correlated=mc.CorrelatedConfig(covs=covs))
+    assert _spectrum_builds(monkeypatch, cfg) == list(covs)
 
 
 def test_synthesis_failures_become_counted_failures():
